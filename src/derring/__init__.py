@@ -25,8 +25,8 @@ from .dihedral import (DihedralPrediction, NoClosedForm, explicit_basis, params_
                        predict, predict_classes, predict_dim_derivations,
                        predict_dim_inner, predict_outer)
 from .codes import (CodeReport, LinearCode, code_report, derivation_matrix, dual_code,
-                    encode, idd_code, is_lcd, is_self_orthogonal, matrix_text,
-                    min_distance, subset_sweep)
+                    encode, idd_code, is_lcd, is_self_orthogonal, linear_code_report,
+                    matrix_text, min_distance, subset_sweep, weight_distribution)
 from .errors import (DependentSubset, DerivationRejected, HomomorphismRejected,
                      MathRejection)
 

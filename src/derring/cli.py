@@ -14,7 +14,7 @@ or a cyclic power seed) and a subset of group elements:
 
 Exit codes: 0 on success, 1 when the input is mathematically rejected
 (failing relator, dependent subset, no closed form, ...), 2 on
-malformed input.
+malformed input, 3 on an internal error (a fault in derring itself).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
-from .codes import code_report, idd_code, matrix_text
+from .codes import idd_code, linear_code_report, matrix_text
 from .conjugacy import inner_basis, twisted_center_group, twisted_classes
 from .derivations import (GeneratorMap, cyclic_power_derivation, derivation_space,
                           extend_from_generators, is_inner, verify_derivation)
@@ -243,8 +243,8 @@ def cmd_idd(args) -> int:
     job = Job(_load(args.spec), args.field, args.sigma)
     D = job.derivation()
     indices = job.subset_indices()
-    report = code_report(D, indices)
     code = idd_code(D, indices)
+    report = linear_code_report(code)
     payload = report.to_json_dict()
     payload["generator_matrix"] = matrix_text(code.generator).split("\n")
     lines = [f"[{report.n},{report.k},{report.d}] "
@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -2,11 +2,15 @@
 
 Row i of the derivation matrix B is the coefficient vector of D(g_i) in
 the frozen group listing, so a subset T of group elements with
-independent images spans an [n, |T|] code.  Minimum distance is found by
-exhaustive message enumeration (numpy-blocked, exact integers mod q); a
-code whose message space is too large but whose dual side is enumerable
-is handled through the exact integer transform of the dual weight
-distribution, which the dual parameters of the reported tables require.
+independent images spans an [n, |T|] code.
+
+Every code report rests on one exact weight enumeration.  Of the code
+(q^k codewords) and its dual (q^(n-k) codewords), only the smaller side
+is enumerated, the code itself on a tie, by numpy-blocked integer
+arithmetic mod q.  The other side's weight distribution follows from it
+by the MacWilliams identity, computed exactly as integer Kravchuk sums;
+both distributions are checked to have the right number of codewords.
+A code whose smaller side exceeds ``ENUMERATION_CAP`` is refused.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,7 +29,7 @@ from .errors import DependentSubset
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix
 
-# enumeration cap: the worst table case is 3^16 messages
+# most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
 
 
@@ -115,12 +120,14 @@ def _weight_counts(rows: List[List[int]], q: int) -> List[int]:
     k = len(rows)
     n = len(rows[0])
     gen = np.array(rows, dtype=np.int64) % q
+    # tables hold residues mod q, and the sum of two residues before the mod
+    dtype = np.min_scalar_type(2 * (q - 1))
 
     def span_table(sub: np.ndarray) -> np.ndarray:
-        table = np.zeros((1, n), dtype=np.int8)
+        table = np.zeros((1, n), dtype=dtype)
         for row in sub:
             shifts = (np.arange(q, dtype=np.int64)[:, None] * row[None, :]) % q
-            table = (table[None, :, :] + shifts[:, None, :].astype(np.int8)) % q
+            table = (table[None, :, :] + shifts[:, None, :].astype(dtype)) % q
             table = table.reshape(-1, n)
         return table
 
@@ -140,51 +147,73 @@ def _weight_counts(rows: List[List[int]], q: int) -> List[int]:
     return counts.tolist()
 
 
-def _kravchuk(j: int, i: int, n: int, q: int) -> int:
-    return sum((-1) ** l * (q - 1) ** (j - l) * math.comb(i, l) * math.comb(n - i, j - l)
-               for l in range(max(0, j - (n - i)), min(i, j) + 1))
+@lru_cache(maxsize=64)
+def _kravchuk_matrix(n: int, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row j holds the Kravchuk values K_j(i) for i = 0..n."""
+    return tuple(
+        tuple(sum((-1) ** l * (q - 1) ** (j - l) * math.comb(i, l) * math.comb(n - i, j - l)
+                  for l in range(max(0, j - (n - i)), min(i, j) + 1))
+              for i in range(n + 1))
+        for j in range(n + 1))
 
 
 def _transform_counts(dual_counts: List[int], n: int, q: int, dual_size: int) -> List[int]:
     """Weight distribution of a code from its dual's, exactly in integers."""
     out = []
-    for j in range(n + 1):
-        total = sum(ai * _kravchuk(j, i, n, q) for i, ai in enumerate(dual_counts) if ai)
+    for row in _kravchuk_matrix(n, q):
+        total = sum(ai * kji for ai, kji in zip(dual_counts, row) if ai)
         if total % dual_size:
             raise AssertionError("dual weight transform is not integral")
         out.append(total // dual_size)
+    if sum(out) * dual_size != q ** n:
+        raise AssertionError("dual weight transform lost codewords")
     return out
 
 
-def _int_rows(matrix: Matrix) -> List[List[int]]:
-    return [[int(x) for x in row] for row in matrix.data]
+def _int_rows(rows: Sequence[Sequence]) -> List[List[int]]:
+    return [[int(x) for x in row] for row in rows]
 
 
-def min_distance(code: LinearCode) -> int:
-    """Exhaustive minimum Hamming weight over all nonzero codewords.
+def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
+    """Exact weight distributions of the code and of its dual.
 
-    Message spaces beyond the enumeration cap are resolved through the
-    dual side when that is enumerable; otherwise the search is refused as
-    too large.
+    Enumerates only the smaller of the two (the code itself on a tie) and
+    obtains the other by the MacWilliams transform.  Refused as too large
+    when the smaller side has more than ``ENUMERATION_CAP`` codewords.
     """
-    if code.k < 1:
-        raise ValueError("minimum distance needs dimension k >= 1")
     q = code.field.p
     n, k = code.n, code.k
-    if q ** k <= ENUMERATION_CAP:
-        counts = _weight_counts(_int_rows(code.generator), q)
-    elif q ** (n - k) <= ENUMERATION_CAP:
-        dual_rows = code.generator.kernel_basis()
-        dual_counts = _weight_counts([[int(x) for x in row] for row in dual_rows], q)
-        counts = _transform_counts(dual_counts, n, q, q ** (n - k))
-    else:
+    if k < 1:
+        raise ValueError("weight distribution needs dimension k >= 1")
+    small_k = min(k, n - k)
+    if q ** small_k > ENUMERATION_CAP:
         raise ValueError(
-            f"minimum distance search too large: both q^k = {q}^{k} and "
-            f"q^(n-k) = {q}^{n - k} exceed the enumeration cap")
-    for w in range(1, n + 1):
+            f"weight enumeration too large: the smaller of the code and its dual "
+            f"has {q}^{small_k} codewords, above the enumeration cap")
+    if k <= n - k:
+        counts = _weight_counts(_int_rows(code.generator.data), q)
+        return counts, _transform_counts(counts, n, q, q ** k)
+    kernel = code.generator.kernel_basis()
+    if len(kernel) != n - k:
+        raise ValueError(f"generator rank is not k = {k}")
+    dual_counts = _weight_counts(_int_rows(kernel), q) if kernel else [1] + [0] * n
+    return _transform_counts(dual_counts, n, q, q ** (n - k)), dual_counts
+
+
+def _first_weight(counts: List[int]) -> int:
+    for w in range(1, len(counts)):
         if counts[w]:
             return w
     raise AssertionError("code of dimension >= 1 has no nonzero codeword")
+
+
+def min_distance(code: LinearCode) -> int:
+    """Minimum Hamming weight over all nonzero codewords, by exact enumeration.
+
+    The first nonzero weight of ``weight_distribution``; refused as too
+    large under the same cap.
+    """
+    return _first_weight(weight_distribution(code)[0])
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -243,15 +272,21 @@ class CodeReport:
         }
 
 
-def code_report(D: TwistedDerivation, subset: Sequence[int]) -> CodeReport:
-    """Full parameter row for the code spanned by D over the subset."""
-    code = idd_code(D, subset)
-    dual = dual_code(code)
+def linear_code_report(code: LinearCode) -> CodeReport:
+    """Full parameter row of a code of length n and dimension 1 <= k < n."""
+    if not 1 <= code.k < code.n:
+        raise ValueError("a code report needs dimension 1 <= k < n")
+    counts, dual_counts = weight_distribution(code)
     return CodeReport(
-        n=code.n, k=code.k, d=min_distance(code),
-        dual_n=dual.n, dual_k=dual.k, dual_d=min_distance(dual),
+        n=code.n, k=code.k, d=_first_weight(counts),
+        dual_n=code.n, dual_k=code.n - code.k, dual_d=_first_weight(dual_counts),
         lcd=is_lcd(code), self_orthogonal=is_self_orthogonal(code),
         source=code.source)
+
+
+def code_report(D: TwistedDerivation, subset: Sequence[int]) -> CodeReport:
+    """Full parameter row for the code spanned by D over the subset."""
+    return linear_code_report(idd_code(D, subset))
 
 
 def subset_sweep(D: TwistedDerivation, k: int,

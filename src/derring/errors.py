@@ -3,7 +3,8 @@
 A ``MathRejection`` means the input was well formed but the requested
 object does not exist (a map that is not multiplicative, a relator image
 that does not vanish, a dependent generating subset, ...).  The CLI maps
-these to exit code 1, as opposed to malformed input which exits 2.
+these to exit code 1, as opposed to malformed input which exits 2 and
+any other exception, an internal error, which exits 3.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Scalars are plain Python ints (always reduced mod p) for GF(p) and
 arbitrary-precision rationals for the rational field, so every result in
 the toolkit is exact; there is no floating point anywhere.  Row reduction
-is Gauss-Jordan with first-nonzero pivoting.  For prime fields there is a
-numpy-backed fast path that still works on exact machine integers mod p.
+is Gauss-Jordan with first-nonzero pivoting.  For prime fields with
+(p - 1)^2 < 2^63 there is a numpy-backed fast path that still works on
+exact machine integers mod p.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,6 +140,8 @@ def parse_field(spec) -> Field:
 
 # numpy RREF mod p is only worth its setup cost on larger systems
 _NUMPY_RREF_THRESHOLD = 2048
+# largest p whose products of two residues, (p - 1)^2, fit in int64
+_NUMPY_RREF_MAX_P = math.isqrt(2 ** 63 - 1) + 1
 
 
 class Matrix:
@@ -216,7 +220,8 @@ class Matrix:
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        if (self.field.p and self.rows * self.cols >= _NUMPY_RREF_THRESHOLD):
+        p = self.field.p
+        if p and p <= _NUMPY_RREF_MAX_P and self.rows * self.cols >= _NUMPY_RREF_THRESHOLD:
             return self._rref_numpy()
         return self._rref_python()
 
@@ -366,7 +371,12 @@ def _as_int_rows(rows) -> Optional[List[List[int]]]:
 
 
 def rref_mod_p(a: "np.ndarray", p: int) -> List[int]:
-    """In-place RREF of an int64 numpy array mod p; returns pivot columns."""
+    """In-place RREF of an int64 numpy array mod p; returns pivot columns.
+
+    Exact only while (p - 1)^2 fits in int64; larger p is refused.
+    """
+    if p > _NUMPY_RREF_MAX_P:
+        raise ValueError(f"rref_mod_p needs (p - 1)^2 < 2^63, got p = {p}")
     nrows, ncols = a.shape
     pivots: List[int] = []
     r = 0

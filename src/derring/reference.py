@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .codes import (CodeReport, LinearCode, code_report, dual_code, is_lcd,
-                    is_self_orthogonal, min_distance)
+from .codes import CodeReport, LinearCode, code_report, linear_code_report
 from .derivations import (GeneratorMap, TwistedDerivation, cyclic_power_derivation,
                           derivation_space, extend_from_generators)
 from .dihedral import predict
@@ -364,10 +363,7 @@ def _report_with_replaced_row(derivation: TwistedDerivation, indices: List[int],
     gen = Matrix(field, rows, coerce=False)
     code = LinearCode(field, derivation.group.order, len(indices), gen,
                       {"subset_indices": indices})
-    dual = dual_code(code)
-    return CodeReport(code.n, code.k, min_distance(code), dual.n, dual.k,
-                      min_distance(dual), is_lcd(code), is_self_orthogonal(code),
-                      code.source)
+    return linear_code_report(code)
 
 
 def reproduce_table(table_id: str) -> List[RowCheck]:

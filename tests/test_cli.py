@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+from derring import cli
 from derring.cli import main
+from derring.derivations import inner_derivation
+from derring.groupring import format_element, parse_element
+from derring.groups import dihedral_group, endo_from_images
+from derring.linalg import GF
 
 
 D12_SPEC = {
@@ -128,6 +133,33 @@ def test_idd_report_roundtrip(tmp_path, capsys):
     assert payload["lcd"] is False
     assert len(payload["generator_matrix"]) == 8
     assert payload["generator_matrix"][0] == "1 1 1 1 1 1 0 0 1 0 0 1 0 0 0 0 0 0"
+
+
+def test_idd_over_large_field(tmp_path, capsys):
+    # the inner derivation of 1 + 2a + 3b + 5a^3b, given by its generator images
+    g = dihedral_group(8)
+    F = GF(131)
+    sigma = endo_from_images(g, {"a": "a^3", "b": "b"})
+    D = inner_derivation(parse_element(g, F, "1 + 2*a + 3*b + 5*a^3*b"), sigma, sigma)
+    spec = write_spec(tmp_path, {
+        "group": {"family": "dihedral", "n": 8}, "field": "GF(131)",
+        "sigma": {"a": "a^3", "b": "b"},
+        "derivation": {"images": {name: format_element(D.table[g.index_of(name)])
+                                  for name in ("a", "b")}},
+        "subset": ["a", "a^2"]})
+    rc, payload = run_json(capsys, ["idd", spec, "--format", "json"])
+    assert rc == 0
+    assert (payload["n"], payload["k"], payload["d"]) == (16, 2, 4)
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    assert main(["validate", write_spec(tmp_path, D12_SPEC)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_idd_dependent_subset_exits_1(tmp_path, capsys):

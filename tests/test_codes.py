@@ -1,13 +1,14 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from derring.codes import (LinearCode, code_report, derivation_matrix,
                            dual_code, encode, encode_via_derivation, idd_code,
-                           is_lcd, is_self_orthogonal, matrix_text, min_distance,
-                           subset_sweep, _transform_counts, _weight_counts)
-from derring.derivations import TwistedDerivation, cyclic_power_derivation
+                           is_lcd, is_self_orthogonal, linear_code_report, matrix_text,
+                           min_distance, subset_sweep, weight_distribution,
+                           _transform_counts, _weight_counts)
+from derring.derivations import TwistedDerivation, cyclic_power_derivation, inner_derivation
 from derring.errors import DependentSubset
 from derring.groups import cyclic_group, dihedral_group, endo_from_images, identity_endomorphism
 from derring.groupring import parse_element
@@ -39,6 +40,16 @@ def brute_min_distance(rows, q):
         w = sum(1 for x in cw if x)
         best = w if best is None else min(best, w)
     return best
+
+
+def brute_dual_distance(rows, q):
+    """Independent oracle: the fewest generator columns that are linearly dependent."""
+    n = len(rows[0])
+    for w in range(1, n + 1):
+        for cols in combinations(range(n), w):
+            if Matrix(GF(q), [[row[j] for j in cols] for row in rows]).rank() < w:
+                return w
+    return None
 
 
 def test_derivation_matrix_zero_and_rows():
@@ -123,6 +134,48 @@ def test_min_distance_against_brute_oracle(q):
             continue
         code = LinearCode(GF(q), n, k, m, {})
         assert min_distance(code) == brute_min_distance(rows, q)
+
+
+# q = 61 and 67 straddle the old int8 bound 2(q - 1) <= 127, q = 127 and 131
+# the uint8 bound 2(q - 1) <= 255
+@pytest.mark.parametrize("q", [2, 3, 5, 61, 67, 127, 131])
+def test_distances_against_brute_oracles(q):
+    rng = random.Random(q * 31)
+    # (n, k) covers k < n - k, a tie, and k > n - k (the dual side enumerated)
+    shapes = [(6, 2), (4, 2), (3, 2), (5, 1)] if q > 5 else [(7, 2), (6, 3), (7, 4), (8, 6)]
+    for n, k in shapes:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        m = Matrix(GF(q), rows)
+        if m.rank() != k:
+            continue
+        rep = linear_code_report(LinearCode(GF(q), n, k, m, {}))
+        assert rep.d == brute_min_distance(rows, q)
+        assert rep.dual_d == brute_dual_distance(rows, q)
+
+
+@pytest.mark.parametrize("q", [101, 127, 131])
+def test_large_q_inner_derivation_code(q):
+    g = dihedral_group(8)
+    sigma = endo_from_images(g, {"a": "a^3", "b": "b"})
+    D = inner_derivation(parse_element(g, GF(q), "1 + 2*a + 3*b + 5*a^3*b"), sigma, sigma)
+    subset = [g.index_of("a"), g.index_of("a^2")]
+    rows = [[int(x) for x in D.table[i].coeffs] for i in subset]
+    rep = code_report(D, subset)
+    assert rep.params == (16, 2, brute_min_distance(rows, q)) == (16, 2, 4)
+    assert rep.dual_d == brute_dual_distance(rows, q)
+
+
+def test_weight_distribution_sides_agree():
+    g, D = c18_derivation()
+    code = idd_code(D, [1, 5, 7, 9, 11, 13, 15, 17])
+    counts, dual_counts = weight_distribution(code)
+    assert counts == _weight_counts([[int(x) for x in r] for r in code.generator.data], 2)
+    dual = dual_code(code)
+    assert dual_counts == _weight_counts([[int(x) for x in r] for r in dual.generator.data], 2)
+    # k = 10 > n - k: the dual side is enumerated and the code side transformed
+    assert weight_distribution(dual) == (dual_counts, counts)
+    full = LinearCode(GF(3), 5, 5, Matrix.identity(GF(3), 5), {})
+    assert weight_distribution(full)[0] == [1, 10, 40, 80, 80, 32]
 
 
 def test_weight_transform_matches_direct_enumeration():

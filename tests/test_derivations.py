@@ -12,6 +12,7 @@ from derring.errors import DerivationRejected
 from derring.groups import (abelian_group, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word)
+from derring.conjugacy import twisted_classes
 from derring.groupring import GroupRingElement, apply_endo, parse_element
 from derring.linalg import GF, QQ, rows_rank
 
@@ -194,6 +195,16 @@ def test_all_inner_gf7_d6():
         witness = is_inner(D)
         assert witness is not None
         assert inner_derivation(witness, e, e) == D
+
+
+# p does not divide |D20|, so every derivation is inner; rank 2^32 < p needs
+# the Python elimination path, where (p - 1)^2 overflows int64
+@pytest.mark.parametrize("images", [{"a": "a", "b": "b"}, {"a": "a^2", "b": "a^4*b"}])
+def test_dimension_at_prime_above_int64_square_bound(images):
+    d20 = dihedral_group(10)
+    sigma = endo_from_images(d20, images)
+    dim, _ = derivation_space(GF(4294967311), sigma, basis=False)
+    assert dim == d20.order - twisted_classes(d20, sigma).r == 12
 
 
 # -- averaging -------------------------------------------------------------------

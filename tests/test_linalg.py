@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from derring.linalg import (GF, QQ, Field, Matrix, parse_field, rows_full_rank,
-                            rows_rank, same_row_space, sparse_rank)
+                            rows_rank, rref_mod_p, same_row_space, sparse_rank)
 from derring.reference import reference_matrix
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
@@ -196,3 +197,21 @@ def test_rref_is_reduced():
         col = [r.data[i][c] for i in range(r.rows)]
         assert col[idx] == 1
         assert all(col[i] == 0 for i in range(r.rows) if i != idx)
+
+
+# 2^31 - 1 takes the numpy path; 4294967311 > 2^32 has (p - 1)^2 >= 2^63
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
+def test_rref_paths_agree_at_large_primes(p):
+    rng = random.Random(p)
+    F = GF(p)
+    left = [[rng.randrange(p) for _ in range(20)] for _ in range(40)]
+    right = [[rng.randrange(p) for _ in range(60)] for _ in range(20)]
+    m = Matrix(F, left) * Matrix(F, right)
+    reduced, pivots = m._rref_python()
+    assert len(pivots) == 20
+    assert m.rref() == (reduced, pivots)
+    if (p - 1) ** 2 < 2 ** 63:
+        assert m._rref_numpy() == (reduced, pivots)
+    else:
+        with pytest.raises(ValueError):
+            rref_mod_p(np.array(m.data, dtype=np.int64), p)
