@@ -6,7 +6,7 @@ carries closed-form checks for dihedral group algebras, and constructs
 linear codes from derivation images with full parameter reports.
 """
 
-from .linalg import GF, QQ, Field, Matrix, kernel_basis, rank, solve
+from .linalg import GF, QQ, Field, Matrix
 from .groups import (DihedralEndoParams, Endomorphism, FiniteGroup, abelian_group,
                      brute_force_endomorphisms, compose, cyclic_group, dihedral_group,
                      element_order, endo_from_images, enumerate_endomorphisms,
@@ -27,7 +27,7 @@ from .dihedral import (DihedralPrediction, NoClosedForm, explicit_basis, params_
 from .codes import (CodeReport, LinearCode, code_report, derivation_matrix, dual_code,
                     encode, idd_code, is_lcd, is_self_orthogonal, linear_code_report,
                     matrix_text, min_distance, subset_sweep, weight_distribution)
-from .errors import (DependentSubset, DerivationRejected, HomomorphismRejected,
-                     MathRejection)
+from .errors import (DependentSubset, DerivationRejected, EnumerationTooLarge,
+                     HomomorphismRejected, MathRejection)
 
 __version__ = "0.1.0"

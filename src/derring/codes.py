@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .derivations import TwistedDerivation
-from .errors import DependentSubset
+from .errors import DependentSubset, EnumerationTooLarge
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix
 
@@ -75,7 +75,7 @@ def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
             f"images of {names} are linearly dependent", witness=witness)
     source = {
         "group": G.describe(),
-        "sigma": getattr(D.sigma, "describe", lambda: "algebra-endo")(),
+        "sigma": D.sigma.describe(),
         "derivation": D.provenance,
         "subset": [G.names[g] for g in subset],
         "subset_indices": list(subset),
@@ -178,8 +178,9 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
     """Exact weight distributions of the code and of its dual.
 
     Enumerates only the smaller of the two (the code itself on a tie) and
-    obtains the other by the MacWilliams transform.  Refused as too large
-    when the smaller side has more than ``ENUMERATION_CAP`` codewords.
+    obtains the other by the MacWilliams transform.  Refused with
+    ``EnumerationTooLarge`` (a ``ValueError``) when the smaller side has
+    more than ``ENUMERATION_CAP`` codewords.
     """
     q = code.field.p
     n, k = code.n, code.k
@@ -187,7 +188,7 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
         raise ValueError("weight distribution needs dimension k >= 1")
     small_k = min(k, n - k)
     if q ** small_k > ENUMERATION_CAP:
-        raise ValueError(
+        raise EnumerationTooLarge(
             f"weight enumeration too large: the smaller of the code and its dual "
             f"has {q}^{small_k} codewords, above the enumeration cap")
     if k <= n - k:
@@ -277,10 +278,11 @@ def linear_code_report(code: LinearCode) -> CodeReport:
     if not 1 <= code.k < code.n:
         raise ValueError("a code report needs dimension 1 <= k < n")
     counts, dual_counts = weight_distribution(code)
+    gram = _gram(code)
     return CodeReport(
         n=code.n, k=code.k, d=_first_weight(counts),
         dual_n=code.n, dual_k=code.n - code.k, dual_d=_first_weight(dual_counts),
-        lcd=is_lcd(code), self_orthogonal=is_self_orthogonal(code),
+        lcd=gram.rank() == code.k, self_orthogonal=gram.is_zero(),
         source=code.source)
 
 

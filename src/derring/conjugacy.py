@@ -10,9 +10,9 @@ derivations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from .derivations import TwistedDerivation, inner_derivation
+from .derivations import TwistedDerivation, _dense_rows, _inner_rows, inner_derivation
 from .groups import Endomorphism, FiniteGroup
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, rows_full_rank, sparse_rank
@@ -107,39 +107,21 @@ def class_sums(partition: ConjugacyPartition, field: Field) -> TwistedCenterBasi
     return TwistedCenterBasis(sums)
 
 
-def _center_constraint_rows(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism):
-    """Sparse rows of z tau(g) - sigma(g) z = 0, two entries per row."""
-    n = group.order
-    mul, inv = group.mul, group.inv
-    for g in range(n):
-        w, v = tau.images[g], sigma.images[g]
-        for t in range(n):
-            row: Dict[int, int] = {mul[t][inv[w]]: 1}
-            c2 = mul[inv[v]][t]
-            row[c2] = row.get(c2, 0) - 1
-            if any(row.values()):
-                yield row
-
-
 def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                          field: Field) -> List[GroupRingElement]:
-    """Kernel-computed basis of the twisted center of FG (class-sum oracle)."""
-    n = group.order
-    rows = []
-    for sparse in _center_constraint_rows(group, sigma, tau):
-        dense = [field.zero()] * n
-        for c, v in sparse.items():
-            dense[c] = field.coerce(v)
-        rows.append(dense)
-    if not rows:
-        return [GroupRingElement.basis(group, field, i) for i in range(n)]
+    """Kernel-computed basis of the twisted center of FG (class-sum oracle).
+
+    The twisted center is the kernel of the inner-derivation map
+    z -> z tau(g) - sigma(g) z.
+    """
+    rows = _dense_rows(field, group.order, _inner_rows(group, sigma, tau))
     kernel = Matrix(field, rows, coerce=False).kernel_basis()
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 
 def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                              field: Field) -> int:
-    rank = sparse_rank(field, _center_constraint_rows(group, sigma, tau))
+    rank = sparse_rank(field, _inner_rows(group, sigma, tau))
     return group.order - rank
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DerivationRejected
-from .groups import Endomorphism, FiniteGroup, Word, word_str
+from .groups import Endomorphism, FiniteGroup, Word, _power, word_str
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, sparse_rank
 
@@ -25,9 +25,10 @@ class AlgebraEndo:
 
     Verified multiplicative on every basis pair; used where arguments
     beyond group-induced maps are allowed (the averaging construction).
+    Like ``Endomorphism`` it exposes each image through ``terms``.
     """
 
-    __slots__ = ("group", "field", "ring_images")
+    __slots__ = ("group", "field", "ring_images", "_terms")
 
     def __init__(self, group: FiniteGroup, field: Field,
                  ring_images: Sequence[GroupRingElement], check: bool = True):
@@ -47,6 +48,15 @@ class AlgebraEndo:
                         raise ValueError(
                             f"images are not multiplicative at "
                             f"({group.names[g]}, {group.names[h]})")
+        self._terms = [tuple((u, img.coeffs[u]) for u in img.support())
+                       for img in self.ring_images]
+
+    def terms(self, g: int) -> Tuple[Tuple[int, object], ...]:
+        """The image of g as group-ring terms (index, coefficient): its support."""
+        return self._terms[g]
+
+    def describe(self) -> str:
+        return "algebra-endo"
 
     @classmethod
     def from_matrix(cls, group: FiniteGroup, field: Field, matrix: Matrix) -> "AlgebraEndo":
@@ -66,8 +76,23 @@ class AlgebraEndo:
 EndoLike = Union[Endomorphism, AlgebraEndo]
 
 
-def _is_group_endo(sig: EndoLike) -> bool:
-    return isinstance(sig, Endomorphism)
+def _act(G: FiniteGroup, F: Field, terms, alpha: Sequence, left: bool) -> List:
+    """sigma(g) alpha (left) or alpha tau(g) (right) as a coefficient list.
+
+    ``terms`` are the (u, r) of the image sigma(g) or tau(g).  Term u
+    moves the coefficient at v to u v (left) or v u (right), read here as
+    a gather through u^-1; r multiplies only when it is not 1, so a group
+    endomorphism costs no field arithmetic.
+    """
+    mul, inv = G.mul, G.inv
+    out = None
+    for u, r in terms:
+        w = inv[u]
+        part = [alpha[k] for k in mul[w]] if left else [alpha[row[w]] for row in mul]
+        if r != 1:
+            part = [F.mul(r, a) for a in part]
+        out = part if out is None else [F.add(a, b) for a, b in zip(out, part)]
+    return [F.zero()] * G.order if out is None else out
 
 
 class GeneratorMap:
@@ -147,41 +172,43 @@ class TwistedDerivation:
 
 # -- free-word evaluation ----------------------------------------------------
 
-def free_eval(f: GeneratorMap, sigma: Endomorphism, tau: Endomorphism,
-              word: Word) -> GroupRingElement:
-    """Evaluate the unique product-rule extension of f on a free word.
+def _word_letters(G: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
+                  support: Dict[str, int], word: Word) -> List[Tuple[str, int, int, int]]:
+    """(name, sign, left, right) for each letter of a free word.
 
-    Letters may be inverses; the image of an inverse letter x^-1 is
-    ``-sigma(x^-1) f(x) tau(x^-1)``, and a length-m word contributes one
-    term per letter, sandwiched between sigma of its prefix and tau of
-    its suffix.  The empty word evaluates to 0.
+    The product-rule extension of f sends the word to the sum of
+    ``sign * left f(name) right`` over its letters, where left is sigma
+    of the prefix and right is tau of the suffix.  An inverse letter x^-1
+    has sign -1 and joins both its prefix and its suffix, since its image
+    is ``-sigma(x^-1) f(x) tau(x^-1)``.
     """
-    G, F = f.group, f.field
-    letters = list(word)
-    m = len(letters)
-    out = GroupRingElement.zero(G, F)
-    if m == 0:
-        return out
-    elems = []
-    for name, sign in letters:
-        x = f.support[name]
-        elems.append(x if sign > 0 else G.inv[x])
-    # sigma of prefixes and tau of suffixes as group elements
+    elems = [support[name] if sign > 0 else G.inv[support[name]] for name, sign in word]
+    m = len(elems)
     pre = [G.identity] * (m + 1)
     for i in range(m):
         pre[i + 1] = G.mul[pre[i]][sigma.images[elems[i]]]
     suf = [G.identity] * (m + 1)
     for i in range(m - 1, -1, -1):
         suf[i] = G.mul[tau.images[elems[i]]][suf[i + 1]]
-    for i, (name, sign) in enumerate(letters):
+    return [(name, 1, pre[i], suf[i + 1]) if sign > 0 else (name, -1, pre[i + 1], suf[i])
+            for i, (name, sign) in enumerate(word)]
+
+
+def free_eval(f: GeneratorMap, sigma: Endomorphism, tau: Endomorphism,
+              word: Word) -> GroupRingElement:
+    """Evaluate the unique product-rule extension of f on a free word.
+
+    Letters may be inverses; each contributes one term, sandwiched between
+    sigma of its prefix and tau of its suffix (see ``_word_letters``).
+    The empty word evaluates to 0.
+    """
+    out = GroupRingElement.zero(f.group, f.field)
+    for name, sign, left, right in _word_letters(f.group, sigma, tau, f.support, word):
         img = f.images[name]
         if img.is_zero():
             continue
-        if sign > 0:
-            term = img.left_mul_elem(pre[i]).right_mul_elem(suf[i + 1])
-        else:
-            term = -(img.left_mul_elem(pre[i + 1]).right_mul_elem(suf[i]))
-        out = out + term
+        term = img.left_mul_elem(left).right_mul_elem(right)
+        out = out + term if sign > 0 else out - term
     return out
 
 
@@ -216,23 +243,15 @@ def extend_from_generators(f: GeneratorMap, sigma: Endomorphism,
 
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """First pair (g, h) violating the twisted product rule, or None."""
-    G, F = D.group, D.field
-    sigma, tau = D.sigma, D.tau
-    group_sigma = _is_group_endo(sigma)
-    group_tau = _is_group_endo(tau)
+    G, F, table = D.group, D.field, D.table
+    add = F.add
+    tau_terms = [D.tau.terms(h) for h in range(G.order)]
     for g in range(G.order):
-        Dg = D.table[g]
+        Dg, sigma_g, row = table[g].coeffs, D.sigma.terms(g), G.mul[g]
         for h in range(G.order):
-            lhs = D.table[G.mul[g][h]]
-            if group_tau:
-                rhs = Dg.right_mul_elem(tau.images[h])
-            else:
-                rhs = Dg * tau.ring_images[h]
-            if group_sigma:
-                rhs = rhs + D.table[h].left_mul_elem(sigma.images[g])
-            else:
-                rhs = rhs + sigma.ring_images[g] * D.table[h]
-            if lhs != rhs:
+            rhs = [add(a, b) for a, b in zip(_act(G, F, tau_terms[h], Dg, False),
+                                             _act(G, F, sigma_g, table[h].coeffs, True))]
+            if rhs != table[row[h]].coeffs:
                 return (g, h)
     return None
 
@@ -247,18 +266,45 @@ def verify_derivation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
 def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
     """The derivation g -> beta tau(g) - sigma(g) beta."""
     G, F = beta.group, beta.field
+    sub = F.sub
     table = []
     for g in range(G.order):
-        if _is_group_endo(tau):
-            left = beta.right_mul_elem(tau.images[g])
-        else:
-            left = beta * tau.ring_images[g]
-        if _is_group_endo(sigma):
-            right = beta.left_mul_elem(sigma.images[g])
-        else:
-            right = sigma.ring_images[g] * beta
-        table.append(left - right)
+        diff = [sub(a, b) for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
+                                          _act(G, F, sigma.terms(g), beta.coeffs, True))]
+        table.append(GroupRingElement(G, F, diff, coerce=False))
     return TwistedDerivation(G, F, sigma, tau, table, provenance="inner", witness=beta)
+
+
+def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike):
+    """Sparse rows of beta -> beta tau(g) - sigma(g) beta, row (g, t) at g |G| + t.
+
+    Row (g, t) holds +r at column t u^-1 for each term (u, r) of tau(g)
+    and -s at column v^-1 t for each term (v, s) of sigma(g).
+    """
+    mul, inv = G.mul, G.inv
+    for g in range(G.order):
+        tau_g, sigma_g = tau.terms(g), sigma.terms(g)
+        for t in range(G.order):
+            row: Dict[int, object] = {}
+            for u, r in tau_g:
+                c = mul[t][inv[u]]
+                row[c] = row.get(c, 0) + r
+            for v, s in sigma_g:
+                c = mul[inv[v]][t]
+                row[c] = row.get(c, 0) - s
+            yield row
+
+
+def _dense_rows(field: Field, n: int, sparse_rows) -> List[List]:
+    """Sparse integer or field rows as dense rows of n field elements."""
+    zero = field.zero()
+    out = []
+    for sparse in sparse_rows:
+        dense = [zero] * n
+        for c, v in sparse.items():
+            dense[c] = field.coerce(v)
+        out.append(dense)
+    return out
 
 
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
@@ -269,30 +315,8 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     twisted center.
     """
     G, F = D.group, D.field
-    n = G.order
-    sigma, tau = D.sigma, D.tau
-    rows: List[List] = []
-    rhs: List = []
-    cols = []
-    for c in range(n):
-        e = GroupRingElement.basis(G, F, c)
-        images = []
-        for g in range(n):
-            if _is_group_endo(tau):
-                left = e.right_mul_elem(tau.images[g])
-            else:
-                left = e * tau.ring_images[g]
-            if _is_group_endo(sigma):
-                right = e.left_mul_elem(sigma.images[g])
-            else:
-                right = sigma.ring_images[g] * e
-            images.append(left - right)
-        cols.append(images)
-    for g in range(n):
-        for t in range(n):
-            rows.append([cols[c][g].coeffs[t] for c in range(n)])
-            rhs.append(D.table[g].coeffs[t])
-    solution = Matrix(F, rows, coerce=False).solve(rhs)
+    rows = _dense_rows(F, G.order, _inner_rows(G, D.sigma, D.tau))
+    solution = Matrix(F, rows, coerce=False).solve(D.flat())
     if solution is None:
         return None
     return GroupRingElement(G, F, solution, coerce=False)
@@ -311,17 +335,34 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
             f"averaging needs |G| = {n} invertible, but the characteristic "
             f"{F.p} divides it")
     acc = GroupRingElement.zero(G, F)
-    tau = D.tau
     for g in range(n):
-        term_src = D.table[G.inv[g]]
-        if _is_group_endo(tau):
-            acc = acc + term_src.right_mul_elem(tau.images[g])
-        else:
-            acc = acc + term_src * tau.ring_images[g]
+        term = _act(G, F, D.tau.terms(g), D.table[G.inv[g]].coeffs, False)
+        acc = acc + GroupRingElement(G, F, term, coerce=False)
     return acc.scale(F.inv(F.coerce(n)))
 
 
 # -- solution spaces ---------------------------------------------------------
+
+def _relator_matrix(field: Field, sigma: Endomorphism, tau: Endomorphism) -> Matrix:
+    """The linear map from generator images to relator images.
+
+    Column k |G| + e sends generator k to the basis element e, the rest
+    to 0; row j |G| + t is coefficient t of relator j's image.  A letter
+    (name, sign, left, right) of relator j adds the signed permutation
+    block e -> left e right to its generator's columns.
+    """
+    G = sigma.group
+    n, mul = G.order, G.mul
+    support = dict(G.generators)
+    block = {name: k * n for k, (name, _) in enumerate(G.generators)}
+    data = [[0] * (len(block) * n) for _ in range(len(G.relators) * n)]
+    for j, rel in enumerate(G.relators):
+        for name, sign, left, right in _word_letters(G, sigma, tau, support, rel):
+            row_left, base = mul[left], block[name]
+            for e in range(n):
+                data[j * n + mul[row_left[e]][right]][base + e] += sign
+    return Matrix(field, data)
+
 
 def derivation_space(field: Field, sigma: Endomorphism,
                      tau: Optional[Endomorphism] = None,
@@ -329,7 +370,7 @@ def derivation_space(field: Field, sigma: Endomorphism,
     """Dimension (and optionally a basis) of all (sigma, tau)-derivations.
 
     Unknowns are the generator images; each relator contributes |G|
-    linear constraints through free-word evaluation.  Groups without a
+    linear constraints, the coefficients of its image.  Groups without a
     relator list fall back to the full pair-constraint solver.
     """
     if tau is None:
@@ -338,27 +379,14 @@ def derivation_space(field: Field, sigma: Endomorphism,
     if G.relators is None:
         return derivation_space_full(field, sigma, tau, basis=basis)
     n = G.order
-    gens = G.generators
-    columns = []
-    for name, _ in gens:
-        zero_images = {gname: GroupRingElement.zero(G, field) for gname, _ in gens}
-        for e in range(n):
-            images = dict(zero_images)
-            images[name] = GroupRingElement.basis(G, field, e)
-            f = GeneratorMap(G, field, images)
-            col: List = []
-            for rel in G.relators:
-                col.extend(free_eval(f, sigma, tau, rel).coeffs)
-            columns.append(col)
-    m = Matrix.from_cols(field, columns)
-    kernel = m.kernel_basis()
+    kernel = _relator_matrix(field, sigma, tau).kernel_basis()
     dim = len(kernel)
     if not basis:
         return dim, None
     out = []
     for vec in kernel:
         images = {}
-        for k, (name, _) in enumerate(gens):
+        for k, (name, _) in enumerate(G.generators):
             images[name] = GroupRingElement(G, field, vec[k * n:(k + 1) * n], coerce=False)
         out.append(extend_from_generators(GeneratorMap(G, field, images), sigma, tau))
     return dim, out
@@ -432,17 +460,10 @@ def _abelian_char_parts(group: FiniteGroup, p: int):
             v *= p
         # generator^size has order v (the p-part), generator^v the rest
         if v > 1:
-            p_gens.append((f"k{len(p_gens) + 1}", _pow_index(group, idx, size)))
+            p_gens.append((f"k{len(p_gens) + 1}", _power(group, idx, size)))
         if size > 1:
-            reg_gens.append((f"h{len(reg_gens) + 1}", _pow_index(group, idx, v)))
+            reg_gens.append((f"h{len(reg_gens) + 1}", _power(group, idx, v)))
     return p_gens, reg_gens
-
-
-def _pow_index(group: FiniteGroup, g: int, k: int) -> int:
-    acc = group.identity
-    for _ in range(k):
-        acc = group.mul[acc][g]
-    return acc
 
 
 def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List[TwistedDerivation]:

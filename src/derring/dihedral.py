@@ -64,6 +64,14 @@ def _reflection(n: int, u: int) -> int:
     return n + (u % n)
 
 
+def _element(group: FiniteGroup, field: Field, pairs) -> GroupRingElement:
+    """The group-ring element summing val * g over the (g, val) pairs."""
+    coeffs = [field.zero()] * group.order
+    for idx, val in pairs:
+        coeffs[idx] = field.add(coeffs[idx], field.coerce(val))
+    return GroupRingElement(group, field, coeffs, coerce=False)
+
+
 def _reflection_class(n: int, s: int, m: int, j0: int, u: int) -> FrozenSet[int]:
     members = set()
     for i in range(m):
@@ -170,12 +178,7 @@ def spanning_candidates(group: FiniteGroup, field: Field,
     n, s, t = params.n, params.s, params.t
     char = field.char
 
-    def elem(pairs) -> GroupRingElement:
-        coeffs = [field.zero()] * group.order
-        for idx, val in pairs:
-            coeffs[idx] = field.add(coeffs[idx], field.coerce(val))
-        return GroupRingElement(group, field, coeffs, coerce=False)
-
+    elem = lambda pairs: _element(group, field, pairs)
     rot = lambda k: _rotation(n, k)
     ref = lambda u: _reflection(n, u)
     out: List[Tuple[GroupRingElement, GroupRingElement]] = []
@@ -234,12 +237,7 @@ def explicit_basis(group: FiniteGroup, field: Field, params: DihedralEndoParams,
     s, t = params.s, params.t
     char = field.char
 
-    def elem(pairs) -> GroupRingElement:
-        coeffs = [field.zero()] * group.order
-        for idx, val in pairs:
-            coeffs[idx] = field.add(coeffs[idx], field.coerce(val))
-        return GroupRingElement(group, field, coeffs, coerce=False)
-
+    elem = lambda pairs: _element(group, field, pairs)
     rot = lambda k: _rotation(n, k)
     ref = lambda u: _reflection(n, u)
     out: List[GroupRingElement] = []

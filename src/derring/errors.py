@@ -2,7 +2,8 @@
 
 A ``MathRejection`` means the input was well formed but the requested
 object does not exist (a map that is not multiplicative, a relator image
-that does not vanish, a dependent generating subset, ...).  The CLI maps
+that does not vanish, a dependent generating subset, ...) or is too large
+to compute exactly (a weight enumeration above the cap).  The CLI maps
 these to exit code 1, as opposed to malformed input which exits 2 and
 any other exception, an internal error, which exits 3.
 """
@@ -31,6 +32,10 @@ class DerivationRejected(MathRejection):
         self.relator = relator
         self.value = value
         self.pair = pair
+
+
+class EnumerationTooLarge(MathRejection, ValueError):
+    """A weight enumeration would exceed the enumeration cap."""
 
 
 class DependentSubset(MathRejection):

@@ -128,54 +128,45 @@ class GroupRingElement:
         return f"<{format_element(self)}>"
 
 
-def add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def scalar_mul(c, a: GroupRingElement) -> GroupRingElement:
-    return a.scale(c)
-
-
-def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
 def apply_endo(sigma, alpha: GroupRingElement) -> GroupRingElement:
     """Linear extension of an endomorphism: sum of a_g sigma(g).
 
-    Accepts a group Endomorphism or any object exposing per-basis ring
-    images through a ``ring_images`` attribute (verified algebra
-    endomorphisms use this).
+    Accepts any endomorphism exposing the terms (index, coefficient) of
+    each basis image through ``terms(g)``: group endomorphisms and
+    verified algebra endomorphisms.
     """
-    G, F = alpha.group, alpha.field
-    ring_images = getattr(sigma, "ring_images", None)
-    if ring_images is not None:
-        out = GroupRingElement.zero(G, F)
-        for g, a in enumerate(alpha.coeffs):
-            if a != 0:
-                out = out + ring_images[g].scale(a)
-        return out
-    images = sigma.images
+    F = alpha.field
     zero = F.zero()
-    out = [zero] * G.order
+    out = [zero] * alpha.group.order
     for g, a in enumerate(alpha.coeffs):
         if a != zero:
-            k = images[g]
-            out[k] = F.add(out[k], a)
-    return GroupRingElement(G, F, out, coerce=False)
+            for u, r in sigma.terms(g):
+                out[u] = F.add(out[u], F.mul(r, a))
+    return GroupRingElement(alpha.group, F, out, coerce=False)
 
 
 # -- centralizers -------------------------------------------------------------
 
 def _commutator_map_columns(beta: GroupRingElement, sign: int) -> Matrix:
-    """Matrix of alpha -> alpha*beta - sign*(beta*alpha) in the group basis."""
+    """Matrix of alpha -> alpha*beta - sign*(beta*alpha) in the group basis.
+
+    Column g is e_g beta - sign beta e_g: coefficient b of h in beta lands
+    at row g h with +b and at row h g with -sign b.
+    """
     G, F = beta.group, beta.field
-    cols = []
-    for g in range(G.order):
-        e = GroupRingElement.basis(G, F, g)
-        image = e * beta - (beta * e).scale(sign)
-        cols.append(image.coeffs)
-    return Matrix.from_cols(F, cols)
+    mul = G.mul
+    zero = F.zero()
+    data = [[zero] * G.order for _ in range(G.order)]
+    for h, b in enumerate(beta.coeffs):
+        if b == zero:
+            continue
+        b_sign = F.mul(F.coerce(sign), b)
+        for g in range(G.order):
+            row = data[mul[g][h]]
+            row[g] = F.add(row[g], b)
+            row = data[mul[h][g]]
+            row[g] = F.sub(row[g], b_sign)
+    return Matrix(F, data, coerce=False)
 
 
 def centralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:

@@ -310,18 +310,6 @@ def _dot(field: Field, a: Sequence, b: Sequence):
     return acc % field.p if field.p else acc
 
 
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: Matrix) -> List[List]:
-    return m.kernel_basis()
-
-
-def solve(m: Matrix, rhs: Sequence) -> Optional[List]:
-    return m.solve(rhs)
-
-
 def rows_rank(field: Field, rows: Sequence[Sequence]) -> int:
     if not rows:
         return 0

@@ -152,6 +152,19 @@ def test_idd_over_large_field(tmp_path, capsys):
     assert (payload["n"], payload["k"], payload["d"]) == (16, 2, 4)
 
 
+def test_idd_above_enumeration_cap_exits_1(tmp_path, capsys):
+    # D(x^k) = k x^(k-1) on C42 over GF(3): the 21 images below are
+    # distinct basis elements, and a [42,21] code has 3^21 codewords on
+    # either side, above the enumeration cap
+    exponents = [k for k in range(1, 42) if k % 3][:21]
+    spec = write_spec(tmp_path, {
+        "group": {"family": "cyclic", "n": 42}, "field": "GF(3)",
+        "sigma": {"x": "x"}, "derivation": {"power_seed": "1"},
+        "subset": [f"x^{k}" for k in exponents]})
+    assert main(["idd", spec]) == 1
+    assert capsys.readouterr().err.startswith("rejected: weight enumeration too large")
+
+
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")
