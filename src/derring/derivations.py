@@ -23,8 +23,10 @@ from .linalg import Field, Matrix, sparse_rank
 class AlgebraEndo:
     """A unital algebra endomorphism of FG given by its basis images.
 
-    Verified multiplicative on every basis pair; used where arguments
-    beyond group-induced maps are allowed (the averaging construction).
+    Verified unital and multiplicative on the pairs (g, s), s a generator:
+    phi(g h s) = phi(g h) phi(s) = phi(g) phi(h s) carries that to every
+    pair by induction on positive words.  Used where arguments beyond
+    group-induced maps are allowed (the averaging construction).
     Like ``Endomorphism`` it exposes each image through ``terms``.
     """
 
@@ -40,16 +42,23 @@ class AlgebraEndo:
         if check:
             if not self.ring_images[group.identity] == GroupRingElement.one(group, field):
                 raise ValueError("algebra endomorphism must fix the identity")
-            for g in range(group.order):
-                for h in range(group.order):
-                    lhs = self.ring_images[group.mul[g][h]]
-                    rhs = self.ring_images[g] * self.ring_images[h]
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"images are not multiplicative at "
-                            f"({group.names[g]}, {group.names[h]})")
+            # the full scan only names the first failing pair
+            if self._first_unmultiplicative([s for _, s in group.generators]) is not None:
+                g, h = self._first_unmultiplicative(range(group.order))
+                raise ValueError(
+                    f"images are not multiplicative at "
+                    f"({group.names[g]}, {group.names[h]})")
         self._terms = [tuple((u, img.coeffs[u]) for u in img.support())
                        for img in self.ring_images]
+
+    def _first_unmultiplicative(self, hs) -> Optional[Tuple[int, int]]:
+        """First (g, h), h in hs, with phi(g h) != phi(g) phi(h), or None."""
+        G, images = self.group, self.ring_images
+        for g in range(G.order):
+            for h in hs:
+                if images[G.mul[g][h]] != images[g] * images[h]:
+                    return g, h
+        return None
 
     def terms(self, g: int) -> Tuple[Tuple[int, object], ...]:
         """The image of g as group-ring terms (index, coefficient): its support."""
@@ -230,7 +239,8 @@ def extend_from_generators(f: GeneratorMap, sigma: Endomorphism,
                 raise DerivationRejected(
                     f"relator {word_str(rel)} maps to a nonzero element",
                     relator=rel, value=value)
-    table = [free_eval(f, sigma, tau, G.normal_forms[g]) for g in range(G.order)]
+    images = {name: img.coeffs for name, img in f.images.items()}
+    table, = _extension_tables(F, sigma, tau, f.support, [images])
     D = TwistedDerivation(G, F, sigma, tau, table, provenance="extended")
     if G.relators is None:
         bad = product_rule_violation(D)
@@ -241,14 +251,42 @@ def extend_from_generators(f: GeneratorMap, sigma: Endomorphism,
     return D
 
 
-def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
-    """First pair (g, h) violating the twisted product rule, or None."""
+def _extension_tables(F: Field, sigma: Endomorphism, tau: Endomorphism,
+                      support: Dict[str, int], image_sets) -> List[List[GroupRingElement]]:
+    """The product-rule extension of each set of generator images, as a table.
+
+    Each set maps a generator name to a coefficient list.  D(g) sums
+    ``sign * left f(name) right`` over the letters of g's normal form (see
+    ``_word_letters``); the positions e -> left e right of every letter are
+    computed once and shared by all the sets.  Relators are not checked.
+    """
+    G = sigma.group
+    mul, zero, add, sub = G.mul, F.zero(), F.add, F.sub
+    letters = [[(name, add if sign > 0 else sub, [mul[x][right] for x in mul[left]])
+                for name, sign, left, right in _word_letters(G, sigma, tau, support, word)]
+               for word in G.normal_forms]
+    tables = []
+    for images in image_sets:
+        table = []
+        for word_letters in letters:
+            out = [zero] * G.order
+            for name, op, pos in word_letters:
+                for k, c in zip(pos, images[name]):
+                    if c:
+                        out[k] = op(out[k], c)
+            table.append(GroupRingElement(G, F, out, coerce=False))
+        tables.append(table)
+    return tables
+
+
+def _first_violation(D: TwistedDerivation, hs) -> Optional[Tuple[int, int]]:
+    """First pair (g, h), g in G and h in hs, violating the product rule."""
     G, F, table = D.group, D.field, D.table
     add = F.add
-    tau_terms = [D.tau.terms(h) for h in range(G.order)]
+    tau_terms = {h: D.tau.terms(h) for h in hs}
     for g in range(G.order):
         Dg, sigma_g, row = table[g].coeffs, D.sigma.terms(g), G.mul[g]
-        for h in range(G.order):
+        for h in hs:
             rhs = [add(a, b) for a, b in zip(_act(G, F, tau_terms[h], Dg, False),
                                              _act(G, F, sigma_g, table[h].coeffs, True))]
             if rhs != table[row[h]].coeffs:
@@ -256,8 +294,30 @@ def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     return None
 
 
+def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
+    """First pair (g, h) violating the twisted product rule, or None.
+
+    Only D(1) = 0 and the |G| |S| pairs (g, s), s a generator, are checked.
+    That is exact: sigma and tau are unital and multiplicative, so if the
+    rule holds at (g, h) for every g and at (h, s), then
+    D(g h s) = D(g h) tau(s) + sigma(g h) D(s) = D(g) tau(h s) + sigma(g) D(h s),
+    and induction on positive words in S, from D(g 1) = D(g) + sigma(g) D(1),
+    reaches every h.  The full |G|^2 scan runs only when that check fails,
+    to name the first violating pair.
+    """
+    G = D.group
+    gens = [s for _, s in G.generators]
+    if D.table[G.identity].is_zero() and _first_violation(D, gens) is None:
+        return None
+    return _first_violation(D, range(G.order))
+
+
 def verify_derivation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
-    """None when D satisfies the product rule on all pairs, else the pair."""
+    """None when D satisfies the product rule on all pairs, else the first pair.
+
+    Checked on D(1) and the generator pairs, which is exact (see
+    ``product_rule_violation``).
+    """
     return product_rule_violation(D)
 
 
@@ -275,14 +335,14 @@ def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> 
     return TwistedDerivation(G, F, sigma, tau, table, provenance="inner", witness=beta)
 
 
-def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike):
-    """Sparse rows of beta -> beta tau(g) - sigma(g) beta, row (g, t) at g |G| + t.
+def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike, elems=None):
+    """Sparse rows of beta -> beta tau(g) - sigma(g) beta, g in elems (default G).
 
-    Row (g, t) holds +r at column t u^-1 for each term (u, r) of tau(g)
-    and -s at column v^-1 t for each term (v, s) of sigma(g).
+    Row (g, t), in g-major order, holds +r at column t u^-1 for each term
+    (u, r) of tau(g) and -s at column v^-1 t for each term (v, s) of sigma(g).
     """
     mul, inv = G.mul, G.inv
-    for g in range(G.order):
+    for g in range(G.order) if elems is None else elems:
         tau_g, sigma_g = tau.terms(g), sigma.terms(g)
         for t in range(G.order):
             row: Dict[int, object] = {}
@@ -310,16 +370,23 @@ def _dense_rows(field: Field, n: int, sparse_rows) -> List[List]:
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     """A witness beta with D = D_beta, or None when D is not inner.
 
-    Solves the linear system beta tau(g) - sigma(g) beta = D(g) over the
-    coefficient vector of beta; the witness is unique only up to the
-    twisted center.
+    Solves beta tau(s) - sigma(s) beta = D(s) for the generators s only;
+    the witness is unique only up to the twisted center.  Since sigma and
+    tau are multiplicative, beta tau(s) = sigma(s) beta on the generators
+    gives it on all of G, so these rows have the same kernel, hence the
+    same RREF, as the full |G|^2 system: when the full system is solvable,
+    both give the same witness.  A solution is returned only when D_beta
+    reproduces all of D's table, which certifies it.
     """
     G, F = D.group, D.field
-    rows = _dense_rows(F, G.order, _inner_rows(G, D.sigma, D.tau))
-    solution = Matrix(F, rows, coerce=False).solve(D.flat())
+    gens = [s for _, s in G.generators]
+    rows = _dense_rows(F, G.order, _inner_rows(G, D.sigma, D.tau, gens))
+    rhs = [c for s in gens for c in D.table[s].coeffs]
+    solution = Matrix(F, rows, coerce=False).solve(rhs)
     if solution is None:
         return None
-    return GroupRingElement(G, F, solution, coerce=False)
+    beta = GroupRingElement(G, F, solution, coerce=False)
+    return beta if inner_derivation(beta, D.sigma, D.tau) == D else None
 
 
 def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
@@ -383,13 +450,11 @@ def derivation_space(field: Field, sigma: Endomorphism,
     dim = len(kernel)
     if not basis:
         return dim, None
-    out = []
-    for vec in kernel:
-        images = {}
-        for k, (name, _) in enumerate(G.generators):
-            images[name] = GroupRingElement(G, field, vec[k * n:(k + 1) * n], coerce=False)
-        out.append(extend_from_generators(GeneratorMap(G, field, images), sigma, tau))
-    return dim, out
+    image_sets = [{name: vec[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)}
+                  for vec in kernel]
+    tables = _extension_tables(field, sigma, tau, dict(G.generators), image_sets)
+    return dim, [TwistedDerivation(G, field, sigma, tau, table, provenance="extended")
+                 for table in tables]
 
 
 def _pair_constraint_rows(field: Field, sigma: Endomorphism, tau: Endomorphism):

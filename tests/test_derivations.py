@@ -177,6 +177,36 @@ def test_constructed_inner_has_witness():
         assert inner_derivation(witness, sigma, sigma) == D
 
 
+def test_is_inner_refuses_table_inner_only_on_generators():
+    # D agrees with D_beta on a and b but not at a^2; the generator rows
+    # alone are solved by beta, so only the full-table check refuses it
+    d6 = dihedral_group(3)
+    e = identity_endomorphism(d6)
+    F = QQ
+    beta = parse_element(d6, F, "1 + 2*a + b")
+    inner = inner_derivation(beta, e, e)
+    table = list(inner.table)
+    a2 = d6.index_of("a^2")
+    table[a2] = table[a2] + GroupRingElement.one(d6, F)
+    D = TwistedDerivation(d6, F, e, e, table)
+    assert all(D.table[s] == inner.table[s] for _, s in d6.generators)
+    assert is_inner(D) is None
+    a = d6.index_of("a")
+    assert verify_derivation(D) == (a, a)
+
+
+def test_product_rule_checks_every_generator():
+    # E(a^k) = 0 and E(b a^k) = a^k satisfy the rule at every (g, a) and
+    # fail it first at (a, b)
+    d6 = dihedral_group(3)
+    e = identity_endomorphism(d6)
+    table = [GroupRingElement.zero(d6, QQ)] * 3 + [
+        parse_element(d6, QQ, text) for text in ("1", "a^2", "a")]
+    assert [d6.names[d6.mul[3][k]] for k in (1, 2)] == ["a^2*b", "a*b"]
+    D = TwistedDerivation(d6, QQ, e, e, table)
+    assert verify_derivation(D) == (d6.index_of("a"), d6.index_of("b"))
+
+
 def test_outer_detection_gf3_d6():
     d6 = dihedral_group(3)
     e = identity_endomorphism(d6)
@@ -256,6 +286,26 @@ def test_algebra_endo_rejects_non_multiplicative():
     bad = [GroupRingElement.one(c2, QQ), parse_element(c2, QQ, "2*x")]
     with pytest.raises(ValueError):
         AlgebraEndo(c2, QQ, bad)
+
+
+def test_algebra_endo_names_first_failing_pair():
+    # only the image of a^2*b is wrong: the generator pairs catch it, and
+    # the message names the first failing pair over all of G x G
+    d6 = dihedral_group(3)
+    images = [GroupRingElement.basis(d6, QQ, g) for g in range(d6.order)]
+    images[d6.index_of("a^2*b")] = parse_element(d6, QQ, "a*b")
+    with pytest.raises(ValueError, match=r"not multiplicative at \(a, a\*b\)"):
+        AlgebraEndo(d6, QQ, images)
+
+
+def test_algebra_endo_checks_every_generator():
+    # phi(a^k) = a^k and phi(b a^k) = a^(k+1) is multiplicative at every
+    # (g, a) but phi(b) phi(b) = a^2 != phi(1)
+    d6 = dihedral_group(3)
+    images = [GroupRingElement.basis(d6, QQ, d6.index_of(name))
+              for name in ("1", "a", "a^2", "a", "1", "a^2")]
+    with pytest.raises(ValueError, match=r"not multiplicative at \(a, b\)"):
+        AlgebraEndo(d6, QQ, images)
 
 
 # -- commutative constructions ---------------------------------------------------

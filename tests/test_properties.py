@@ -8,15 +8,17 @@ and brute-force commutation over every element of a small group ring.
 from functools import lru_cache
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from derring.derivations import (AlgebraEndo, GeneratorMap, TwistedDerivation,
                                  _relator_matrix, derivation_space, derivation_space_full,
-                                 free_eval, inner_derivation, is_inner, verify_derivation)
+                                 free_eval, inner_derivation, is_inner,
+                                 product_rule_violation, verify_derivation)
 from derring.groupring import GroupRingElement, anticentralizer_basis, centralizer_basis
 from derring.groups import (FiniteGroup, brute_force_endomorphisms, cyclic_group,
-                            dihedral_group, parse_word)
-from derring.linalg import GF, QQ, rows_rank
+                            dihedral_group, parse_word, table_group)
+from derring.linalg import GF, QQ, Matrix, rows_rank
 
 PROPERTY = settings(max_examples=12, deadline=None)
 FIELDS = (GF(2), GF(3), QQ)
@@ -44,6 +46,8 @@ def quaternion_group() -> FiniteGroup:
 
 
 GROUPS = (dihedral_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6))
+# the same Q8 table with no relators: derivation_space takes the pair solver
+Q8_TABLE = table_group(GROUPS[2].mul, GROUPS[2].names, ["i", "j"])
 
 
 @lru_cache(maxsize=None)
@@ -172,3 +176,83 @@ def test_commutator_kernels_against_brute_force(group, field, sign, data):
     count = sum(commutes(GroupRingElement(group, field, c))
                 for c in product(range(field.p), repeat=group.order))
     assert count == field.p ** len(basis)
+
+
+# -- generator-pair verification and generator-row solves ----------------------
+
+def ring_images(endo, field):
+    if isinstance(endo, AlgebraEndo):
+        return endo.ring_images
+    return [GroupRingElement.basis(endo.group, field, x) for x in endo.images]
+
+
+def full_scan_violation(D):
+    """First (g, h) with D(gh) != D(g) tau(h) + sigma(g) D(h), over all of G x G."""
+    G = D.group
+    sigma, tau = ring_images(D.sigma, D.field), ring_images(D.tau, D.field)
+    for g in range(G.order):
+        for h in range(G.order):
+            if D.table[G.mul[g][h]] != D.table[g] * tau[h] + sigma[g] * D.table[h]:
+                return g, h
+    return None
+
+
+def full_system_witness(D):
+    """The solve over all |G|^2 rows; column c is the table of D_c, c in G."""
+    G, F = D.group, D.field
+    cols = [inner_derivation(GroupRingElement.basis(G, F, c), D.sigma, D.tau).flat()
+            for c in range(G.order)]
+    solution = Matrix.from_cols(F, cols).solve(D.flat())
+    return None if solution is None else tuple(solution)
+
+
+VARIANTS = ("genuine", "perturbed", "identity-only")
+
+
+@st.composite
+def variant(draw, D, kind):
+    """D itself, D with one coefficient moved, or a table nonzero only at D(1)."""
+    G, F = D.group, D.field
+    table = list(D.table)
+    if kind == "perturbed":
+        g, t = draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.order - 1))
+        coeffs = list(table[g].coeffs)
+        coeffs[t] = F.add(coeffs[t], F.coerce(draw(st.integers(1, 1 if F.p == 2 else 2))))
+        table[g] = GroupRingElement(G, F, coeffs, coerce=False)
+    elif kind == "identity-only":
+        table = [GroupRingElement.zero(G, F)] * G.order
+        table[G.identity] = draw(elements(G, F).filter(lambda x: not x.is_zero()))
+    return TwistedDerivation(G, F, D.sigma, D.tau, table)
+
+
+def assert_matches_full_checks(E):
+    assert product_rule_violation(E) == full_scan_violation(E)
+    witness = is_inner(E)
+    assert (None if witness is None else tuple(witness.coeffs)) == full_system_witness(E)
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+@PROPERTY
+@given(st.sampled_from(GROUPS[:2] + (Q8_TABLE,) + GROUPS[3:]), st.sampled_from(FIELDS),
+       st.data())
+def test_generator_checks_match_full_scans(kind, group, field, data):
+    sigma = data.draw(st.sampled_from(endomorphisms(group)))
+    tau = data.draw(st.sampled_from(endomorphisms(group)))
+    _, basis = derivation_space(field, sigma, tau)
+    picks = data.draw(st.lists(st.integers(0, 2), min_size=len(basis), max_size=len(basis)))
+    beta = data.draw(elements(group, field))
+    table = [sum((D.table[g].scale(c) for c, D in zip(picks, basis)),
+                 inner_derivation(beta, sigma, tau).table[g]) for g in range(group.order)]
+    D = TwistedDerivation(group, field, sigma, tau, table)
+    assert full_scan_violation(D) is None
+    assert_matches_full_checks(data.draw(variant(D, kind)))
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+@PROPERTY
+@given(st.sampled_from((GF(3), GF(5), QQ)), st.data())
+def test_generator_checks_match_full_scans_with_algebra_endomorphisms(kind, field, data):
+    group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    D = inner_derivation(data.draw(elements(group, field)), sigma, tau)
+    assert_matches_full_checks(data.draw(variant(D, kind)))
