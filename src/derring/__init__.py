@@ -14,7 +14,7 @@ from .groups import (DihedralEndoParams, Endomorphism, FiniteGroup, abelian_grou
                      word_str)
 from .groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
                         centralizer_basis, format_element, parse_element)
-from .derivations import (AlgebraEndo, GeneratorMap, TwistedDerivation, abelian_basis,
+from .derivations import (AlgebraEndo, TwistedDerivation, abelian_basis,
                           averaging_witness, cyclic_power_derivation, derivation_space,
                           derivation_space_full, extend_from_generators, free_eval,
                           inner_derivation, is_inner, verify_derivation)

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from .codes import idd_code, linear_code_report, matrix_text
 from .conjugacy import inner_basis, twisted_center_group, twisted_classes
-from .derivations import (GeneratorMap, cyclic_power_derivation, derivation_space,
+from .derivations import (cyclic_power_derivation, derivation_space,
                           extend_from_generators, is_inner, verify_derivation)
 from .dihedral import predict
 from .errors import MathRejection
@@ -67,8 +67,7 @@ class Job:
         if "images" in self.derivation_spec:
             images = {name: parse_element(self.group, self.field, text)
                       for name, text in self.derivation_spec["images"].items()}
-            f = GeneratorMap(self.group, self.field, images)
-            return extend_from_generators(f, self.sigma, self.tau)
+            return extend_from_generators(images, self.sigma, self.tau)
         if "power_seed" in self.derivation_spec:
             if self.tau is not self.sigma:
                 raise ValueError("power seeds require tau = sigma")

@@ -130,20 +130,19 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
     """The inner-derivation basis D_g, g over non-singleton classes minus reps.
 
     Exactly |G| - r derivations; their independence is rank-checked on the
-    flattened tables.
+    generator columns, which is exact because a derivation vanishing on
+    the generators vanishes everywhere.
     """
     partition = twisted_classes(group, sigma, tau)
     members = []
     for cls in partition.classes[partition.singleton_count:]:
         rep = cls[0]
         members.extend(g for g in cls if g != rep)
-    out = []
-    for g in members:
-        beta = GroupRingElement.basis(group, field, g)
-        out.append(inner_derivation(beta, sigma, tau))
+    out = [inner_derivation(GroupRingElement.basis(group, field, g), sigma, tau)
+           for g in members]
     expected = group.order - partition.r
     if len(out) != expected:
         raise AssertionError("class bookkeeping lost derivations")
-    if out and not rows_full_rank(field, [D.flat() for D in out], expected):
+    if out and not rows_full_rank(field, [D.generator_flat() for D in out], expected):
         raise AssertionError("inner derivation basis is not independent")
     return out

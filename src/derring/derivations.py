@@ -1,13 +1,14 @@
 """Construction, verification and classification of twisted derivations.
 
 A (sigma, tau)-derivation D of FG satisfies
-``D(gh) = D(g) tau(h) + sigma(g) D(h)`` and is stored as the full table
-of images of the listed group elements.  Generator images extend to a
-derivation exactly when the induced free-word evaluation kills every
-relator; that criterion is linear in the images, which is what
-``derivation_space`` solves.  A second, independent solver treats all
-group images as unknowns constrained by every product pair and is kept
-as an oracle against the word-evaluation route.
+``D(gh) = D(g) tau(h) + sigma(g) D(h)`` and is stored as its generator
+images, which fix it; the table of all group images is built only when
+read.  Generator images extend to a derivation exactly when the induced
+free-word evaluation kills every relator; that criterion is linear in
+the images, which is what ``derivation_space`` solves.  A second,
+independent solver treats all group images as unknowns constrained by
+every product pair and is kept as an oracle against the word-evaluation
+route.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ class AlgebraEndo:
         return "algebra-endo"
 
     @classmethod
-    def from_matrix(cls, group: FiniteGroup, field: Field, matrix: Matrix) -> "AlgebraEndo":
-        if matrix.rows != group.order or matrix.cols != group.order:
-            raise ValueError("matrix must be |G| x |G|")
-        cols = matrix.transpose().data
-        images = [GroupRingElement(group, field, col) for col in cols]
-        return cls(group, field, images)
-
-    @classmethod
     def from_group_endo(cls, endo: Endomorphism, field: Field) -> "AlgebraEndo":
         G = endo.group
         images = [GroupRingElement.basis(G, field, endo.images[g]) for g in range(G.order)]
@@ -104,58 +97,57 @@ def _act(G: FiniteGroup, F: Field, terms, alpha: Sequence, left: bool) -> List:
     return [F.zero()] * G.order if out is None else out
 
 
-class GeneratorMap:
-    """A map from named group elements into FG (images of generators).
+class TwistedDerivation:
+    """A (sigma, tau)-derivation, defined by its generator images.
 
-    ``support`` defaults to the group's own generators; other generating
-    sets can be supplied, which the commutative basis construction uses.
+    ``images`` maps each generator name to the coefficient list of its
+    image; by the extension theorem these fix the derivation.  ``table``,
+    the images of all listed group elements, is built on first read and
+    cached: beta tau(g) - sigma(g) beta for an inner derivation (its
+    ``witness`` beta), otherwise the extension of ``images`` along the
+    normal forms.  A derivation constructed from a table keeps it as given.
     """
 
-    __slots__ = ("group", "field", "images", "support")
-
-    def __init__(self, group: FiniteGroup, field: Field,
-                 images: Dict[str, GroupRingElement],
-                 support: Optional[Dict[str, int]] = None):
-        self.group = group
-        self.field = field
-        self.images = dict(images)
-        self.support = dict(support) if support is not None else {
-            name: idx for name, idx in group.generators}
-        missing = set(self.support) - set(self.images)
-        if missing:
-            raise ValueError(f"missing images for {sorted(missing)}")
-
-    @classmethod
-    def zero(cls, group: FiniteGroup, field: Field) -> "GeneratorMap":
-        return cls(group, field,
-                   {name: GroupRingElement.zero(group, field) for name, _ in group.generators})
-
-
-class TwistedDerivation:
-    """A (sigma, tau)-derivation stored as its full table of group images."""
-
-    __slots__ = ("group", "field", "sigma", "tau", "table", "provenance", "witness")
+    __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
+                 "_table")
 
     def __init__(self, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike,
-                 table: Sequence[GroupRingElement], provenance: str = "table",
-                 witness: Optional[GroupRingElement] = None):
-        if len(table) != group.order:
-            raise ValueError("derivation table must cover every group element")
+                 table: Optional[Sequence[GroupRingElement]] = None,
+                 provenance: str = "table", witness: Optional[GroupRingElement] = None,
+                 images: Optional[Dict[str, List]] = None):
+        if table is not None:
+            if len(table) != group.order:
+                raise ValueError("derivation table must cover every group element")
+            table = list(table)
+            images = {name: table[s].coeffs for name, s in group.generators}
+        elif images is None:
+            raise ValueError("a derivation needs its table or its generator images")
         self.group = group
         self.field = field
         self.sigma = sigma
         self.tau = tau
-        self.table = list(table)
+        self.images = images
         self.provenance = provenance
         self.witness = witness
+        self._table = table
 
     @classmethod
     def zero(cls, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike):
         z = GroupRingElement.zero(group, field)
         return cls(group, field, sigma, tau, [z] * group.order, provenance="zero")
 
-    def image_of(self, g: int) -> GroupRingElement:
-        return self.table[g]
+    @property
+    def table(self) -> List[GroupRingElement]:
+        if self._table is None:
+            G, F = self.group, self.field
+            if self.witness is not None:
+                rows = [_inner_image(self.witness, self.sigma, self.tau, g)
+                        for g in range(G.order)]
+            else:
+                rows = _extension_table(F, self.sigma, self.tau, self.images,
+                                        dict(G.generators), G.normal_forms)
+            self._table = [GroupRingElement(G, F, row, coerce=False) for row in rows]
+        return self._table
 
     def __call__(self, alpha: GroupRingElement) -> GroupRingElement:
         out = GroupRingElement.zero(self.group, self.field)
@@ -166,6 +158,10 @@ class TwistedDerivation:
 
     def flat(self) -> List:
         return [c for elem in self.table for c in elem.coeffs]
+
+    def generator_flat(self) -> List:
+        """The generator images, concatenated in generator order."""
+        return [c for name, _ in self.group.generators for c in self.images[name]]
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.table)
@@ -203,17 +199,20 @@ def _word_letters(G: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
             for i, (name, sign) in enumerate(word)]
 
 
-def free_eval(f: GeneratorMap, sigma: Endomorphism, tau: Endomorphism,
-              word: Word) -> GroupRingElement:
-    """Evaluate the unique product-rule extension of f on a free word.
+def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
+              tau: Endomorphism, word: Word) -> GroupRingElement:
+    """Evaluate the unique product-rule extension of generator images on a free word.
 
+    ``images`` maps each generator name of sigma's group to its image.
     Letters may be inverses; each contributes one term, sandwiched between
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
-    The empty word evaluates to 0.
+    The empty word evaluates to 0.  Kept as the object-algebra reference
+    for the index arithmetic of ``_relator_matrix`` and ``_extension_table``.
     """
-    out = GroupRingElement.zero(f.group, f.field)
-    for name, sign, left, right in _word_letters(f.group, sigma, tau, f.support, word):
-        img = f.images[name]
+    G = sigma.group
+    out = GroupRingElement.zero(G, next(iter(images.values())).field)
+    for name, sign, left, right in _word_letters(G, sigma, tau, dict(G.generators), word):
+        img = images[name]
         if img.is_zero():
             continue
         term = img.left_mul_elem(left).right_mul_elem(right)
@@ -221,62 +220,79 @@ def free_eval(f: GeneratorMap, sigma: Endomorphism, tau: Endomorphism,
     return out
 
 
-def extend_from_generators(f: GeneratorMap, sigma: Endomorphism,
+def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorphism,
                            tau: Optional[Endomorphism] = None) -> TwistedDerivation:
     """Extend generator images to a derivation when every relator image vanishes.
 
+    ``images`` maps every generator name, and nothing else, to its image.
     Raises DerivationRejected carrying the first failing relator and its
-    nonzero value.  Groups without a relator list are handled by building
-    the table along normal forms and running the full product-rule check.
+    value, read off ``_relator_matrix``.  Groups without a relator list
+    get the full product-rule check of the table built along normal forms.
     """
     if tau is None:
         tau = sigma
-    G, F = f.group, f.field
+    G = sigma.group
+    names = [name for name, _ in G.generators]
+    missing = set(names) - set(images)
+    if missing:
+        raise ValueError(f"missing images for {sorted(missing)}")
+    extra = set(images) - set(names)
+    if extra:
+        raise ValueError(f"unknown generators in image map: {sorted(extra)}")
+    F = images[names[0]].field
+    D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
+                          images={name: images[name].coeffs for name in names})
     if G.relators is not None:
-        for rel in G.relators:
-            value = free_eval(f, sigma, tau, rel)
-            if not value.is_zero():
+        n = G.order
+        value = _relator_matrix(F, sigma, tau).mul_vec(D.generator_flat())
+        for j, rel in enumerate(G.relators):
+            block = value[j * n:(j + 1) * n]
+            if any(block):
                 raise DerivationRejected(
                     f"relator {word_str(rel)} maps to a nonzero element",
-                    relator=rel, value=value)
-    images = {name: img.coeffs for name, img in f.images.items()}
-    table, = _extension_tables(F, sigma, tau, f.support, [images])
-    D = TwistedDerivation(G, F, sigma, tau, table, provenance="extended")
-    if G.relators is None:
-        bad = product_rule_violation(D)
-        if bad is not None:
-            raise DerivationRejected(
-                f"images do not extend: product rule fails at "
-                f"({G.names[bad[0]]}, {G.names[bad[1]]})", pair=bad)
+                    relator=rel, value=GroupRingElement(G, F, block, coerce=False))
+        return D
+    bad = product_rule_violation(D)
+    if bad is not None:
+        raise DerivationRejected(
+            f"images do not extend: product rule fails at "
+            f"({G.names[bad[0]]}, {G.names[bad[1]]})", pair=bad)
     return D
 
 
-def _extension_tables(F: Field, sigma: Endomorphism, tau: Endomorphism,
-                      support: Dict[str, int], image_sets) -> List[List[GroupRingElement]]:
-    """The product-rule extension of each set of generator images, as a table.
+def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
+                     images: Dict[str, Sequence], support: Dict[str, int],
+                     words: Sequence[Word]) -> List[List]:
+    """The product-rule extension of generator images, as coefficient lists.
 
-    Each set maps a generator name to a coefficient list.  D(g) sums
-    ``sign * left f(name) right`` over the letters of g's normal form (see
-    ``_word_letters``); the positions e -> left e right of every letter are
-    computed once and shared by all the sets.  Relators are not checked.
+    ``images`` maps each name of ``support`` to a coefficient list, and
+    ``words`` gives every element a word over ``support``, closed under
+    prefixes as ``FiniteGroup.words_over`` builds them.  D(g) is the
+    free-word evaluation of g's word (see ``_word_letters``), computed from
+    its prefix w and last letter x as D(w) tau(x) plus the term of x:
+    sigma(w) f(x), or -sigma(w x) f(x) tau(x) for an inverse letter.
+    Relators are not checked.
     """
     G = sigma.group
-    mul, zero, add, sub = G.mul, F.zero(), F.add, F.sub
-    letters = [[(name, add if sign > 0 else sub, [mul[x][right] for x in mul[left]])
-                for name, sign, left, right in _word_letters(G, sigma, tau, support, word)]
-               for word in G.normal_forms]
-    tables = []
-    for images in image_sets:
-        table = []
-        for word_letters in letters:
-            out = [zero] * G.order
-            for name, op, pos in word_letters:
-                for k, c in zip(pos, images[name]):
-                    if c:
-                        out[k] = op(out[k], c)
-            table.append(GroupRingElement(G, F, out, coerce=False))
-        tables.append(table)
-    return tables
+    mul, inv, zero = G.mul, G.inv, F.zero()
+    table: List[List] = [[zero] * G.order] * G.order
+    # parents first; the identity, whose word is empty, keeps its zero row
+    for g in sorted(range(G.order), key=lambda g: len(words[g]))[1:]:
+        name, sign = words[g][-1]
+        x = support[name] if sign > 0 else inv[support[name]]
+        w, tx = mul[g][inv[x]], tau.images[x]
+        prev, back = table[w], inv[tx]
+        out = [prev[row[back]] for row in mul]
+        if sign > 0:
+            op, left, right = F.add, mul[sigma.images[w]], G.identity
+        else:
+            op, left, right = F.sub, mul[sigma.images[g]], tx
+        for e, c in enumerate(images[name]):
+            if c:
+                k = mul[left[e]][right]
+                out[k] = op(out[k], c)
+        table[g] = out
+    return table
 
 
 def _first_violation(D: TwistedDerivation, hs) -> Optional[Tuple[int, int]]:
@@ -323,16 +339,20 @@ def verify_derivation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
 
 # -- inner derivations -------------------------------------------------------
 
-def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
-    """The derivation g -> beta tau(g) - sigma(g) beta."""
+def _inner_image(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike, g: int) -> List:
+    """beta tau(g) - sigma(g) beta as a coefficient list."""
     G, F = beta.group, beta.field
     sub = F.sub
-    table = []
-    for g in range(G.order):
-        diff = [sub(a, b) for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
-                                          _act(G, F, sigma.terms(g), beta.coeffs, True))]
-        table.append(GroupRingElement(G, F, diff, coerce=False))
-    return TwistedDerivation(G, F, sigma, tau, table, provenance="inner", witness=beta)
+    return [sub(a, b) for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
+                                      _act(G, F, sigma.terms(g), beta.coeffs, True))]
+
+
+def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
+    """The derivation g -> beta tau(g) - sigma(g) beta, from its generator images."""
+    G = beta.group
+    images = {name: _inner_image(beta, sigma, tau, s) for name, s in G.generators}
+    return TwistedDerivation(G, beta.field, sigma, tau, provenance="inner", witness=beta,
+                             images=images)
 
 
 def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike, elems=None):
@@ -381,8 +401,7 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     G, F = D.group, D.field
     gens = [s for _, s in G.generators]
     rows = _dense_rows(F, G.order, _inner_rows(G, D.sigma, D.tau, gens))
-    rhs = [c for s in gens for c in D.table[s].coeffs]
-    solution = Matrix(F, rows, coerce=False).solve(rhs)
+    solution = Matrix(F, rows, coerce=False).solve(D.generator_flat())
     if solution is None:
         return None
     beta = GroupRingElement(G, F, solution, coerce=False)
@@ -450,11 +469,9 @@ def derivation_space(field: Field, sigma: Endomorphism,
     dim = len(kernel)
     if not basis:
         return dim, None
-    image_sets = [{name: vec[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)}
-                  for vec in kernel]
-    tables = _extension_tables(field, sigma, tau, dict(G.generators), image_sets)
-    return dim, [TwistedDerivation(G, field, sigma, tau, table, provenance="extended")
-                 for table in tables]
+    return dim, [TwistedDerivation(G, field, sigma, tau, provenance="extended", images={
+        name: vec[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)})
+                 for vec in kernel]
 
 
 def _pair_constraint_rows(field: Field, sigma: Endomorphism, tau: Endomorphism):
@@ -490,12 +507,7 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     if not basis:
         rank = sparse_rank(field, _pair_constraint_rows(field, sigma, tau))
         return n * n - rank, None
-    rows = []
-    for sparse_row in _pair_constraint_rows(field, sigma, tau):
-        dense = [field.zero()] * (n * n)
-        for c, v in sparse_row.items():
-            dense[c] = field.coerce(v)
-        rows.append(dense)
+    rows = _dense_rows(field, n * n, _pair_constraint_rows(field, sigma, tau))
     kernel = Matrix(field, rows, coerce=False).kernel_basis()
     out = []
     for vec in kernel:
@@ -546,15 +558,14 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     p_gens, reg_gens = _abelian_char_parts(group, field.p)
     if not p_gens:
         return []
-    support = {name: idx for name, idx in p_gens + reg_gens}
+    support = dict(p_gens + reg_gens)
     words = group.words_over(p_gens + reg_gens)
-    zero = GroupRingElement.zero(group, field)
+    zero, one = GroupRingElement.zero(group, field), GroupRingElement.one(group, field)
     seeds = []
-    for i, (iname, _) in enumerate(p_gens):
-        images = {name: zero for name, _ in p_gens + reg_gens}
-        images[iname] = GroupRingElement.one(group, field)
-        f = GeneratorMap(group, field, images, support=support)
-        table = [free_eval(f, sigma, sigma, words[g]) for g in range(group.order)]
+    for iname, _ in p_gens:
+        images = {name: (one if name == iname else zero).coeffs for name in support}
+        table = [GroupRingElement(group, field, row, coerce=False) for row in
+                 _extension_table(field, sigma, sigma, images, support, words)]
         D = TwistedDerivation(group, field, sigma, sigma, table, provenance="extended")
         bad = product_rule_violation(D)
         if bad is not None:

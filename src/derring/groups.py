@@ -128,9 +128,6 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
-    def multiply(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def inverse(self, a: int) -> int:
         return self.inv[a]
 

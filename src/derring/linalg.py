@@ -50,10 +50,6 @@ class Field:
     def char(self) -> int:
         return self.p
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p != 0
-
     def zero(self):
         return 0 if self.p else _rat(0)
 
@@ -173,12 +169,6 @@ class Matrix:
         m = cls(field, [[zero] * cols for _ in range(rows)], coerce=False)
         m.cols = cols
         return m
-
-    @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            return cls(field, [])
-        return cls(field, [[col[i] for col in cols] for i in range(len(cols[0]))])
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.data)

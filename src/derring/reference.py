@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .codes import CodeReport, LinearCode, code_report, linear_code_report
-from .derivations import (GeneratorMap, TwistedDerivation, cyclic_power_derivation,
+from .derivations import (TwistedDerivation, cyclic_power_derivation,
                           derivation_space, extend_from_generators)
 from .dihedral import predict
 from .groups import (FiniteGroup, cyclic_group, dihedral_group, endo_from_images,
@@ -326,7 +326,7 @@ def build_context(table_id: str):
     sigma = endo_from_images(group, spec["sigma"])
     images = {name: parse_element(group, field, text)
               for name, text in spec["images"].items()}
-    derivation = extend_from_generators(GeneratorMap(group, field, images), sigma)
+    derivation = extend_from_generators(images, sigma)
     return group, field, sigma, derivation
 
 

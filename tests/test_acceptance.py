@@ -12,8 +12,8 @@ from derring.conjugacy import (class_sums, inner_basis, twisted_center_dimension
 from derring.derivations import (averaging_witness, derivation_space,
                                  derivation_space_full, inner_derivation, is_inner,
                                  verify_derivation)
-from derring.dihedral import (explicit_basis, predict_classes, predict_dim_derivations,
-                              predict_dim_inner, predict_outer)
+from derring.dihedral import (explicit_basis, predict, predict_classes,
+                              predict_dim_derivations, predict_dim_inner, predict_outer)
 from derring.groups import (DihedralEndoParams, abelian_group, cyclic_group,
                             dihedral_group, endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism)
@@ -341,3 +341,31 @@ def test_criterion_10_property_suites():
                 assert twisted_center_dimension(group, endo, endo, field) == part.r
     report(f"ACCEPTANCE 10 (oracle equality on {oracle_points} points; product-rule, "
            "class-equation and class-sum property suites): PASS")
+
+
+# -- scale: groups of order 256 and 512 ------------------------------------------
+
+SCALE_POINTS = (
+    (256, GF(2), {"a": "a^-1", "b": "b"}), (256, GF(3), {"a": "a^-1", "b": "b"}),
+    (256, GF(2), {"a": "a", "b": "a*b"}), (256, GF(3), {"a": "a", "b": "a*b"}),
+    (128, QQ, {"a": "a^-1", "b": "b"}),
+)
+
+
+def test_scale_generator_data_against_closed_forms():
+    """Basis, inner basis and outer verdict on D512 and D256 agree with predict.
+
+    Neither call reads a |G|^2 table: basis members are kernel vectors and
+    the inner basis is rank-checked on its generator columns.
+    """
+    for n, field, images in SCALE_POINTS:
+        group = dihedral_group(n)
+        sigma = endo_from_images(group, images)
+        dim, basis = derivation_space(field, sigma, basis=True)
+        inner = inner_basis(group, sigma, sigma, field)
+        pred = predict(group, sigma, field)
+        assert len(basis) == dim == pred.dim_derivations, (n, field, images)
+        assert len(inner) == pred.dim_inner, (n, field, images)
+        assert (dim > len(inner)) == pred.outer_nonzero, (n, field, images)
+    report(f"SCALE (D512 over GF(2), GF(3); D256 over QQ; {len(SCALE_POINTS)} points "
+           "against the closed forms): PASS")

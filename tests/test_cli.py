@@ -191,6 +191,14 @@ def test_derive_lists_table(tmp_path, capsys):
     assert payload["table"]["x"].startswith("1 + x")
 
 
+def test_derive_refuses_unknown_generator_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, {
+        "group": {"family": "dihedral", "n": 4}, "field": "GF(3)",
+        "derivation": {"images": {"a": "0", "b": "0", "c": "1 + a"}}})
+    assert main(["derive", spec]) == 2
+    assert "unknown generators in image map: ['c']" in capsys.readouterr().err
+
+
 def test_reproduce_table(tmp_path, capsys):
     rc, payload = run_json(capsys, ["reproduce", "c18-a", "--format", "json"])
     assert rc == 0

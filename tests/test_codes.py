@@ -223,10 +223,10 @@ def test_flags():
     d12 = dihedral_group(6)
     F = GF(2)
     sigma = endo_from_images(d12, {"a": "a^2", "b": "a*b"})
-    from derring.derivations import GeneratorMap, extend_from_generators
-    f = GeneratorMap(d12, F, {
+    from derring.derivations import extend_from_generators
+    f = {
         "a": parse_element(d12, F, "1 + a + a^3 + a^4 + a*b + a^2*b + a^4*b + a^5*b"),
-        "b": parse_element(d12, F, "a + a^2 + a^4 + a^5 + b + a^2*b + a^3*b + a^5*b")})
+        "b": parse_element(d12, F, "a + a^2 + a^4 + a^5 + b + a^2*b + a^3*b + a^5*b")}
     D = extend_from_generators(f, sigma)
     name2idx = {n: i for i, n in enumerate(d12.names)}
     code = idd_code(D, [name2idx[s] for s in ("a", "a^2", "a^3", "b")])

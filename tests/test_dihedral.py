@@ -1,7 +1,7 @@
 import pytest
 
 from derring.conjugacy import twisted_classes
-from derring.derivations import GeneratorMap, derivation_space, extend_from_generators
+from derring.derivations import derivation_space, extend_from_generators
 from derring.dihedral import (NoClosedForm, explicit_basis, params_for, predict,
                               predict_classes, predict_dim_derivations,
                               predict_dim_inner, predict_outer, spanning_candidates)
@@ -159,7 +159,7 @@ def test_spanning_candidates_basis_cases():
         assert len(candidates) == dim
         rows = []
         for abar, bbar in candidates:
-            D = extend_from_generators(GeneratorMap(g, field, {"a": abar, "b": bbar}), endo)
+            D = extend_from_generators({"a": abar, "b": bbar}, endo)
             rows.append(D.flat())
         assert rows_rank(field, rows) == dim
 

@@ -106,8 +106,8 @@ def test_commutator_map_kernels_in_qd6():
         col_a[left] += 1
         cols_comm.append(col_c)
         cols_anti.append(col_a)
-    comm = Matrix.from_cols(QQ, cols_comm)
-    anti = Matrix.from_cols(QQ, cols_anti)
+    comm = Matrix(QQ, cols_comm).transpose()
+    anti = Matrix(QQ, cols_anti).transpose()
     assert len(comm.kernel_basis()) == 4
     assert len(anti.kernel_basis()) == 2
     # the two kernels complement each other in the 6-dimensional algebra

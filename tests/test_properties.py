@@ -11,7 +11,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derring.derivations import (AlgebraEndo, GeneratorMap, TwistedDerivation,
+from derring.conjugacy import twisted_classes
+from derring.derivations import (AlgebraEndo, TwistedDerivation,
                                  _relator_matrix, derivation_space, derivation_space_full,
                                  free_eval, inner_derivation, is_inner,
                                  product_rule_violation, verify_derivation)
@@ -109,8 +110,7 @@ def test_relator_matrix_matches_free_eval(point, data):
                              max_size=len(group.generators) * n))
     images = {name: GroupRingElement(group, field, vec[k * n:(k + 1) * n])
               for k, (name, _) in enumerate(group.generators)}
-    f = GeneratorMap(group, field, images)
-    expected = [c for rel in group.relators for c in free_eval(f, sigma, tau, rel).coeffs]
+    expected = [c for rel in group.relators for c in free_eval(images, sigma, tau, rel).coeffs]
     got = _relator_matrix(field, sigma, tau).mul_vec([field.coerce(v) for v in vec])
     assert got == expected
 
@@ -202,7 +202,7 @@ def full_system_witness(D):
     G, F = D.group, D.field
     cols = [inner_derivation(GroupRingElement.basis(G, F, c), D.sigma, D.tau).flat()
             for c in range(G.order)]
-    solution = Matrix.from_cols(F, cols).solve(D.flat())
+    solution = Matrix(F, cols).transpose().solve(D.flat())
     return None if solution is None else tuple(solution)
 
 
@@ -256,3 +256,55 @@ def test_generator_checks_match_full_scans_with_algebra_endomorphisms(kind, fiel
     sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
     D = inner_derivation(data.draw(elements(group, field)), sigma, tau)
     assert_matches_full_checks(data.draw(variant(D, kind)))
+
+
+# -- generator data and lazy tables ------------------------------------------------
+
+def ring_elements(D):
+    return {name: GroupRingElement(D.group, D.field, D.images[name])
+            for name, _ in D.group.generators}
+
+
+@PROPERTY
+@given(endo_pairs())
+def test_basis_tables_are_free_word_extensions(point):
+    group, field, sigma, tau = point
+    _, basis = derivation_space(field, sigma, tau)
+    for D in basis:
+        images = ring_elements(D)
+        assert all(D.table[g] == free_eval(images, sigma, tau, group.normal_forms[g])
+                   for g in range(group.order))
+        assert verify_derivation(D) is None
+
+
+@PROPERTY
+@given(st.booleans(), st.sampled_from((GF(3), GF(5), QQ)), st.data())
+def test_lazy_inner_table_matches_convolution(algebra, field, data):
+    if algebra:
+        group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    else:
+        group = data.draw(st.sampled_from(GROUPS))
+        maps = [AlgebraEndo.from_group_endo(e, field) for e in endomorphisms(group)]
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    beta = data.draw(elements(group, field))
+    D = inner_derivation(beta, sigma, tau)
+    expected = reference_inner(beta, sigma, tau)
+    assert all(D.images[name] == expected[s].coeffs for name, s in group.generators)
+    assert D.table == expected
+
+
+@PROPERTY
+@given(endo_pairs(), st.booleans(), st.data())
+def test_generator_columns_have_the_rank_of_full_tables(point, dependent, data):
+    group, field, sigma, tau = point
+    picks = set(data.draw(st.lists(st.integers(0, group.order - 1), max_size=group.order)))
+    classes = [c for c in twisted_classes(group, sigma, tau).classes if len(c) > 1]
+    if dependent and classes:
+        # the D_g of a whole class sum to D of the class sum, which is twisted central: 0
+        picks |= set(data.draw(st.sampled_from(classes)))
+    members = [inner_derivation(GroupRingElement.basis(group, field, g), sigma, tau)
+               for g in sorted(picks)]
+    rank = rows_rank(field, [D.generator_flat() for D in members])
+    assert rank == rows_rank(field, [D.flat() for D in members])
+    if dependent and classes:
+        assert rank < len(members)
