@@ -207,7 +207,8 @@ def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
     Letters may be inverses; each contributes one term, sandwiched between
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
     The empty word evaluates to 0.  Kept as the object-algebra reference
-    for the index arithmetic of ``_relator_matrix`` and ``_extension_table``.
+    for the index arithmetic of ``_relator_matrix``, ``_relator_images`` and
+    ``_extension_table``.
     """
     G = sigma.group
     out = GroupRingElement.zero(G, next(iter(images.values())).field)
@@ -226,7 +227,7 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
 
     ``images`` maps every generator name, and nothing else, to its image.
     Raises DerivationRejected carrying the first failing relator and its
-    value, read off ``_relator_matrix``.  Groups without a relator list
+    value, from ``_relator_images``.  Groups without a relator list
     get the full product-rule check of the table built along normal forms.
     """
     if tau is None:
@@ -243,14 +244,11 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
                           images={name: images[name].coeffs for name in names})
     if G.relators is not None:
-        n = G.order
-        value = _relator_matrix(F, sigma, tau).mul_vec(D.generator_flat())
-        for j, rel in enumerate(G.relators):
-            block = value[j * n:(j + 1) * n]
-            if any(block):
+        for rel, value in _relator_images(F, D.images, sigma, tau):
+            if any(value):
                 raise DerivationRejected(
                     f"relator {word_str(rel)} maps to a nonzero element",
-                    relator=rel, value=GroupRingElement(G, F, block, coerce=False))
+                    relator=rel, value=GroupRingElement(G, F, value, coerce=False))
         return D
     bad = product_rule_violation(D)
     if bad is not None:
@@ -343,8 +341,9 @@ def _inner_image(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike, g: int)
     """beta tau(g) - sigma(g) beta as a coefficient list."""
     G, F = beta.group, beta.field
     sub = F.sub
-    return [sub(a, b) for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
-                                      _act(G, F, sigma.terms(g), beta.coeffs, True))]
+    return [sub(a, b) if b else a
+            for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
+                            _act(G, F, sigma.terms(g), beta.coeffs, True))]
 
 
 def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
@@ -376,13 +375,17 @@ def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike, elems=None):
 
 
 def _dense_rows(field: Field, n: int, sparse_rows) -> List[List]:
-    """Sparse integer or field rows as dense rows of n field elements."""
-    zero = field.zero()
+    """Sparse integer or field rows as dense rows of n matrix entries.
+
+    Over GF(p) each entry is reduced into the field; over QQ ints and
+    rationals are already exact matrix entries and are kept as they are.
+    """
+    coerce = field.coerce if field.p else None
     out = []
     for sparse in sparse_rows:
-        dense = [zero] * n
+        dense = [0] * n
         for c, v in sparse.items():
-            dense[c] = field.coerce(v)
+            dense[c] = coerce(v) if coerce else v
         out.append(dense)
     return out
 
@@ -429,25 +432,58 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
 
 # -- solution spaces ---------------------------------------------------------
 
+def _relator_letters(sigma: Endomorphism, tau: Endomorphism):
+    """Each relator with its letters as (name, sign, block), block[e] = left e right.
+
+    A letter (name, sign, left, right) of ``_word_letters`` adds
+    ``sign * left f(name) right`` to the relator's image, so it moves the
+    coefficient of f(name) at e to ``block[e]``: a signed permutation block.
+    """
+    G = sigma.group
+    mul, support = G.mul, dict(G.generators)
+    for rel in G.relators:
+        yield rel, [(name, sign, [mul[x][right] for x in mul[left]])
+                    for name, sign, left, right in _word_letters(G, sigma, tau, support, rel)]
+
+
+def _relator_images(field: Field, images: Dict[str, Sequence], sigma: Endomorphism,
+                    tau: Endomorphism):
+    """Each relator with its image under the extension of ``images``, a coefficient list.
+
+    ``images`` maps generator names to coefficient lists; each letter
+    moves its generator's image through its block, with its sign.
+    """
+    for rel, letters in _relator_letters(sigma, tau):
+        value = [field.zero()] * sigma.group.order
+        for name, sign, block in letters:
+            op = field.add if sign > 0 else field.sub
+            for e, c in enumerate(images[name]):
+                if c:
+                    value[block[e]] = op(value[block[e]], c)
+        yield rel, value
+
+
 def _relator_matrix(field: Field, sigma: Endomorphism, tau: Endomorphism) -> Matrix:
     """The linear map from generator images to relator images.
 
     Column k |G| + e sends generator k to the basis element e, the rest
-    to 0; row j |G| + t is coefficient t of relator j's image.  A letter
-    (name, sign, left, right) of relator j adds the signed permutation
-    block e -> left e right to its generator's columns.
+    to 0; row j |G| + t is coefficient t of relator j's image.  Each letter
+    of relator j adds its signed permutation block to its generator's
+    columns.  The entries are small integers: reduced mod p over GF(p),
+    kept as ints over QQ.
     """
     G = sigma.group
-    n, mul = G.order, G.mul
-    support = dict(G.generators)
-    block = {name: k * n for k, (name, _) in enumerate(G.generators)}
-    data = [[0] * (len(block) * n) for _ in range(len(G.relators) * n)]
-    for j, rel in enumerate(G.relators):
-        for name, sign, left, right in _word_letters(G, sigma, tau, support, rel):
-            row_left, base = mul[left], block[name]
-            for e in range(n):
-                data[j * n + mul[row_left[e]][right]][base + e] += sign
-    return Matrix(field, data)
+    n = G.order
+    base = {name: k * n for k, (name, _) in enumerate(G.generators)}
+    data = [[0] * (len(base) * n) for _ in range(len(G.relators) * n)]
+    for j, (_, letters) in enumerate(_relator_letters(sigma, tau)):
+        for name, sign, block in letters:
+            col = base[name]
+            for e, t in enumerate(block):
+                data[j * n + t][col + e] += sign
+    if field.p:
+        data = [[x % field.p for x in row] for row in data]
+    return Matrix(field, data, coerce=False)
 
 
 def derivation_space(field: Field, sigma: Endomorphism,

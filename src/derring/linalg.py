@@ -2,15 +2,30 @@
 
 Scalars are plain Python ints (always reduced mod p) for GF(p) and
 arbitrary-precision rationals for the rational field, so every result in
-the toolkit is exact; there is no floating point anywhere.  Row reduction
-is Gauss-Jordan with first-nonzero pivoting.  For prime fields with
-(p - 1)^2 < 2^63 there is a numpy-backed fast path that still works on
-exact machine integers mod p.
+the toolkit is exact; there is no floating point anywhere.
+
+Every row reduction runs one kernel: Gauss-Jordan mod a prime on integer
+rows, first-nonzero pivoting.  It is numpy int64 arithmetic for systems of
+at least ``_NUMPY_RREF_THRESHOLD`` entries while (p - 1)^2 < 2^63, and a
+Python-int loop otherwise.  Over GF(p) that is the whole story.  Over the
+rationals each row is scaled to integers (which keeps the RREF), reduced
+mod 2^31 - 1, and the entries at the free columns are recovered by
+rational reconstruction, combining further primes (taken downward) by CRT
+while reconstruction or the certificate fails.  The certificate is the
+exact integer product A K = 0, K the kernel vectors read off the
+candidate RREF.  K is the identity on the non-pivot columns, so it has
+full rank n - r_p and A K = 0 gives rank A <= r_p; a rank mod p never
+exceeds the rational rank, so the two are equal, K spans the rational
+kernel, and the pivots and the RREF are the rational ones.  The loop has
+no cap: unlucky primes divide some nonzero minor, so there are finitely
+many, and the CRT modulus grows until every entry reconstructs.  A rank
+mod p equal to min(rows, cols) is already exact and needs no lift.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,13 +72,22 @@ class Field:
         return 1 if self.p else _rat(1)
 
     def coerce(self, x):
-        """Normalize ints, rationals or 'a/b' strings into this field."""
+        """Normalize ints, rationals or 'a/b' strings into this field.
+
+        A literal whose denominator is 0 in this field is refused with a
+        ValueError that names it.
+        """
         if isinstance(x, str):
-            x = x.strip()
-            if "/" in x:
-                num, den = x.split("/")
-                return self.div(self.coerce(int(num)), self.coerce(int(den)))
-            x = int(x)
+            num, slash, den = x.strip().partition("/")
+            if slash:
+                num, den = int(num), int(den)
+                if den % self.p == 0 if self.p else den == 0:
+                    why = (f"{den} is a multiple of {self.p}, so it is 0 there" if self.p
+                           else "is 0")
+                    raise ValueError(f"{x.strip()!r} is not in {self!r}: its denominator "
+                                     f"{why} and has no inverse")
+                return self.div(self.coerce(num), self.coerce(den))
+            x = int(num)
         if self.p:
             if isinstance(x, int):
                 return x % self.p
@@ -141,7 +165,11 @@ _NUMPY_RREF_MAX_P = math.isqrt(2 ** 63 - 1) + 1
 
 
 class Matrix:
-    """Dense row-major matrix over a single exact field."""
+    """Dense row-major matrix over a single exact field.
+
+    Over QQ the entries may be ints as well as rationals; the RREF, and
+    so every kernel vector and solution, holds rationals.
+    """
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -209,54 +237,21 @@ class Matrix:
     # -- row reduction ----------------------------------------------------
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form and its pivot columns (see the module notes)."""
         p = self.field.p
-        if p and p <= _NUMPY_RREF_MAX_P and self.rows * self.cols >= _NUMPY_RREF_THRESHOLD:
-            return self._rref_numpy()
-        return self._rref_python()
-
-    def _rref_python(self) -> Tuple["Matrix", Tuple[int, ...]]:
-        F = self.field
-        m = [row[:] for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots: List[int] = []
-        r = 0
-        zero = F.zero()
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            lead = m[r][c]
-            if lead != F.one():
-                inv = F.inv(lead)
-                m[r] = [F.mul(inv, x) for x in m[r]]
-            row_r = m[r]
-            for i in range(nrows):
-                if i == r:
-                    continue
-                factor = m[i][c]
-                if factor != zero:
-                    row_i = m[i]
-                    m[i] = [F.sub(row_i[j], F.mul(factor, row_r[j])) for j in range(ncols)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return Matrix(F, m, coerce=False), tuple(pivots)
-
-    def _rref_numpy(self) -> Tuple["Matrix", Tuple[int, ...]]:
-        p = self.field.p
-        a = np.array(self.data, dtype=np.int64) % p
-        pivots = rref_mod_p(a, p)
-        out = Matrix(self.field, a.tolist(), coerce=False)
-        return out, tuple(pivots)
+        if p:
+            data, pivots = _rref_mod(self.data, self.cols, p)
+        else:
+            data, pivots = _rref_rational(self.data, self.cols)
+        return Matrix(self.field, data, coerce=False), tuple(pivots)
 
     def rank(self) -> int:
+        if not self.field.p and self.rows:
+            # r_p <= r_QQ <= min(rows, cols), so a full rank mod p needs no lift
+            _, pivots = _rref_mod(_integer_rows(self.data), self.cols, _FIRST_PRIME)
+            if len(pivots) == min(self.rows, self.cols):
+                _log_rational((self.rows, self.cols), len(pivots), 1, lifted=False)
+                return len(pivots)
         _, pivots = self.rref()
         return len(pivots)
 
@@ -272,7 +267,9 @@ class Matrix:
             v = [zero] * self.cols
             v[f] = one
             for r_idx, pc in enumerate(pivots):
-                v[pc] = F.neg(R.data[r_idx][f])
+                x = R.data[r_idx][f]
+                if x:
+                    v[pc] = F.neg(x)
             basis.append(v)
         return basis
 
@@ -315,37 +312,10 @@ def same_row_space(field: Field, rows_a: Sequence[Sequence], rows_b: Sequence[Se
 
 
 def rows_full_rank(field: Field, rows: Sequence[Sequence], expected: int) -> bool:
-    """Whether the rows have rank `expected`.
-
-    Over the rationals, integer rows whose reduction mod a small prime
-    already has full rank are certified without exact elimination (the
-    rational rank can only be larger); otherwise falls back to the exact
-    path.
-    """
+    """Whether the rows, lists of field elements (or ints over QQ), have rank `expected`."""
     if not rows:
         return expected == 0
-    if expected > min(len(rows), len(rows[0])):
-        return False
-    if not field.p:
-        ints = _as_int_rows(rows)
-        if ints is not None:
-            a = np.array(ints, dtype=np.int64) % 3
-            if len(rref_mod_p(a, 3)) == expected:
-                return True
-    return rows_rank(field, rows) == expected
-
-
-def _as_int_rows(rows) -> Optional[List[List[int]]]:
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            den = getattr(x, "denominator", 1)
-            if den != 1:
-                return None
-            new.append(int(x))
-        out.append(new)
-    return out
+    return Matrix(field, rows, coerce=False).rank() == expected
 
 
 def rref_mod_p(a: "np.ndarray", p: int) -> List[int]:
@@ -377,6 +347,182 @@ def rref_mod_p(a: "np.ndarray", p: int) -> List[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def _rref_python_mod(m: List[List[int]], p: int) -> List[int]:
+    """In-place RREF of rows of residues mod p; returns pivot columns.
+
+    Each elimination step touches only the nonzero columns of the pivot row.
+    """
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        i = next((i for i in range(r, nrows) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        row = m[r]
+        inv = pow(row[c], -1, p)
+        nonzero = [(j, row[j] * inv % p) for j in range(c, ncols) if row[j]]
+        for j, v in nonzero:
+            row[j] = v
+        for i in range(nrows):
+            other = m[i]
+            f = other[c]
+            if f and i != r:
+                for j, v in nonzero:
+                    other[j] = (other[j] - f * v) % p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref_mod(rows: Sequence[Sequence[int]], ncols: int,
+              p: int) -> Tuple[List[List[int]], List[int]]:
+    """RREF mod p of integer rows (left unchanged) and its pivots.
+
+    numpy runs systems of at least ``_NUMPY_RREF_THRESHOLD`` entries while
+    (p - 1)^2 < 2^63; the Python-int loop runs the rest.
+    """
+    m = [[x % p for x in row] for row in rows]
+    if p <= _NUMPY_RREF_MAX_P and len(m) * ncols >= _NUMPY_RREF_THRESHOLD:
+        a = np.array(m, dtype=np.int64)
+        pivots = rref_mod_p(a, p)
+        return a.tolist(), pivots
+    return m, _rref_python_mod(m, p)
+
+
+# the first prime of the rational engine; further primes are taken below it
+_FIRST_PRIME = 2 ** 31 - 1
+
+
+def _engine_primes():
+    """2^31 - 1, then every prime below it in decreasing order."""
+    p = _FIRST_PRIME
+    yield p
+    while p > 2:
+        p -= 2
+        if is_prime(p):
+            yield p
+
+
+def _integer_rows(data: Sequence[Sequence]) -> List[List[int]]:
+    """Each row times the lcm of its denominators, as Python ints.
+
+    Scaling a row by a nonzero constant keeps the RREF.  gmpy2 numerators
+    become ints here, before any of them reaches numpy.
+    """
+    out = []
+    for row in data:
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+        else:
+            lcm = math.lcm(*{int(x.denominator) for x in row})
+            out.append([int(x.numerator) * (lcm // int(x.denominator)) for x in row])
+    return out
+
+
+def _reconstruct(x: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
+    """The n/d with n = d x mod modulus, |n|, d <= bound, gcd 1 (Wang), or None."""
+    if x <= bound:
+        return x, 1
+    if modulus - x <= bound:
+        return x - modulus, 1
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _kernel_vanishes(ints: List[List[int]], ncols: int, pivots: List[int],
+                     free: List[int], values: List[List[Tuple[int, int]]]) -> bool:
+    """Whether A K = 0 exactly, K the kernel vectors read off the candidate RREF.
+
+    Column k of K, scaled to integers by the lcm L of its denominators, is
+    L at free[k] and -L n/d at pivot i, n/d being the RREF entry
+    (i, free[k]).  The product runs in int64 when each row's sum of |A|
+    times the largest |K| entry is below 2^63, so that no partial sum can
+    overflow, and over Python ints otherwise.
+    """
+    lcms = [math.lcm(1, *(row[k][1] for row in values)) for k in range(len(free))]
+    kernel = [[0] * len(free) for _ in range(ncols)]
+    for k, (f, lcm) in enumerate(zip(free, lcms)):
+        kernel[f][k] = lcm
+    for pc, row in zip(pivots, values):
+        kernel[pc] = [-n * (lcm // d) for (n, d), lcm in zip(row, lcms)]
+    kmax = max(max(map(abs, row)) for row in kernel)
+    amax = max(sum(map(abs, row)) for row in ints)
+    dtype = np.int64 if amax * kmax < 2 ** 63 else object
+    return not (np.array(ints, dtype=dtype) @ np.array(kernel, dtype=dtype)).any()
+
+
+def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
+    """The RREF over QQ by the multimodular engine (see the module notes)."""
+    ints = _integer_rows(data)
+    nrows = len(ints)
+    if not nrows:
+        return [], []
+    pivots: Optional[List[int]] = None
+    for primes, p in enumerate(_engine_primes(), 1):
+        reduced, found = _rref_mod(ints, ncols, p)
+        if pivots is not None and found != pivots:
+            # a mod-p rank profile never beats the rational one: keep the better
+            if (len(found), [-c for c in found]) < (len(pivots), [-c for c in pivots]):
+                continue
+            pivots = None
+        if pivots is None:
+            pivots, modulus = found, 1
+            taken = set(pivots)
+            free = [c for c in range(ncols) if c not in taken]
+            residues = [[0] * len(free) for _ in pivots]
+        # CRT: fold the residues mod p into those mod the running modulus
+        step = pow(modulus, -1, p)
+        for old, row in zip(residues, reduced):
+            for k, f in enumerate(free):
+                old[k] += modulus * ((row[f] - old[k]) * step % p)
+        modulus *= p
+        bound = math.isqrt(modulus // 2)
+        values = [[_reconstruct(x, modulus, bound) for x in row] for row in residues]
+        if all(v is not None for row in values for v in row) and (
+                not free or _kernel_vanishes(ints, ncols, pivots, free, values)):
+            break
+    zero, one = _rat(0), _rat(1)
+    out = []
+    for pc, row in zip(pivots, values):
+        full = [zero] * ncols
+        full[pc] = one
+        for f, (n, d) in zip(free, row):
+            if n:
+                full[f] = _rat(n, d)
+        out.append(full)
+    out.extend([zero] * ncols for _ in range(nrows - len(pivots)))
+    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
+    return out, pivots
+
+
+def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
+    """One DEBUG record per rational elimination on the ``derring.linalg`` logger.
+
+    derring does not import ``logging`` itself: a process that has not
+    imported it has set no level or handler, so there is nothing to record.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return
+    log = logging.getLogger("derring.linalg")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("QQ elimination %dx%d: rank %d, %d prime(s), %s", shape[0], shape[1],
+                  rank, primes, "lift" if lifted else "no lift",
+                  extra={"shape": tuple(shape), "rank": rank, "primes": primes,
+                         "lifted": lifted})
 
 
 # -- sparse rank helpers --------------------------------------------------

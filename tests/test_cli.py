@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from derring import cli
 from derring.cli import main
 from derring.derivations import inner_derivation
@@ -67,6 +69,17 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     assert main(["validate", write_spec(tmp_path, missing, "m.json")]) == 2
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, literal", [("QQ", "1/0"), ("GF(3)", "1/3")])
+def test_zero_denominator_is_a_spec_error(tmp_path, capsys, field, literal):
+    spec = {"group": {"family": "dihedral", "n": 4}, "field": field,
+            "sigma": {"a": "a", "b": "b"},
+            "derivation": {"images": {"a": f"{literal}*a", "b": "0"}}}
+    assert main(["validate", write_spec(tmp_path, spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and repr(literal) in err
+    assert "denominator" in err
 
 
 def test_space_dimension_only(tmp_path, capsys):

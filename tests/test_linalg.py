@@ -1,11 +1,13 @@
+import logging
 import random
 
 import numpy as np
 import pytest
 
-from derring.linalg import (GF, QQ, Field, Matrix, parse_field, rows_full_rank,
-                            rows_rank, rref_mod_p, same_row_space, sparse_rank)
+from derring.linalg import (GF, QQ, Field, Matrix, _rref_python_mod, parse_field,
+                            rows_full_rank, rows_rank, rref_mod_p, same_row_space, sparse_rank)
 from derring.reference import reference_matrix
+from gauss_jordan import gauss_jordan
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
 
@@ -199,7 +201,8 @@ def test_rref_is_reduced():
         assert all(col[i] == 0 for i in range(r.rows) if i != idx)
 
 
-# 2^31 - 1 takes the numpy path; 4294967311 > 2^32 has (p - 1)^2 >= 2^63
+# 2^31 - 1 takes the numpy path, checked against the Python-int loop too;
+# 4294967311 > 2^32 has (p - 1)^2 >= 2^63
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
 def test_rref_paths_agree_at_large_primes(p):
     rng = random.Random(p)
@@ -207,11 +210,30 @@ def test_rref_paths_agree_at_large_primes(p):
     left = [[rng.randrange(p) for _ in range(20)] for _ in range(40)]
     right = [[rng.randrange(p) for _ in range(60)] for _ in range(20)]
     m = Matrix(F, left) * Matrix(F, right)
-    reduced, pivots = m._rref_python()
+    reduced, pivots = gauss_jordan(F, m.data)
     assert len(pivots) == 20
-    assert m.rref() == (reduced, pivots)
+    assert m.rref() == (Matrix(F, reduced, coerce=False), pivots)
     if (p - 1) ** 2 < 2 ** 63:
-        assert m._rref_numpy() == (reduced, pivots)
+        rows = [list(row) for row in m.data]
+        assert tuple(_rref_python_mod(rows, p)) == pivots and rows == reduced
+        a = np.array(m.data, dtype=np.int64)
+        assert tuple(rref_mod_p(a, p)) == pivots and a.tolist() == reduced
     else:
         with pytest.raises(ValueError):
             rref_mod_p(np.array(m.data, dtype=np.int64), p)
+
+
+def test_rational_elimination_logs_its_primes(caplog):
+    # the first 2 x 2 minor is 2^31 - 1, the engine's first prime: rank 1
+    # modulo it, 2 over QQ (an example of test_properties' unlucky kind)
+    m = Matrix(QQ, [[1, 1, 3], [1, 1 + (2 ** 31 - 1), 5]])
+    with caplog.at_level(logging.DEBUG, logger="derring.linalg"):
+        reduced, pivots = m.rref()
+    assert (reduced.data, pivots) == gauss_jordan(QQ, m.data)
+    (record,) = [r for r in caplog.records if r.name == "derring.linalg"]
+    assert record.shape == (2, 3) and record.rank == 2 and record.lifted
+    assert record.primes >= 2
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="derring.linalg"):
+        m.rref()
+    assert not caplog.records

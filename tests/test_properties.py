@@ -5,21 +5,30 @@ convolution product of ``GroupRingElement``, the pair-constraint oracle
 and brute-force commutation over every element of a small group ring.
 """
 
+import logging
+import math
+from contextlib import contextmanager
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
 from derring.derivations import (AlgebraEndo, TwistedDerivation,
-                                 _relator_matrix, derivation_space, derivation_space_full,
-                                 free_eval, inner_derivation, is_inner,
+                                 _relator_images, _relator_matrix, derivation_space,
+                                 derivation_space_full,
+                                 extend_from_generators, free_eval, inner_derivation, is_inner,
                                  product_rule_violation, verify_derivation)
+from derring.errors import DerivationRejected
 from derring.groupring import GroupRingElement, anticentralizer_basis, centralizer_basis
 from derring.groups import (FiniteGroup, brute_force_endomorphisms, cyclic_group,
                             dihedral_group, parse_word, table_group)
-from derring.linalg import GF, QQ, Matrix, rows_rank
+from derring.linalg import (GF, QQ, Matrix, _NUMPY_RREF_MAX_P, _rref_python_mod, is_prime,
+                            rows_rank, rref_mod_p)
+from gauss_jordan import gauss_jordan
 
 PROPERTY = settings(max_examples=12, deadline=None)
 FIELDS = (GF(2), GF(3), QQ)
@@ -113,6 +122,18 @@ def test_relator_matrix_matches_free_eval(point, data):
     expected = [c for rel in group.relators for c in free_eval(images, sigma, tau, rel).coeffs]
     got = _relator_matrix(field, sigma, tau).mul_vec([field.coerce(v) for v in vec])
     assert got == expected
+    # extend_from_generators applies the same letter blocks without the matrix
+    values = [(rel, free_eval(images, sigma, tau, rel)) for rel in group.relators]
+    coeffs = {name: img.coeffs for name, img in images.items()}
+    assert list(_relator_images(field, coeffs, sigma, tau)) == [
+        (rel, value.coeffs) for rel, value in values]
+    failing = [(rel, value) for rel, value in values if not value.is_zero()]
+    if not failing:
+        assert extend_from_generators(images, sigma, tau).images == coeffs
+    else:
+        with pytest.raises(DerivationRejected) as rejected:
+            extend_from_generators(images, sigma, tau)
+        assert (rejected.value.relator, rejected.value.value) == failing[0]
 
 
 @PROPERTY
@@ -308,3 +329,99 @@ def test_generator_columns_have_the_rank_of_full_tables(point, dependent, data):
     assert rank == rows_rank(field, [D.flat() for D in members])
     if dependent and classes:
         assert rank < len(members)
+
+
+# -- the elimination engine ----------------------------------------------------
+
+FIRST_PRIME = 2 ** 31 - 1
+
+
+@st.composite
+def engine_matrices(draw):
+    """Small rational matrices of five kinds, as lists of rows.
+
+    "unlucky" makes its last row a combination of the others plus
+    2^31 - 1 times a unit vector, so a minor is divisible by the engine's
+    first prime; "large" has entries up to 10^12, so most reduced RREFs
+    need a second CRT prime.
+    """
+    kind = draw(st.sampled_from(["small", "low-rank", "rational", "large", "unlucky"]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    if kind == "rational":
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    elif kind == "large":
+        entry = st.integers(-10 ** 12, 10 ** 12)
+    else:
+        entry = st.integers(-4, 4)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if kind in ("low-rank", "unlucky") and rows > 1:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=rows - 1, max_size=rows - 1))
+        j = draw(st.integers(0, cols - 1))
+        shift = FIRST_PRIME if kind == "unlucky" else 0
+        m[-1] = [sum(c * row[k] for c, row in zip(coeffs, m)) + (shift if k == j else 0)
+                 for k in range(cols)]
+    return m
+
+
+@contextmanager
+def engine_records():
+    """The DEBUG records of derring.linalg emitted inside the block."""
+    records = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = records.append
+    log = logging.getLogger("derring.linalg")
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield records
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
+@PROPERTY
+@given(engine_matrices())
+@example([[1, 1, 3], [1, 1 + FIRST_PRIME, 5]])
+@example([[10 ** 12 + 1, 3, 7], [5, 10 ** 12 - 7, 11]])
+def test_engine_rref_matches_fraction_elimination(rows):
+    expected_rows, expected_pivots = gauss_jordan(QQ, rows)
+    m = Matrix(QQ, rows)
+    with engine_records() as records:
+        reduced, pivots = m.rref()
+    assert pivots == expected_pivots
+    assert reduced.data == expected_rows
+    assert m.rank() == len(expected_pivots)
+    # one prime can certify only its own pivots and entries within its bound
+    _, first_pivots = gauss_jordan(GF(FIRST_PRIME), rows)
+    bound = math.isqrt(FIRST_PRIME // 2)
+    beyond = any(abs(x.numerator) > bound or x.denominator > bound
+                 for row in expected_rows for x in row)
+    (record,) = records
+    assert record.rank == len(pivots)
+    if first_pivots != expected_pivots or beyond:
+        assert record.primes >= 2
+
+
+def _prime_at_or_below(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from([2, 3, 5, 7, _prime_at_or_below(_NUMPY_RREF_MAX_P)]),
+                 st.integers(11, _NUMPY_RREF_MAX_P).map(_prime_at_or_below)), st.data())
+def test_numpy_and_python_mod_p_rref_agree(p, data):
+    rows, cols, inner = (data.draw(st.integers(1, 9)) for _ in range(3))
+    residues = st.integers(0, p - 1)
+    left = data.draw(st.lists(st.lists(residues, min_size=inner, max_size=inner),
+                              min_size=rows, max_size=rows))
+    right = data.draw(st.lists(st.lists(residues, min_size=cols, max_size=cols),
+                               min_size=inner, max_size=inner))
+    # a product of random factors has rank at most `inner`: pivots get skipped
+    m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+    a = np.array(m, dtype=np.int64)
+    assert rref_mod_p(a, p) == _rref_python_mod(m, p)
+    assert a.tolist() == m
