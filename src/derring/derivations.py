@@ -3,12 +3,13 @@
 A (sigma, tau)-derivation D of FG satisfies
 ``D(gh) = D(g) tau(h) + sigma(g) D(h)`` and is stored as its generator
 images, which fix it; the table of all group images is built only when
-read.  Generator images extend to a derivation exactly when the induced
-free-word evaluation kills every relator; that criterion is linear in
-the images, which is what ``derivation_space`` solves.  A second,
-independent solver treats all group images as unknowns constrained by
-every product pair and is kept as an oracle against the word-evaluation
-route.
+read.  Every group carries relators (given, or derived from its normal
+forms), and generator images extend to a derivation exactly when the
+induced free-word evaluation kills every relator; that criterion is
+linear in the images, which is what ``derivation_space`` solves, and is
+the one extension path.  The pair solver ``derivation_space_full``
+treats all group images as unknowns constrained by every product pair
+and is kept only as an oracle against it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DerivationRejected
-from .groups import Endomorphism, FiniteGroup, Word, _power, word_str
+from .groups import Endomorphism, FiniteGroup, Word, _power, first_failing_pair, word_str
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, sparse_rank
 
@@ -24,11 +25,10 @@ from .linalg import Field, Matrix, sparse_rank
 class AlgebraEndo:
     """A unital algebra endomorphism of FG given by its basis images.
 
-    Verified unital and multiplicative on the pairs (g, s), s a generator:
-    phi(g h s) = phi(g h) phi(s) = phi(g) phi(h s) carries that to every
-    pair by induction on positive words.  Used where arguments beyond
-    group-induced maps are allowed (the averaging construction).
-    Like ``Endomorphism`` it exposes each image through ``terms``.
+    Verified unital, then multiplicative on the generator pairs (see
+    ``first_failing_pair``).  Used where arguments beyond group-induced
+    maps are allowed (the averaging construction).  Like ``Endomorphism``
+    it exposes each image through ``terms``.
     """
 
     __slots__ = ("group", "field", "ring_images", "_terms")
@@ -43,23 +43,16 @@ class AlgebraEndo:
         if check:
             if not self.ring_images[group.identity] == GroupRingElement.one(group, field):
                 raise ValueError("algebra endomorphism must fix the identity")
-            # the full scan only names the first failing pair
-            if self._first_unmultiplicative([s for _, s in group.generators]) is not None:
-                g, h = self._first_unmultiplicative(range(group.order))
+            images, mul = self.ring_images, group.mul
+            bad = first_failing_pair(
+                group, lambda g, h: images[mul[g][h]] != images[g] * images[h])
+            if bad is not None:
+                g, h = bad
                 raise ValueError(
                     f"images are not multiplicative at "
                     f"({group.names[g]}, {group.names[h]})")
         self._terms = [tuple((u, img.coeffs[u]) for u in img.support())
                        for img in self.ring_images]
-
-    def _first_unmultiplicative(self, hs) -> Optional[Tuple[int, int]]:
-        """First (g, h), h in hs, with phi(g h) != phi(g) phi(h), or None."""
-        G, images = self.group, self.ring_images
-        for g in range(G.order):
-            for h in hs:
-                if images[G.mul[g][h]] != images[g] * images[h]:
-                    return g, h
-        return None
 
     def terms(self, g: int) -> Tuple[Tuple[int, object], ...]:
         """The image of g as group-ring terms (index, coefficient): its support."""
@@ -227,8 +220,7 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
 
     ``images`` maps every generator name, and nothing else, to its image.
     Raises DerivationRejected carrying the first failing relator and its
-    value, from ``_relator_images``.  Groups without a relator list
-    get the full product-rule check of the table built along normal forms.
+    value, from ``_relator_images``.
     """
     if tau is None:
         tau = sigma
@@ -243,18 +235,11 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     F = images[names[0]].field
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
                           images={name: images[name].coeffs for name in names})
-    if G.relators is not None:
-        for rel, value in _relator_images(F, D.images, sigma, tau):
-            if any(value):
-                raise DerivationRejected(
-                    f"relator {word_str(rel)} maps to a nonzero element",
-                    relator=rel, value=GroupRingElement(G, F, value, coerce=False))
-        return D
-    bad = product_rule_violation(D)
-    if bad is not None:
-        raise DerivationRejected(
-            f"images do not extend: product rule fails at "
-            f"({G.names[bad[0]]}, {G.names[bad[1]]})", pair=bad)
+    for rel, value in _relator_images(F, D.images, sigma, tau):
+        if any(value):
+            raise DerivationRejected(
+                f"relator {word_str(rel)} maps to a nonzero element",
+                relator=rel, value=GroupRingElement(G, F, value, coerce=False))
     return D
 
 
@@ -293,46 +278,30 @@ def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
     return table
 
 
-def _first_violation(D: TwistedDerivation, hs) -> Optional[Tuple[int, int]]:
-    """First pair (g, h), g in G and h in hs, violating the product rule."""
-    G, F, table = D.group, D.field, D.table
-    add = F.add
-    tau_terms = {h: D.tau.terms(h) for h in hs}
-    for g in range(G.order):
-        Dg, sigma_g, row = table[g].coeffs, D.sigma.terms(g), G.mul[g]
-        for h in hs:
-            rhs = [add(a, b) for a, b in zip(_act(G, F, tau_terms[h], Dg, False),
-                                             _act(G, F, sigma_g, table[h].coeffs, True))]
-            if rhs != table[row[h]].coeffs:
-                return (g, h)
-    return None
-
-
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """First pair (g, h) violating the twisted product rule, or None.
 
-    Only D(1) = 0 and the |G| |S| pairs (g, s), s a generator, are checked.
-    That is exact: sigma and tau are unital and multiplicative, so if the
-    rule holds at (g, h) for every g and at (h, s), then
-    D(g h s) = D(g h) tau(s) + sigma(g h) D(s) = D(g) tau(h s) + sigma(g) D(h s),
-    and induction on positive words in S, from D(g 1) = D(g) + sigma(g) D(1),
-    reaches every h.  The full |G|^2 scan runs only when that check fails,
-    to name the first violating pair.
+    Decided on the generator pairs by ``first_failing_pair``; the rows of
+    D and the terms of sigma and tau are read once for all pairs.
     """
-    G = D.group
-    gens = [s for _, s in G.generators]
-    if D.table[G.identity].is_zero() and _first_violation(D, gens) is None:
-        return None
-    return _first_violation(D, range(G.order))
+    G, F = D.group, D.field
+    p, mul = F.p, G.mul
+    rows = [elem.coeffs for elem in D.table]
+    sigma_terms = [D.sigma.terms(g) for g in range(G.order)]
+    tau_terms = [D.tau.terms(g) for g in range(G.order)]
+
+    def fails(g: int, h: int) -> bool:
+        terms = zip(_act(G, F, tau_terms[h], rows[g], False),
+                    _act(G, F, sigma_terms[g], rows[h], True))
+        # F.add inlined: this sum is the inner loop of every check
+        rhs = [(a + b) % p for a, b in terms] if p else [a + b for a, b in terms]
+        return rhs != rows[mul[g][h]]
+
+    return first_failing_pair(G, fails)
 
 
-def verify_derivation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
-    """None when D satisfies the product rule on all pairs, else the first pair.
-
-    Checked on D(1) and the generator pairs, which is exact (see
-    ``product_rule_violation``).
-    """
-    return product_rule_violation(D)
+# None when D satisfies the product rule on all pairs, else the first pair
+verify_derivation = product_rule_violation
 
 
 # -- inner derivations -------------------------------------------------------
@@ -492,14 +461,11 @@ def derivation_space(field: Field, sigma: Endomorphism,
     """Dimension (and optionally a basis) of all (sigma, tau)-derivations.
 
     Unknowns are the generator images; each relator contributes |G|
-    linear constraints, the coefficients of its image.  Groups without a
-    relator list fall back to the full pair-constraint solver.
+    linear constraints, the coefficients of its image.
     """
     if tau is None:
         tau = sigma
     G = sigma.group
-    if G.relators is None:
-        return derivation_space_full(field, sigma, tau, basis=basis)
     n = G.order
     kernel = _relator_matrix(field, sigma, tau).kernel_basis()
     dim = len(kernel)
@@ -535,7 +501,7 @@ def _pair_constraint_rows(field: Field, sigma: Endomorphism, tau: Endomorphism):
 def derivation_space_full(field: Field, sigma: Endomorphism,
                           tau: Optional[Endomorphism] = None,
                           basis: bool = True) -> Tuple[int, Optional[List[TwistedDerivation]]]:
-    """Independent solver: all |G| images unknown, all product pairs constrained."""
+    """Oracle solver: all |G| images unknown, all product pairs constrained."""
     if tau is None:
         tau = sigma
     G = sigma.group

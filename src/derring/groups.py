@@ -2,9 +2,14 @@
 
 Element listings are frozen per family (code constructions depend on
 them): cyclic groups list 1, x, ..., x^(n-1) and dihedral groups list
-1, a, ..., a^(n-1), b, ab, ..., a^(n-1)b.  Words over the generators use
-the grammar ``a^2*b`` (``*``-separated factors, optional integer
-exponents, ``1`` for the empty word).
+1, a, ..., a^(n-1), b, ab, ..., a^(n-1)b.  Words use the grammar
+``a^2*b`` (``*``-separated factors, optional integer exponents, ``1``
+for the empty word); a factor names a generator or an element.
+
+Every group carries a presentation: the built-in families give their
+relators, and a group given by its table derives them from its normal
+forms.  Endomorphisms are checked on the generator pairs, by the one
+rule of ``first_failing_pair``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import HomomorphismRejected
 
@@ -57,8 +62,21 @@ def word_str(word: Word) -> str:
     return "*".join(parts)
 
 
+def _identity_of(mul: Sequence[Sequence[int]]) -> int:
+    n = len(mul)
+    for e in range(n):
+        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
+            return e
+    raise ValueError("multiplication table has no identity")
+
+
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table.
+
+    ``relators`` present the group on its generators.  Given relators are
+    checked against the table; when none are given (None or an empty list)
+    they are derived from the normal forms (``_tree_relators``).
+    """
 
     def __init__(self, names: Sequence[str], mul: Sequence[Sequence[int]],
                  generators: Sequence[Tuple[str, int]], family: str,
@@ -70,23 +88,23 @@ class FiniteGroup:
         self.family = family
         self.family_params = family_params
         self.generators = list(generators)
-        self.relators = None if relators is None else [tuple(w) for w in relators]
-        self.identity = self._find_identity()
+        self.identity = _identity_of(self.mul)
         self.inv = self._build_inverses()
         self.normal_forms = self.words_over(self.generators)
         if check:
             self._check_associativity()
         self._index_of_name = {name: i for i, name in enumerate(self.names)}
-        self._check_relators()
+        # word letters: element names, with generator names taking precedence
+        self._letters = {**self._index_of_name, **dict(self.generators)}
+        if not relators:
+            self.relators = self._tree_relators()
+        else:
+            self.relators = [tuple(w) for w in relators]
+            for rel in self.relators:
+                if self.eval_word(rel) != self.identity:
+                    raise ValueError(f"relator {word_str(rel)} does not hold in the table")
 
     # -- construction checks ----------------------------------------------
-
-    def _find_identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.mul[e][g] == g and self.mul[g][e] == g for g in range(n)):
-                return e
-        raise ValueError("multiplication table has no identity")
 
     def _build_inverses(self) -> List[int]:
         n = self.order
@@ -119,12 +137,24 @@ class FiniteGroup:
                         f"table not associative at "
                         f"({self.names[x]}, {self.names[s]}, {self.names[y]})")
 
-    def _check_relators(self):
-        if self.relators is None:
-            return
-        for rel in self.relators:
-            if self.eval_word(rel) != self.identity:
-                raise ValueError(f"relator {word_str(rel)} does not hold in the table")
+    def _tree_relators(self) -> List[Word]:
+        """Relators presenting the group, read off the normal forms w_g.
+
+        One relator w_g s w_gs^-1 for each element g and generator s unless
+        w_gs = w_g s or w_g = w_gs s^-1 (a tree edge): |G| |S| - |G| + 1.
+        They give w_g s = w_gs, hence w_g s^-1 = w_(g s^-1), so every word
+        equals the normal form of its value (Holt, Eick & O'Brien, Handbook
+        of Computational Group Theory, ch. 5).  The normal forms are
+        prefix-closed, so the relators are freely reduced.
+        """
+        words, mul = self.normal_forms, self.mul
+        out: List[Word] = []
+        for g, w in enumerate(words):
+            for name, s in self.generators:
+                ws = words[mul[g][s]]
+                if ws != w + ((name, 1),) and w != ws + ((name, -1),):
+                    out.append(w + ((name, 1),) + tuple((x, -e) for x, e in reversed(ws)))
+        return out
 
     # -- basic operations ---------------------------------------------------
 
@@ -141,9 +171,13 @@ class FiniteGroup:
         raise KeyError(f"unknown generator {name!r}")
 
     def eval_word(self, word: Word) -> int:
+        """Evaluate a word whose letters name generators or elements."""
         g = self.identity
         for name, sign in word:
-            x = self.generator_index(name)
+            try:
+                x = self._letters[name]
+            except KeyError:
+                raise KeyError(f"unknown generator or element {name!r}") from None
             g = self.mul[g][x if sign > 0 else self.inv[x]]
         return g
 
@@ -279,41 +313,62 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
 
 def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
                 generators: Optional[Sequence[str]] = None) -> FiniteGroup:
-    """Group from a raw multiplication table; generators picked greedily if absent."""
-    n = len(mul)
-    if names is None:
-        names = [f"g{i}" for i in range(n)]
-    if generators is not None:
-        gens = [(name, list(names).index(name)) for name in generators]
-    else:
-        gens = _greedy_generators(mul, names)
-    return FiniteGroup(names, mul, gens, "table")
+    """Group from a raw multiplication table; generators picked greedily if absent.
+
+    The group's relators are derived from its normal forms.  A spec that
+    names no group listing is refused with a ValueError: the table must
+    be a non-empty square list of rows of ints in range(n) (bools are not
+    ints here) with an identity, the names n distinct strings, of which
+    only the identity may be ``1`` or ``e`` (words read both as the
+    identity), and the generators distinct element names.
+    """
+    n = len(mul) if isinstance(mul, (list, tuple)) else 0
+    if not n:
+        raise ValueError("multiplication table must be a non-empty list of rows")
+    for i, row in enumerate(mul):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
+            raise ValueError(f"multiplication table is not square: row {i} "
+                             f"is not a list of {n} entries")
+        for j, x in enumerate(row):
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+                raise ValueError(f"table entry ({i}, {j}) is {x!r}, "
+                                 f"not an element index in range({n})")
+    names = [f"g{i}" for i in range(n)] if names is None else names
+    if (not isinstance(names, (list, tuple)) or len(names) != n
+            or not all(isinstance(name, str) for name in names)):
+        raise ValueError(f"a table of {n} elements needs a list of {n} string names")
+    _refuse_repeats("element names", names)
+    identity = _identity_of(mul)
+    if any(name in ("1", "e") for g, name in enumerate(names) if g != identity):
+        raise ValueError("only the identity may be named '1' or 'e', "
+                         "which words read as the identity")
+    if generators is None:
+        return FiniteGroup(names, mul, _greedy_generators(mul, names, identity), "table")
+    if not isinstance(generators, (list, tuple)) or not all(x in names for x in generators):
+        raise ValueError(f"generators must be a list of element names, not {generators!r}")
+    _refuse_repeats("generators", generators)
+    return FiniteGroup(names, mul, [(name, names.index(name)) for name in generators],
+                       "table")
 
 
-def _greedy_generators(mul, names) -> List[Tuple[str, int]]:
-    n = len(mul)
-    identity = next(e for e in range(n)
-                    if all(mul[e][g] == g == mul[g][e] for g in range(n)))
+def _refuse_repeats(what: str, items: Sequence[str]) -> None:
+    if len(set(items)) < len(items):
+        raise ValueError(f"{what} repeat: {sorted({x for x in items if items.count(x) > 1})}")
+
+
+def _greedy_generators(mul, names, identity: int) -> List[Tuple[str, int]]:
+    """Each element outside the subgroup the earlier choices generate."""
     chosen: List[int] = []
     closure = {identity}
-    for g in range(n):
+    for g in range(len(mul)):
         if g in closure:
             continue
         chosen.append(g)
-        frontier = [identity]
-        closure = {identity}
+        # inverses are powers in a finite group, so right products suffice
+        closure, frontier = {identity}, [identity]
         while frontier:
-            nxt = []
-            for h in frontier:
-                for x in chosen:
-                    for y in (mul[h][x],):
-                        if y not in closure:
-                            closure.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        # inverses are powers in a finite group, so one-sided closure suffices
-        if len(closure) == n:
-            break
+            frontier = {mul[h][x] for h in frontier for x in chosen} - closure
+            closure |= frontier
     return [(names[g], g) for g in chosen]
 
 
@@ -338,8 +393,32 @@ def make_group(spec) -> FiniteGroup:
 DIHEDRAL_FAMILIES = ("sigma-1", "sigma0", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5")
 
 
+def first_failing_pair(group: FiniteGroup,
+                       fails: Callable[[int, int], bool]) -> Optional[Tuple[int, int]]:
+    """The first pair (g, h), g-major, at which a product rule fails, or None.
+
+    ``fails(g, h)`` tests phi(g h) = phi(g) phi(h), or D(g h) =
+    D(g) tau(h) + sigma(g) D(h) for unital multiplicative sigma and tau.
+    The pairs (g, s), s a generator, decide it.  At (1, s) the rule gives
+    phi(1) = 1 in G, or D(1) tau(s) = 0 and so D(1) = 0, hence the rule at
+    every (g, 1); at (g, h) for all g and at (h, s) it gives
+    phi(g h s) = phi(g h) phi(s) = phi(g) phi(h s) and
+    D(g h s) = D(g h) tau(s) + sigma(g h) D(s) = D(g) tau(h s) + sigma(g) D(h s),
+    so induction on positive words reaches every h.  A trivial group, with
+    no generators, is decided on (1, 1).  A map into FG is checked unital
+    first, since there (1, s) does not give it.  Only a failure runs the
+    full |G|^2 scan, to name the first failing pair.
+    """
+    n, e = group.order, group.identity
+    pairs = [(g, s) for g in range(n) for _, s in group.generators] or [(e, e)]
+    if not any(fails(g, h) for g, h in pairs):
+        return None
+    return next(((g, h) for g in range(n) for h in range(n) if fails(g, h)), None)
+
+
 class Endomorphism:
-    """A verified group endomorphism stored as a full image table."""
+    """A group endomorphism stored as a full image table, checked
+    multiplicative (so unital) by ``first_failing_pair`` unless ``check=False``."""
 
     __slots__ = ("group", "images", "generator_images", "family", "s", "t", "is_identity")
 
@@ -355,25 +434,13 @@ class Endomorphism:
         self.t = t
         self.is_identity = all(self.images[g] == g for g in range(group.order))
         if check:
-            bad = self.violating_pair()
+            im, mul = self.images, group.mul
+            bad = first_failing_pair(group, lambda g, h: im[mul[g][h]] != mul[im[g]][im[h]])
             if bad is not None:
                 g, h = bad
                 raise HomomorphismRejected(
                     f"map is not multiplicative at ({group.names[g]}, {group.names[h]})",
                     pair=bad)
-            if self.images[group.identity] != group.identity:
-                raise HomomorphismRejected("map does not fix the identity")
-
-    def violating_pair(self) -> Optional[Tuple[int, int]]:
-        G, im = self.group, self.images
-        mul = G.mul
-        for g in range(G.order):
-            img_g = im[g]
-            row = mul[g]
-            for h in range(G.order):
-                if im[row[h]] != mul[img_g][im[h]]:
-                    return (g, h)
-        return None
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -414,9 +481,10 @@ def identity_endomorphism(group: FiniteGroup) -> Endomorphism:
 def endo_from_images(group: FiniteGroup, images: Dict[str, "str | Word"]) -> Endomorphism:
     """Extend generator images to an endomorphism, or reject.
 
-    The extension is computed along normal forms; a failing relator is
-    reported first when the group carries a relator list, otherwise the
-    first violating pair from the full multiplicativity check.
+    Image words may name generators or elements.  By von Dyck's theorem
+    the images extend exactly when every relator maps to 1; the first
+    failing relator is reported.  The extension is computed along normal
+    forms and checked on the generator pairs as well.
     """
     gen_words: Dict[str, Word] = {}
     for name, _ in group.generators:
@@ -430,13 +498,12 @@ def endo_from_images(group: FiniteGroup, images: Dict[str, "str | Word"]) -> End
     gen_elems = {name: group.eval_word(w) for name, w in gen_words.items()}
     table = [group.eval_word_of(group.normal_forms[g], gen_elems)
              for g in range(group.order)]
-    if group.relators is not None:
-        for rel in group.relators:
-            img = group.eval_word_of(rel, gen_elems)
-            if img != group.identity:
-                raise HomomorphismRejected(
-                    f"relator {word_str(rel)} maps to {group.names[img]} instead of 1",
-                    relator=rel)
+    for rel in group.relators:
+        img = group.eval_word_of(rel, gen_elems)
+        if img != group.identity:
+            raise HomomorphismRejected(
+                f"relator {word_str(rel)} maps to {group.names[img]} instead of 1",
+                relator=rel)
     endo = Endomorphism(group, table, gen_words, check=True)
     if group.family == "dihedral":
         endo = _tag_dihedral(endo)

@@ -237,3 +237,49 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("group, problem", [
+    ({"table": [[0, 1], [1, "x"]]}, "table entry (1, 1) is 'x'"),
+    ({"table": [[0, 1], [1, 0.0]]}, "table entry (1, 1) is 0.0"),
+    ({"table": [[0, 1], [1, True]]}, "table entry (1, 1) is True"),
+    ({"table": [[0, 1], [1, 2]]}, "table entry (1, 1) is 2"),
+    ({"table": []}, "non-empty"),
+    ({"table": [[0, 1], [1]]}, "not square: row 1"),
+    ({"table": [[0, 0], [0, 0]]}, "no identity"),
+    ({"table": [[0, 1], [1, 0]], "names": ["e", "e"]}, "element names repeat: ['e']"),
+    ({"table": C3_TABLE, "names": ["e", "r"]}, "needs a list of 3 string names"),
+    ({"table": C3_TABLE, "names": ["e", "r", 2]}, "needs a list of 3 string names"),
+    ({"table": C3_TABLE, "names": ["r", "e", "r2"]}, "only the identity may be named"),
+    ({"table": C3_TABLE, "names": ["r0", "1", "r2"]}, "only the identity may be named"),
+    ({"table": C3_TABLE, "generators": ["g1", "g1"]}, "generators repeat: ['g1']"),
+    ({"table": C3_TABLE, "generators": ["g3"]}, "must be a list of element names"),
+])
+def test_malformed_table_spec_exits_2(tmp_path, capsys, group, problem):
+    spec = write_spec(tmp_path, {"group": {"family": "table", **group}, "field": "GF(3)"})
+    assert main(["validate", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and problem in err
+
+
+def test_table_group_names_parse_back(tmp_path, capsys):
+    # element names, not only generators, are words: derive's output feeds back in
+    spec = {"group": {"family": "table", "table": C3_TABLE, "names": ["e", "r", "r2"],
+                      "generators": ["r"]},
+            "field": "GF(3)", "sigma": {"r": "r2"},
+            "derivation": {"images": {"r": "e + r2"}}}
+    rc, payload = run_json(capsys, ["derive", write_spec(tmp_path, spec), "--format", "json"])
+    assert rc == 0 and payload["provenance"] == "extended"
+    spec["derivation"]["images"] = {"r": payload["table"]["r"]}
+    rc, again = run_json(capsys, ["derive", write_spec(tmp_path, spec, "again.json"),
+                                  "--format", "json"])
+    assert rc == 0 and again == payload
+    rc, space = run_json(capsys, ["space", write_spec(tmp_path, spec), "--format", "json"])
+    assert rc == 0 and space["dimension"] == len(space["basis"]) > 0
+    for member in space["basis"]:
+        spec["derivation"]["images"] = {"r": member.get("r", "0")}
+        assert main(["validate", write_spec(tmp_path, spec, "member.json")]) == 0
+    capsys.readouterr()

@@ -22,10 +22,13 @@ from derring.derivations import (AlgebraEndo, TwistedDerivation,
                                  derivation_space_full,
                                  extend_from_generators, free_eval, inner_derivation, is_inner,
                                  product_rule_violation, verify_derivation)
-from derring.errors import DerivationRejected
-from derring.groupring import GroupRingElement, anticentralizer_basis, centralizer_basis
-from derring.groups import (FiniteGroup, brute_force_endomorphisms, cyclic_group,
-                            dihedral_group, parse_word, table_group)
+from derring.errors import DerivationRejected, HomomorphismRejected
+from derring.groupring import (GroupRingElement, anticentralizer_basis, centralizer_basis,
+                               format_element, parse_element)
+from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
+                            brute_force_endomorphisms, cyclic_group, dihedral_group,
+                            endo_from_images, identity_endomorphism, parse_word,
+                            table_group)
 from derring.linalg import (GF, QQ, Matrix, _NUMPY_RREF_MAX_P, _rref_python_mod, is_prime,
                             rows_rank, rref_mod_p)
 from gauss_jordan import gauss_jordan
@@ -56,7 +59,7 @@ def quaternion_group() -> FiniteGroup:
 
 
 GROUPS = (dihedral_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6))
-# the same Q8 table with no relators: derivation_space takes the pair solver
+# the same Q8 table with no relators given: it derives them from its normal forms
 Q8_TABLE = table_group(GROUPS[2].mul, GROUPS[2].names, ["i", "j"])
 
 
@@ -425,3 +428,105 @@ def test_numpy_and_python_mod_p_rref_agree(p, data):
     a = np.array(m, dtype=np.int64)
     assert rref_mod_p(a, p) == _rref_python_mod(m, p)
     assert a.tolist() == m
+
+
+# -- groups given by their tables ------------------------------------------------
+
+def table_copy(group, generators=None):
+    return table_group(group.mul, group.names, generators)
+
+
+TABLE_GROUPS = (table_copy(dihedral_group(4), ["a", "b"]), table_copy(cyclic_group(6), ["x"]),
+                table_copy(abelian_group([2, 2]), ["x1", "x2"]),
+                table_group(abelian_group([2, 4]).mul),  # greedy generators g1, g4
+                Q8_TABLE)
+
+
+@pytest.mark.parametrize("group", TABLE_GROUPS, ids=lambda g: f"order{g.order}-"
+                         + "".join(name for name, _ in g.generators))
+def test_derived_relators_decide_endomorphisms(group):
+    n, k = group.order, len(group.generators)
+    assert len(group.relators) == n * k - n + 1
+    assert all(group.eval_word(rel) == group.identity for rel in group.relators)
+    accepted = set()
+    for choice in product(range(n), repeat=k):
+        images = {name: group.normal_forms[x] for (name, _), x in zip(group.generators, choice)}
+        try:
+            accepted.add(endo_from_images(group, images).images)
+        except HomomorphismRejected as rejected:
+            # von Dyck: the relators alone refuse every map that is not one
+            assert rejected.relator is not None
+    assert accepted == {endo.images for endo in brute_force_endomorphisms(group)}
+
+
+@PROPERTY
+@given(st.sampled_from(TABLE_GROUPS), st.sampled_from(FIELDS), st.data())
+def test_table_group_solver_matches_pair_oracle(group, field, data):
+    sigma = data.draw(st.sampled_from(endomorphisms(group)))
+    tau = data.draw(st.sampled_from(endomorphisms(group)))
+    dim, basis = derivation_space(field, sigma, tau)
+    assert dim == derivation_space_full(field, sigma, tau, basis=False)[0]
+    assert all(D.provenance == "extended" and verify_derivation(D) is None for D in basis)
+
+
+@st.composite
+def image_tables(draw, group):
+    """A uniform table, a normal-form extension of generator images, an
+    endomorphism with one image moved, and for each generator s a map that
+    is multiplicative at every (g, s): 1 on <s>, constant on each coset g<s>."""
+    n, mul = group.order, group.mul
+    values = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    elems = {name: draw(st.integers(0, n - 1)) for name, _ in group.generators}
+    moved = list(draw(st.sampled_from(endomorphisms(group))).images)
+    moved[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    tables = [values, [group.eval_word_of(group.normal_forms[g], elems) for g in range(n)],
+              moved]
+    for _, s in group.generators:
+        def coset(g):
+            orbit = [g]
+            while mul[orbit[-1]][s] != g:
+                orbit.append(mul[orbit[-1]][s])
+            return min(orbit)
+
+        home = coset(group.identity)
+        tables.append([group.identity if coset(g) == home else values[coset(g)]
+                       for g in range(n)])
+    return tables
+
+
+@PROPERTY
+@given(st.sampled_from(GROUPS + TABLE_GROUPS), st.data())
+def test_endomorphism_check_names_the_full_scans_first_pair(group, data):
+    mul = group.mul
+    for images in data.draw(image_tables(group)):
+        first = next(((g, h) for g in range(group.order) for h in range(group.order)
+                      if images[mul[g][h]] != mul[images[g]][images[h]]), None)
+        try:
+            Endomorphism(group, images)
+        except HomomorphismRejected as rejected:
+            assert first is not None and rejected.pair == first
+        else:
+            assert first is None
+
+
+def test_trivial_table_group_checks_the_base_pair():
+    trivial = table_group([[0]])
+    assert trivial.generators == [] and trivial.relators == []
+    e = identity_endomorphism(trivial)
+    D = TwistedDerivation(trivial, QQ, e, e, [GroupRingElement.one(trivial, QQ)])
+    assert verify_derivation(D) == (0, 0)
+    assert derivation_space(QQ, e) == (0, []) == derivation_space_full(QQ, e)
+
+
+IDENTIFIER_NAMED = table_group(dihedral_group(3).mul, ["e", "r", "r2", "s", "rs", "r2s"])
+
+
+@PROPERTY
+@given(st.sampled_from((cyclic_group(6), dihedral_group(4), abelian_group([2, 3]),
+                        IDENTIFIER_NAMED)), st.sampled_from((GF(2), GF(5), QQ)), st.data())
+def test_formatted_elements_parse_back(group, field, data):
+    coeff = (st.integers(-9, 9) if field.p else
+             st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    x = GroupRingElement(group, field, data.draw(
+        st.lists(coeff, min_size=group.order, max_size=group.order)))
+    assert parse_element(group, field, format_element(x)) == x
