@@ -9,7 +9,7 @@ linear codes from derivation images with full parameter reports.
 from .linalg import GF, QQ, Field, Matrix
 from .groups import (DihedralEndoParams, Endomorphism, FiniteGroup, abelian_group,
                      brute_force_endomorphisms, compose, cyclic_group, dihedral_group,
-                     element_order, endo_from_images, enumerate_endomorphisms,
+                     endo_from_images, enumerate_endomorphisms,
                      identity_endomorphism, make_group, parse_word, table_group,
                      word_str)
 from .groupring import (GroupRingElement, anticentralizer_basis, apply_endo,

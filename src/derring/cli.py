@@ -104,8 +104,7 @@ def _endo_dict(endo) -> Dict:
         "s": endo.s,
         "t": endo.t,
         "identity": endo.is_identity,
-        "images": {name: endo.group.names[endo.images[idx]]
-                   for name, idx in endo.group.generators},
+        "images": endo.image_names(),
     }
 
 

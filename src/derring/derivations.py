@@ -588,26 +588,11 @@ def cyclic_power_derivation(group: FiniteGroup, sigma: Endomorphism,
                             value: GroupRingElement) -> TwistedDerivation:
     """Derivation of a cyclic group algebra from D(x) = value.
 
-    The table is D(x^k) = k sigma(x)^(k-1) value; the candidate is
-    accepted only when the full product-rule check passes (it fails
-    exactly when n*value is nonzero).
+    It extends through the relator x^n, whose image n sigma(x)^(n-1) value
+    must vanish; its table is then D(x^k) = k sigma(x)^(k-1) value.
     """
     if group.family != "cyclic":
         raise ValueError("power-formula derivations need a cyclic group")
-    x = group.generator_index("x")
-    sx = sigma.images[x]
-    F = value.field
-    table = [GroupRingElement.zero(group, F)]
-    power = group.identity  # sigma(x)^(k-1) for k = 1
-    for k in range(1, group.order):
-        term = value.left_mul_elem(power).scale(F.coerce(k))
-        table.append(term)
-        power = group.mul[power][sx]
-    D = TwistedDerivation(group, F, sigma, sigma, table, provenance="power-formula")
-    bad = product_rule_violation(D)
-    if bad is not None:
-        g, h = bad
-        raise DerivationRejected(
-            f"power formula does not close: product rule fails at "
-            f"({group.names[g]}, {group.names[h]})", pair=bad)
+    D = extend_from_generators({"x": value}, sigma)
+    D.provenance = "power-formula"
     return D

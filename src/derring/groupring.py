@@ -218,7 +218,9 @@ def parse_element(group: FiniteGroup, field: Field, text: str) -> GroupRingEleme
             coef = field.coerce(head)
             start = 1
         word_text = "*".join(parts[start:]) if start < len(parts) else "1"
-        idx = group.eval_word(parse_word(word_text or "1"))
+        if not word_text.strip():
+            raise ValueError(f"term {term!r} has no word after its coefficient")
+        idx = group.eval_word(parse_word(word_text))
         if sign < 0:
             coef = field.neg(coef)
         coeffs[idx] = field.add(coeffs[idx], coef)

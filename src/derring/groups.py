@@ -243,10 +243,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.describe()})"
 
 
-def element_order(group: FiniteGroup, g: int) -> int:
-    return group.element_order(g)
-
-
 # -- built-in families ----------------------------------------------------
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -320,7 +316,9 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
     be a non-empty square list of rows of ints in range(n) (bools are not
     ints here) with an identity, the names n distinct strings, of which
     only the identity may be ``1`` or ``e`` (words read both as the
-    identity), and the generators distinct element names.
+    identity), and the generators distinct element names.  Each name must
+    read back as its own element through ``parse_word`` and ``eval_word``
+    (``-i`` does not), so that printed elements parse back.
     """
     n = len(mul) if isinstance(mul, (list, tuple)) else 0
     if not n:
@@ -343,12 +341,22 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
         raise ValueError("only the identity may be named '1' or 'e', "
                          "which words read as the identity")
     if generators is None:
-        return FiniteGroup(names, mul, _greedy_generators(mul, names, identity), "table")
-    if not isinstance(generators, (list, tuple)) or not all(x in names for x in generators):
+        gens = _greedy_generators(mul, names, identity)
+    elif not isinstance(generators, (list, tuple)) or not all(x in names for x in generators):
         raise ValueError(f"generators must be a list of element names, not {generators!r}")
-    _refuse_repeats("generators", generators)
-    return FiniteGroup(names, mul, [(name, names.index(name)) for name in generators],
-                       "table")
+    else:
+        _refuse_repeats("generators", generators)
+        gens = [(name, names.index(name)) for name in generators]
+    group = FiniteGroup(names, mul, gens, "table")
+    for g, name in enumerate(names):
+        try:
+            back = group.eval_word(parse_word(name))
+        except (KeyError, ValueError):
+            back = None
+        if back != g:
+            raise ValueError(f"element name {name!r} does not read back as itself "
+                             f"as a word over the element names")
+    return group
 
 
 def _refuse_repeats(what: str, items: Sequence[str]) -> None:
@@ -390,9 +398,6 @@ def make_group(spec) -> FiniteGroup:
 
 # -- endomorphisms ----------------------------------------------------------
 
-DIHEDRAL_FAMILIES = ("sigma-1", "sigma0", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5")
-
-
 def first_failing_pair(group: FiniteGroup,
                        fails: Callable[[int, int], bool]) -> Optional[Tuple[int, int]]:
     """The first pair (g, h), g-major, at which a product rule fails, or None.
@@ -416,22 +421,41 @@ def first_failing_pair(group: FiniteGroup,
     return next(((g, h) for g in range(n) for h in range(n) if fails(g, h)), None)
 
 
+def _dihedral_tags(group: FiniteGroup,
+                   images: Sequence[int]) -> Tuple[str, Optional[int], Optional[int]]:
+    """The family and (s, t) of a dihedral endomorphism, read off a -> a', b -> b'.
+
+    (s, t) are the exponents of a' and b' as a^s or a^s b; on other groups
+    the family is ``none``.
+    """
+    if group.family != "dihedral":
+        return "none", None, None
+    n = group.family_params
+    a_img, b_img = images[group.generator_index("a")], images[group.generator_index("b")]
+    s, t = a_img % n, b_img % n
+    if a_img < n and b_img < n:
+        return ("sigma-1" if n % 2 and s == t == 0 else "sigma2"), s, t
+    if a_img < n:
+        if n % 2:
+            return ("sigma0" if s else "sigma3"), s, t
+        return ("sigma3" if s in (0, n // 2) else "sigma1"), s, t
+    return ("sigma5" if b_img < n else "sigma4"), s, t
+
+
 class Endomorphism:
     """A group endomorphism stored as a full image table, checked
-    multiplicative (so unital) by ``first_failing_pair`` unless ``check=False``."""
+    multiplicative (so unital) by ``first_failing_pair`` unless ``check=False``.
 
-    __slots__ = ("group", "images", "generator_images", "family", "s", "t", "is_identity")
+    On a dihedral group its ``family`` and ``(s, t)`` are read off the
+    images of the generators (``_dihedral_tags``).
+    """
 
-    def __init__(self, group: FiniteGroup, images: Sequence[int],
-                 generator_images: Optional[Dict[str, Word]] = None,
-                 family: str = "none", s: Optional[int] = None, t: Optional[int] = None,
-                 check: bool = True):
+    __slots__ = ("group", "images", "family", "s", "t", "is_identity")
+
+    def __init__(self, group: FiniteGroup, images: Sequence[int], check: bool = True):
         self.group = group
         self.images = tuple(images)
-        self.generator_images = generator_images
-        self.family = family
-        self.s = s
-        self.t = t
+        self.family, self.s, self.t = _dihedral_tags(group, self.images)
         self.is_identity = all(self.images[g] == g for g in range(group.order))
         if check:
             im, mul = self.images, group.mul
@@ -456,11 +480,13 @@ class Endomorphism:
     def __hash__(self):
         return hash(self.images)
 
+    def image_names(self) -> Dict[str, str]:
+        """Each generator name with the element name of its image."""
+        G = self.group
+        return {name: G.names[self.images[s]] for name, s in G.generators}
+
     def describe(self) -> str:
-        if self.generator_images:
-            ims = ", ".join(f"{k} -> {word_str(w)}" for k, w in self.generator_images.items())
-        else:
-            ims = "table"
+        ims = ", ".join(f"{name} -> {img}" for name, img in self.image_names().items())
         tag = self.family if self.family != "none" else ("id" if self.is_identity else "endo")
         return f"{tag}({ims})"
 
@@ -469,13 +495,19 @@ class Endomorphism:
 
 
 def identity_endomorphism(group: FiniteGroup) -> Endomorphism:
-    gen_images = {name: ((name, 1),) for name, _ in group.generators}
-    family = "none"
-    s = t = None
-    if group.family == "dihedral":
-        family, s, t = "sigma0" if group.family_params % 2 else "sigma1", 1, 0
-    return Endomorphism(group, list(range(group.order)), gen_images,
-                        family=family, s=s, t=t, check=False)
+    return Endomorphism(group, range(group.order), check=False)
+
+
+def _extend_images(group: FiniteGroup, gen_elems: Dict[str, int]) -> List[int]:
+    """The image of every element when each generator name goes to ``gen_elems[name]``,
+    read along the normal forms."""
+    return [group.eval_word_of(w, gen_elems) for w in group.normal_forms]
+
+
+def _failing_relator(group: FiniteGroup, gen_elems: Dict[str, int]) -> Optional[Word]:
+    """The first relator that the generator images do not send to 1, or None."""
+    return next((rel for rel in group.relators
+                 if group.eval_word_of(rel, gen_elems) != group.identity), None)
 
 
 def endo_from_images(group: FiniteGroup, images: Dict[str, "str | Word"]) -> Endomorphism:
@@ -486,70 +518,50 @@ def endo_from_images(group: FiniteGroup, images: Dict[str, "str | Word"]) -> End
     failing relator is reported.  The extension is computed along normal
     forms and checked on the generator pairs as well.
     """
-    gen_words: Dict[str, Word] = {}
+    gen_elems: Dict[str, int] = {}
     for name, _ in group.generators:
         if name not in images:
             raise ValueError(f"missing image for generator {name!r}")
         w = images[name]
-        gen_words[name] = parse_word(w) if isinstance(w, str) else tuple(w)
-    extra = set(images) - set(gen_words)
+        gen_elems[name] = group.eval_word(parse_word(w) if isinstance(w, str) else tuple(w))
+    extra = set(images) - set(gen_elems)
     if extra:
         raise ValueError(f"unknown generators in image map: {sorted(extra)}")
-    gen_elems = {name: group.eval_word(w) for name, w in gen_words.items()}
-    table = [group.eval_word_of(group.normal_forms[g], gen_elems)
-             for g in range(group.order)]
-    for rel in group.relators:
+    rel = _failing_relator(group, gen_elems)
+    if rel is not None:
         img = group.eval_word_of(rel, gen_elems)
-        if img != group.identity:
-            raise HomomorphismRejected(
-                f"relator {word_str(rel)} maps to {group.names[img]} instead of 1",
-                relator=rel)
-    endo = Endomorphism(group, table, gen_words, check=True)
-    if group.family == "dihedral":
-        endo = _tag_dihedral(endo)
-    return endo
+        raise HomomorphismRejected(
+            f"relator {word_str(rel)} maps to {group.names[img]} instead of 1", relator=rel)
+    return Endomorphism(group, _extend_images(group, gen_elems))
 
 
 def compose(outer: Endomorphism, inner: Endomorphism) -> Endomorphism:
     if outer.group is not inner.group:
         raise ValueError("endomorphisms live on different groups")
-    images = [outer.images[inner.images[g]] for g in range(outer.group.order)]
-    endo = Endomorphism(outer.group, images, None, check=True)
-    if outer.group.family == "dihedral":
-        endo = _tag_dihedral(endo)
-    return endo
+    return Endomorphism(outer.group, [outer.images[x] for x in inner.images])
+
+
+def _generator_choices(group: FiniteGroup):
+    """Every assignment of group elements to the generator names."""
+    names = [name for name, _ in group.generators]
+    for choice in product(range(group.order), repeat=len(names)):
+        yield dict(zip(names, choice))
 
 
 def brute_force_endomorphisms(group: FiniteGroup) -> List[Endomorphism]:
-    """All endomorphisms by exhausting generator images; order <= 12 only."""
+    """All endomorphisms by exhausting generator images; order <= 12 only.
+
+    Each candidate is decided by the product rule, not by the relators.
+    """
     if group.order > 12:
         raise ValueError("brute-force enumeration is limited to groups of order <= 12")
-    gens = group.generators
     found = []
-    for choice in product(range(group.order), repeat=len(gens)):
-        gen_elems = {name: g for (name, _), g in zip(gens, choice)}
-        table = [group.eval_word_of(group.normal_forms[g], gen_elems)
-                 for g in range(group.order)]
+    for gen_elems in _generator_choices(group):
         try:
-            endo = Endomorphism(group, table, None, check=True)
+            found.append(Endomorphism(group, _extend_images(group, gen_elems)))
         except HomomorphismRejected:
             continue
-        if group.family == "dihedral":
-            endo = _tag_dihedral(endo)
-        found.append(endo)
     return found
-
-
-# -- dihedral endomorphism inventory ---------------------------------------
-
-def _dihedral_images(group: FiniteGroup, a_img: int, b_img: int) -> List[int]:
-    n = group.family_params
-    images = [group.identity] * (2 * n)
-    for i in range(n):
-        ai = _power(group, a_img, i)
-        images[i] = ai
-        images[n + i] = group.mul[ai][b_img]
-    return images
 
 
 def _power(group: FiniteGroup, g: int, k: int) -> int:
@@ -560,86 +572,23 @@ def _power(group: FiniteGroup, g: int, k: int) -> int:
 
 
 def enumerate_endomorphisms(group: FiniteGroup) -> List[Endomorphism]:
-    """The complete tagged endomorphism inventory of a dihedral group."""
+    """The complete tagged endomorphism inventory of a dihedral group.
+
+    Every image pair (a', b') satisfying the relators a^n = b^2 = (ab)^2 = 1
+    extends (von Dyck): n^2 + 1 maps for odd n, (n + 2)^2 for even n,
+    a'-major in the element listing.
+    """
     if group.family != "dihedral":
         raise ValueError("complete enumeration is only available for dihedral groups; "
                          "use brute_force_endomorphisms for small groups")
+    out = [Endomorphism(group, _extend_images(group, gen_elems))
+           for gen_elems in _generator_choices(group)
+           if _failing_relator(group, gen_elems) is None]
     n = group.family_params
-    rot = lambda k: k % n                 # index of a^k
-    ref = lambda k: n + (k % n)           # index of a^k b
-    out: List[Endomorphism] = []
-
-    def add(family, s, t, a_img, b_img, gen_images):
-        images = _dihedral_images(group, a_img, b_img)
-        out.append(Endomorphism(group, images, gen_images, family=family,
-                                s=s, t=t, check=True))
-
-    if n % 2:
-        add("sigma-1", None, None, rot(0), rot(0), {"a": (), "b": ()})
-        for s in range(1, n):
-            for t in range(n):
-                add("sigma0", s, t, rot(s), ref(t),
-                    {"a": parse_word(f"a^{s}"), "b": parse_word(f"a^{t}*b" if t else "b")})
-        for t in range(n):
-            # a collapses to the identity; no closed-form layer applies
-            add("sigma3", 0, t, rot(0), ref(t),
-                {"a": (), "b": parse_word(f"a^{t}*b" if t else "b")})
-    else:
-        half = n // 2
-        for s in range(1, n):
-            if s == half:
-                continue
-            for t in range(n):
-                add("sigma1", s, t, rot(s), ref(t),
-                    {"a": parse_word(f"a^{s}"), "b": parse_word(f"a^{t}*b" if t else "b")})
-        for s in (0, half):
-            for t in (0, half):
-                add("sigma2", s, t, rot(s), rot(t),
-                    {"a": parse_word(f"a^{s}") if s else (),
-                     "b": parse_word(f"a^{t}") if t else ()})
-        for s in (0, half):
-            for t in range(n):
-                add("sigma3", s, t, rot(s), ref(t),
-                    {"a": parse_word(f"a^{s}") if s else (),
-                     "b": parse_word(f"a^{t}*b" if t else "b")})
-        for s in range(n):
-            for t in (s, s + half):
-                add("sigma4", s, t % n, ref(s), ref(t),
-                    {"a": parse_word(f"a^{s}*b" if s else "b"),
-                     "b": parse_word(f"a^{t % n}*b" if t % n else "b")})
-        for s in range(n):
-            for t in (0, half):
-                add("sigma5", s, t, ref(s), rot(t),
-                    {"a": parse_word(f"a^{s}*b" if s else "b"),
-                     "b": parse_word(f"a^{t}") if t else ()})
     expected = n * n + 1 if n % 2 else (n + 2) ** 2
     if len(out) != expected:
         raise AssertionError(f"endomorphism inventory has {len(out)} maps, expected {expected}")
     return out
-
-
-def _tag_dihedral(endo: Endomorphism) -> Endomorphism:
-    """Re-tag a dihedral endomorphism with its family and (s, t) parameters."""
-    G = endo.group
-    n = G.family_params
-    a_img, b_img = endo.images[1 % G.order], endo.images[G.generator_index("b")]
-    a_rot, b_rot = a_img < n, b_img < n
-    family, s, t = "none", None, None
-    if a_rot and b_rot:
-        s, t = a_img, b_img
-        family = "sigma-1" if (n % 2 and s == 0 and t == 0) else "sigma2"
-    elif a_rot:
-        s, t = a_img, b_img - n
-        if n % 2:
-            family = "sigma0" if s else "sigma3"
-        else:
-            family = "sigma3" if s in (0, n // 2) else "sigma1"
-    elif b_rot:
-        family, s, t = "sigma5", a_img - n, b_img
-    else:
-        family, s, t = "sigma4", a_img - n, b_img - n
-    return Endomorphism(G, endo.images, endo.generator_images,
-                        family=family, s=s, t=t, check=False)
 
 
 @dataclass(frozen=True)

@@ -198,9 +198,6 @@ class Matrix:
         m.cols = cols
         return m
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
                                    for j in range(self.cols)], coerce=False)

@@ -257,6 +257,8 @@ C3_TABLE = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
     ({"table": C3_TABLE, "names": ["r0", "1", "r2"]}, "only the identity may be named"),
     ({"table": C3_TABLE, "generators": ["g1", "g1"]}, "generators repeat: ['g1']"),
     ({"table": C3_TABLE, "generators": ["g3"]}, "must be a list of element names"),
+    ({"table": C3_TABLE, "names": ["e", "-r", "-r2"]}, "'-r' does not read back"),
+    ({"table": C3_TABLE, "names": ["e", "r", "r^3"]}, "'r^3' does not read back"),
 ])
 def test_malformed_table_spec_exits_2(tmp_path, capsys, group, problem):
     spec = write_spec(tmp_path, {"group": {"family": "table", **group}, "field": "GF(3)"})

@@ -15,6 +15,7 @@ from derring.groups import (abelian_group, cyclic_group, dihedral_group,
 from derring.conjugacy import twisted_classes
 from derring.groupring import GroupRingElement, apply_endo, parse_element
 from derring.linalg import GF, QQ, rows_rank
+from derring.reference import REFERENCE_TABLES, build_context
 
 
 def rand_elem(group, field, rng):
@@ -362,8 +363,56 @@ def test_cyclic_power_accepted_cases():
 def test_cyclic_power_rejected_over_rationals():
     c6 = cyclic_group(6)
     e = identity_endomorphism(c6)
-    with pytest.raises(DerivationRejected):
+    with pytest.raises(DerivationRejected) as err:
         cyclic_power_derivation(c6, e, GroupRingElement.one(c6, QQ))
+    assert err.value.relator == parse_word("x^6")
+
+
+def power_formula_table(sigma, value):
+    """The closed formula D(x^k) = k sigma(x)^(k-1) value, x^k at index k."""
+    G, F = value.group, value.field
+    table, power = [GroupRingElement.zero(G, F)], G.identity
+    for k in range(1, G.order):
+        table.append(value.left_mul_elem(power).scale(F.coerce(k)))
+        power = G.mul[power][sigma.images[G.generator_index("x")]]
+    return table
+
+
+def test_power_derivations_match_the_closed_formula():
+    # the relator x^n maps to n sigma(x)^(n-1) v: it vanishes exactly when
+    # the characteristic divides n, and never on C1, where D(x) = v itself
+    for n in range(1, 13):
+        group = cyclic_group(n)
+        for F in (GF(2), GF(3), GF(5), QQ):
+            for j in range(n):
+                sigma = endo_from_images(group, {"x": f"x^{j}"})
+                for g in range(n):
+                    v = GroupRingElement.basis(group, F, g)
+                    if F.p and n % F.p == 0:
+                        D = cyclic_power_derivation(group, sigma, v)
+                        assert D.provenance == "power-formula"
+                        assert D.table == power_formula_table(sigma, v), (n, F, j, g)
+                    else:
+                        with pytest.raises(DerivationRejected) as err:
+                            cyclic_power_derivation(group, sigma, v)
+                        assert err.value.relator == parse_word(f"x^{n}"), (n, F, j, g)
+    c1 = cyclic_group(1)
+    with pytest.raises(DerivationRejected, match="relator x maps"):
+        cyclic_power_derivation(c1, identity_endomorphism(c1), GroupRingElement.one(c1, GF(2)))
+
+
+def test_power_derivations_of_the_reference_seeds():
+    seeds = []
+    for table_id, spec in REFERENCE_TABLES.items():
+        if spec["kind"] == "cyclic-power":
+            seeds.append((table_id, spec["seed"]))
+        elif spec["kind"] == "cyclic-power-multi":
+            seeds.extend((table_id, row[1]) for row in spec["rows"])
+    assert len(seeds) == 11
+    for table_id, seed in seeds:
+        group, F, sigma, _ = build_context(table_id)
+        v = parse_element(group, F, seed)
+        assert cyclic_power_derivation(group, sigma, v).table == power_formula_table(sigma, v)
 
 
 # -- product rule corollaries ------------------------------------------------------

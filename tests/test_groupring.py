@@ -176,6 +176,10 @@ def test_element_parser_and_formatting():
     gamma = parse_element(g, QQ, "a^-1 - 1/2*b")
     assert gamma.coeffs[5] == 1 and str(gamma.coeffs[6]) == "-1/2"
     assert parse_element(g, F, "0*a") .is_zero()
+    # a coefficient with no word after it is refused, not read as the identity
+    for text in ("2*", "x + 2 * ", "2*-x"):
+        with pytest.raises(ValueError, match="no word after its coefficient"):
+            parse_element(c6, GF(3), text)
 
 
 def test_scale_and_support():

@@ -68,6 +68,18 @@ def test_table_group_rejects_non_associative_past_order_24():
         table_group(table)
 
 
+@pytest.mark.parametrize("names", [
+    ["e", "-r", "r2"],            # -r is not a word
+    ["1", "i", "-1"],             # nor is -1
+    ["e", "x", "x^3", "x^2"],     # x^3 is the element at index 3, not 2
+    ["e", "x", "y^2", "x^3"],     # y names no element
+])
+def test_table_group_refuses_names_that_do_not_read_back(names):
+    table = [[(i + j) % len(names) for j in range(len(names))] for i in range(len(names))]
+    with pytest.raises(ValueError, match="does not read back"):
+        table_group(table, names)
+
+
 def test_make_group_dispatch():
     assert make_group({"family": "cyclic", "n": 6}).order == 6
     assert make_group({"family": "dihedral", "n": 4}).order == 8
@@ -121,10 +133,11 @@ def test_endomorphism_counts(n, expected):
 
 
 def test_enumeration_matches_brute_force():
-    for n in (3, 6):
+    # order 12, the brute-force limit, is n = 6
+    for n in range(3, 7):
         g = dihedral_group(n)
-        enumerated = {e.images for e in enumerate_endomorphisms(g)}
-        brute = {e.images for e in brute_force_endomorphisms(g)}
+        enumerated = {(e.images, e.family, e.s, e.t) for e in enumerate_endomorphisms(g)}
+        brute = {(e.images, e.family, e.s, e.t) for e in brute_force_endomorphisms(g)}
         assert enumerated == brute
 
 
@@ -142,6 +155,7 @@ def test_family_partition_counts():
     for e in endos:
         by_family[e.family] = by_family.get(e.family, 0) + 1
     assert by_family == {"sigma-1": 1, "sigma0": n * (n - 1), "sigma3": n}
+    assert [(e.s, e.t) for e in endos if e.family == "sigma-1"] == [(0, 0)]
     n = 6
     endos = enumerate_endomorphisms(dihedral_group(n))
     by_family = {}
@@ -151,21 +165,34 @@ def test_family_partition_counts():
                          "sigma4": 2 * n, "sigma5": 2 * n}
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def _tags(endo):
+    return endo.images, endo.family, endo.s, endo.t, endo.describe()
+
+
+@pytest.mark.parametrize("n", range(3, 11))
 def test_generator_words_consistent_with_image_tables(n):
+    # each inventory member is rebuilt from the element names of a' and b'
     g = dihedral_group(n)
     for endo in enumerate_endomorphisms(g):
-        rebuilt = endo_from_images(g, endo.generator_images)
-        assert rebuilt.images == endo.images
+        names = endo.image_names()
+        assert _tags(endo_from_images(g, names)) == _tags(endo)
+        assert endo.describe() == f"{endo.family}(a -> {names['a']}, b -> {names['b']})"
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_composition_closure(n):
     g = dihedral_group(n)
     endos = enumerate_endomorphisms(g)
-    tables = {e.images for e in endos}
+    by_images = {e.images: e for e in endos}
     for e1, e2 in product(endos, repeat=2):
-        assert compose(e1, e2).images in tables
+        composed = compose(e1, e2)
+        assert _tags(composed) == _tags(by_images[composed.images])
+
+
+def test_describe_names_element_images():
+    g = dihedral_group(6)
+    assert endo_from_images(g, {"a": "a^-1", "b": "b"}).describe() == "sigma1(a -> a^5, b -> b)"
+    assert identity_endomorphism(cyclic_group(4)).describe() == "id(x -> x)"
 
 
 def test_element_orders():

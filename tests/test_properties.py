@@ -59,8 +59,10 @@ def quaternion_group() -> FiniteGroup:
 
 
 GROUPS = (dihedral_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6))
-# the same Q8 table with no relators given: it derives them from its normal forms
-Q8_TABLE = table_group(GROUPS[2].mul, GROUPS[2].names, ["i", "j"])
+# the same Q8 table with no relators given: it derives them from its normal forms.
+# A table group's names must read back as words, so -1, -i, ... become m1, mi, ...
+Q8_TABLE = table_group(GROUPS[2].mul, [name.replace("-", "m") for name in GROUPS[2].names],
+                       ["i", "j"])
 
 
 @lru_cache(maxsize=None)
@@ -523,7 +525,8 @@ IDENTIFIER_NAMED = table_group(dihedral_group(3).mul, ["e", "r", "r2", "s", "rs"
 
 @PROPERTY
 @given(st.sampled_from((cyclic_group(6), dihedral_group(4), abelian_group([2, 3]),
-                        IDENTIFIER_NAMED)), st.sampled_from((GF(2), GF(5), QQ)), st.data())
+                        IDENTIFIER_NAMED, Q8_TABLE)), st.sampled_from((GF(2), GF(3), GF(5), QQ)),
+       st.data())
 def test_formatted_elements_parse_back(group, field, data):
     coeff = (st.integers(-9, 9) if field.p else
              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
