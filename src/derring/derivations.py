@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DerivationRejected
 from .groups import Endomorphism, FiniteGroup, Word, _power, first_failing_pair, word_str
 from .groupring import GroupRingElement
@@ -476,26 +478,23 @@ def derivation_space(field: Field, sigma: Endomorphism,
                  for vec in kernel]
 
 
-def _pair_constraint_rows(field: Field, sigma: Endomorphism, tau: Endomorphism):
-    """Sparse rows of the full product-rule system, three entries each."""
+def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
+    """The full product-rule system, yielded as one (cols, vals) block.
+
+    Unknown x |G| + t is coefficient t of D(x).  Row (g |G| + h) |G| + t is
+    coefficient t of D(gh) - D(g) tau(h) - sigma(g) D(h): the signs +1, -1,
+    -1 at the columns gh |G| + t, g |G| + t tau(h)^-1 and h |G| +
+    sigma(g)^-1 t, built by index arithmetic on the table.
+    """
     G = sigma.group
     n = G.order
-    mul, inv = G.mul, G.inv
-    simg, timg = sigma.images, tau.images
-    for g in range(n):
-        for h in range(n):
-            gh = mul[g][h]
-            w = timg[h]
-            v = simg[g]
-            for t in range(n):
-                row: Dict[int, int] = {}
-                key = gh * n + t
-                row[key] = row.get(key, 0) + 1
-                key = g * n + mul[t][inv[w]]
-                row[key] = row.get(key, 0) - 1
-                key = h * n + mul[inv[v]][t]
-                row[key] = row.get(key, 0) - 1
-                yield row
+    mul, inv = np.array(G.mul), np.array(G.inv)
+    g, h, t = np.ix_(range(n), range(n), range(n))
+    cols = np.stack(np.broadcast_arrays(
+        mul[g, h] * n + t,
+        g * n + mul[t, inv[np.array(tau.images)[h]]],
+        h * n + mul[inv[np.array(sigma.images)[g]], t]), axis=-1).reshape(-1, 3)
+    yield cols, np.broadcast_to(np.array([1, -1, -1]), cols.shape)
 
 
 def derivation_space_full(field: Field, sigma: Endomorphism,
@@ -507,9 +506,12 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     G = sigma.group
     n = G.order
     if not basis:
-        rank = sparse_rank(field, _pair_constraint_rows(field, sigma, tau))
+        rank = sparse_rank(field, _pair_constraint_rows(sigma, tau))
         return n * n - rank, None
-    rows = _dense_rows(field, n * n, _pair_constraint_rows(field, sigma, tau))
+    (cols, vals), = _pair_constraint_rows(sigma, tau)
+    dense = np.zeros((len(cols), n * n), dtype=np.int64)
+    np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals)
+    rows = (dense % field.p if field.p else dense).tolist()
     kernel = Matrix(field, rows, coerce=False).kernel_basis()
     out = []
     for vec in kernel:

@@ -75,7 +75,10 @@ class FiniteGroup:
 
     ``relators`` present the group on its generators.  Given relators are
     checked against the table; when none are given (None or an empty list)
-    they are derived from the normal forms (``_tree_relators``).
+    they are derived from the normal forms (``_tree_relators``).  Each
+    element name must read back as its own element through ``parse_word``
+    and ``eval_word`` (``-i`` does not), so that printed elements parse
+    back.
     """
 
     def __init__(self, names: Sequence[str], mul: Sequence[Sequence[int]],
@@ -96,6 +99,14 @@ class FiniteGroup:
         self._index_of_name = {name: i for i, name in enumerate(self.names)}
         # word letters: element names, with generator names taking precedence
         self._letters = {**self._index_of_name, **dict(self.generators)}
+        for g, name in enumerate(self.names):
+            try:
+                back = self.eval_word(parse_word(name))
+            except (KeyError, ValueError):
+                back = None
+            if back != g:
+                raise ValueError(f"element name {name!r} does not read back as itself "
+                                 f"as a word over the element names")
         if not relators:
             self.relators = self._tree_relators()
         else:
@@ -316,9 +327,8 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
     be a non-empty square list of rows of ints in range(n) (bools are not
     ints here) with an identity, the names n distinct strings, of which
     only the identity may be ``1`` or ``e`` (words read both as the
-    identity), and the generators distinct element names.  Each name must
-    read back as its own element through ``parse_word`` and ``eval_word``
-    (``-i`` does not), so that printed elements parse back.
+    identity), and the generators distinct element names; ``FiniteGroup``
+    refuses names that do not read back.
     """
     n = len(mul) if isinstance(mul, (list, tuple)) else 0
     if not n:
@@ -347,16 +357,7 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
     else:
         _refuse_repeats("generators", generators)
         gens = [(name, names.index(name)) for name in generators]
-    group = FiniteGroup(names, mul, gens, "table")
-    for g, name in enumerate(names):
-        try:
-            back = group.eval_word(parse_word(name))
-        except (KeyError, ValueError):
-            back = None
-        if back != g:
-            raise ValueError(f"element name {name!r} does not read back as itself "
-                             f"as a word over the element names")
-    return group
+    return FiniteGroup(names, mul, gens, "table")
 
 
 def _refuse_repeats(what: str, items: Sequence[str]) -> None:

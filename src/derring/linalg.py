@@ -20,6 +20,14 @@ kernel, and the pivots and the RREF are the rational ones.  The loop has
 no cap: unlucky primes divide some nonzero minor, so there are finitely
 many, and the CRT modulus grows until every entry reconstructs.  A rank
 mod p equal to min(rows, cols) is already exact and needs no lift.
+
+Sparse rows (``sparse_rank``) run the same kernel and the same lift
+(``_lift``); only the mod-p step differs.  The rows stream in chunks
+through K, the kernel mod p of the rows before them: a chunk times K is
+row-reduced by the kernel above and updates K.  K ends as the identity
+on the free columns and minus the RREF at the pivots, the same pivots
+and entries as the dense step, so the lift reads its residues off K and
+certifies A K = 0 exactly against every sparse row.
 """
 
 from __future__ import annotations
@@ -377,15 +385,23 @@ def _rref_python_mod(m: List[List[int]], p: int) -> List[int]:
     return pivots
 
 
-def _rref_mod(rows: Sequence[Sequence[int]], ncols: int,
-              p: int) -> Tuple[List[List[int]], List[int]]:
-    """RREF mod p of integer rows (left unchanged) and its pivots.
+def _rref_mod(rows, ncols: int, p: int):
+    """RREF mod p of integer rows and its pivots.
 
-    numpy runs systems of at least ``_NUMPY_RREF_THRESHOLD`` entries while
-    (p - 1)^2 < 2^63; the Python-int loop runs the rest.
+    ``rows`` is a list of integer rows, left unchanged, or an array of
+    residues mod p, which may be overwritten; the RREF comes back as the
+    same kind.  numpy runs systems of at least ``_NUMPY_RREF_THRESHOLD``
+    entries while (p - 1)^2 < 2^63; the Python-int loop runs the rest.
     """
+    numpy = p <= _NUMPY_RREF_MAX_P and len(rows) * ncols >= _NUMPY_RREF_THRESHOLD
+    if isinstance(rows, np.ndarray):
+        if numpy:
+            return rows, rref_mod_p(rows, p)
+        m = rows.tolist()
+        pivots = _rref_python_mod(m, p)
+        return np.array(m, dtype=rows.dtype), pivots
     m = [[x % p for x in row] for row in rows]
-    if p <= _NUMPY_RREF_MAX_P and len(m) * ncols >= _NUMPY_RREF_THRESHOLD:
+    if numpy:
         a = np.array(m, dtype=np.int64)
         pivots = rref_mod_p(a, p)
         return a.tolist(), pivots
@@ -439,26 +455,71 @@ def _reconstruct(x: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
     return r1, t1
 
 
-def _kernel_vanishes(ints: List[List[int]], ncols: int, pivots: List[int],
-                     free: List[int], values: List[List[Tuple[int, int]]]) -> bool:
-    """Whether A K = 0 exactly, K the kernel vectors read off the candidate RREF.
+def _integer_kernel(pivots: List[int], free: List[int],
+                    values: List[List[Tuple[int, int]]]) -> List[List[int]]:
+    """K, the kernel vectors read off a candidate RREF, scaled to integers.
 
-    Column k of K, scaled to integers by the lcm L of its denominators, is
-    L at free[k] and -L n/d at pivot i, n/d being the RREF entry
-    (i, free[k]).  The product runs in int64 when each row's sum of |A|
-    times the largest |K| entry is below 2^63, so that no partial sum can
-    overflow, and over Python ints otherwise.
+    Row c of K is column c of the system.  Column k, scaled by the lcm L of
+    its denominators, is L at free[k] and -L n/d at pivot i, n/d being the
+    RREF entry (i, free[k]).
     """
     lcms = [math.lcm(1, *(row[k][1] for row in values)) for k in range(len(free))]
-    kernel = [[0] * len(free) for _ in range(ncols)]
+    kernel = [[0] * len(free) for _ in range(len(pivots) + len(free))]
     for k, (f, lcm) in enumerate(zip(free, lcms)):
         kernel[f][k] = lcm
     for pc, row in zip(pivots, values):
         kernel[pc] = [-n * (lcm // d) for (n, d), lcm in zip(row, lcms)]
+    return kernel
+
+
+def _exact_dtype(bound: int):
+    """int64 for integer work whose partial sums stay below ``bound``, else Python ints."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _dense_vanishes(ints: List[List[int]], kernel: List[List[int]]) -> bool:
+    """Whether A K = 0 exactly for integer rows A.
+
+    int64 when each row's sum of |A| times the largest |K| entry is below
+    2^63, so that no partial sum can overflow, and Python ints otherwise.
+    """
     kmax = max(max(map(abs, row)) for row in kernel)
-    amax = max(sum(map(abs, row)) for row in ints)
-    dtype = np.int64 if amax * kmax < 2 ** 63 else object
+    dtype = _exact_dtype(max(sum(map(abs, row)) for row in ints) * kmax)
     return not (np.array(ints, dtype=dtype) @ np.array(kernel, dtype=dtype)).any()
+
+
+def _lift(modp, vanishes) -> Tuple[List[int], List[int], List[List[Tuple[int, int]]], int]:
+    """The rational RREF of a system by the multimodular loop (see the module notes).
+
+    ``modp(p)`` gives the pivots and the free columns mod p and the RREF
+    entries at the free columns mod p, one row per pivot; ``vanishes(K)``
+    says whether A K = 0 exactly for an integer matrix K with a row per
+    column of A (``_integer_kernel``).  Returns the pivots, the free
+    columns, the RREF entries at the free columns as reduced (n, d) pairs
+    and the number of primes used.
+    """
+    pivots: Optional[List[int]] = None
+    for primes, p in enumerate(_engine_primes(), 1):
+        found, found_free, reduced = modp(p)
+        if pivots is not None and found != pivots:
+            # a mod-p rank profile never beats the rational one: keep the better
+            if (len(found), [-c for c in found]) < (len(pivots), [-c for c in pivots]):
+                continue
+            pivots = None
+        if pivots is None:
+            pivots, free, modulus = found, found_free, 1
+            residues = [[0] * len(free) for _ in pivots]
+        # CRT: fold the residues mod p into those mod the running modulus
+        step = pow(modulus, -1, p)
+        for old, row in zip(residues, reduced):
+            for k, x in enumerate(row):
+                old[k] += modulus * ((x - old[k]) * step % p)
+        modulus *= p
+        bound = math.isqrt(modulus // 2)
+        values = [[_reconstruct(x, modulus, bound) for x in row] for row in residues]
+        if all(v is not None for row in values for v in row) and (
+                not free or vanishes(_integer_kernel(pivots, free, values))):
+            return pivots, free, values, primes
 
 
 def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
@@ -467,30 +528,14 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], Li
     nrows = len(ints)
     if not nrows:
         return [], []
-    pivots: Optional[List[int]] = None
-    for primes, p in enumerate(_engine_primes(), 1):
+
+    def modp(p):
         reduced, found = _rref_mod(ints, ncols, p)
-        if pivots is not None and found != pivots:
-            # a mod-p rank profile never beats the rational one: keep the better
-            if (len(found), [-c for c in found]) < (len(pivots), [-c for c in pivots]):
-                continue
-            pivots = None
-        if pivots is None:
-            pivots, modulus = found, 1
-            taken = set(pivots)
-            free = [c for c in range(ncols) if c not in taken]
-            residues = [[0] * len(free) for _ in pivots]
-        # CRT: fold the residues mod p into those mod the running modulus
-        step = pow(modulus, -1, p)
-        for old, row in zip(residues, reduced):
-            for k, f in enumerate(free):
-                old[k] += modulus * ((row[f] - old[k]) * step % p)
-        modulus *= p
-        bound = math.isqrt(modulus // 2)
-        values = [[_reconstruct(x, modulus, bound) for x in row] for row in residues]
-        if all(v is not None for row in values for v in row) and (
-                not free or _kernel_vanishes(ints, ncols, pivots, free, values)):
-            break
+        taken = set(found)
+        free = [c for c in range(ncols) if c not in taken]
+        return found, free, [[row[f] for f in free] for row in reduced[:len(found)]]
+
+    pivots, free, values, primes = _lift(modp, lambda kernel: _dense_vanishes(ints, kernel))
     zero, one = _rat(0), _rat(1)
     out = []
     for pc, row in zip(pivots, values):
@@ -522,84 +567,146 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
                          "lifted": lifted})
 
 
-# -- sparse rank helpers --------------------------------------------------
+# -- sparse systems ---------------------------------------------------------
 #
-# The pair-constraint systems solved by the derivation oracle have a few
-# nonzero entries per row but thousands of rows, so a dict-of-columns
-# elimination beats dense reduction by a wide margin.  Integer rows keep
-# exact rank over the rationals by fraction-free elimination.
+# The derivation oracle's pair-constraint systems have |G|^3 rows of three
+# entries over |G|^2 columns, and reach their rank long before their last
+# row.  Streaming them through the kernel makes a row that depends on the
+# rows before it cost one gather, as wide as that kernel.
 
-def sparse_rank_gf(rows: Iterable[dict], p: int) -> int:
-    pivots: dict = {}
-    rank_ = 0
-    for raw in rows:
-        row = {c: v % p for c, v in raw.items() if v % p}
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {k: (v * inv) % p for k, v in row.items()}
-                rank_ += 1
-                break
-            factor = row[c]
-            for k, v in pivot.items():
-                nv = (row.get(k, 0) - factor * v) % p
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
-        # empty row: redundant constraint
-    return rank_
+# each chunk's gathered rows hold about this many entries
+_SPARSE_CHUNK = 2 ** 12
 
 
-def _gcd_many(values) -> int:
-    from math import gcd
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    return g
+def _sparse_blocks(rows) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The items of ``rows`` as (cols, vals) blocks of two (m, w) arrays.
+
+    An item is a dict row {column: integer} or one block, whose row i has
+    the entries vals[i, j] at the columns cols[i, j]; a column repeated in
+    a row adds.  The dict rows become one block, padded with zeros at
+    column 0, and values too large for int64 stay Python ints.  The order
+    of the rows changes no rank.
+    """
+    items = list(rows)
+    blocks = [(np.asarray(item[0], dtype=np.int64), np.asarray(item[1]))
+              for item in items if not isinstance(item, dict)]
+    dicts = [item for item in items if isinstance(item, dict)]
+    if dicts:
+        width = max(1, *map(len, dicts))
+        pad = [0] * width
+        vals = [(list(row.values()) + pad)[:width] for row in dicts]
+        try:
+            vals = np.array(vals, dtype=np.int64)
+        except OverflowError:
+            vals = np.array(vals, dtype=object)
+        blocks.append((np.array([(list(row) + pad)[:width] for row in dicts], dtype=np.int64),
+                       vals))
+    return [(cols, vals) for cols, vals in blocks if cols.size]
 
 
-def sparse_rank_int(rows: Iterable[dict]) -> int:
-    """Exact rank over the rationals of sparse integer rows."""
-    from math import gcd
-    pivots: dict = {}
-    rank_ = 0
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        while row:
-            c = min(row)
-            pivot = pivots.get(c)
-            if pivot is None:
-                g = _gcd_many(row.values())
-                if row[c] < 0:
-                    g = -g
-                if g != 1:
-                    row = {k: v // g for k, v in row.items()}
-                pivots[c] = row
-                rank_ += 1
-                break
-            a, b = pivot[c], row[c]
-            g = gcd(a, b)
-            ma, mb = a // g, b // g
-            new = {}
-            for k, v in row.items():
-                new[k] = ma * v
-            for k, v in pivot.items():
-                nv = new.get(k, 0) - mb * v
-                if nv:
-                    new[k] = nv
-                elif k in new:
-                    del new[k]
-            row = new
-    return rank_
+def _gather(cols: np.ndarray, vals: np.ndarray, K: np.ndarray, p: int = 0,
+            each: bool = False) -> np.ndarray:
+    """The rows (cols, vals) times K: the sum over j of vals[:, j] K[cols[:, j]].
+
+    Reduced mod p when p is given, after every term when ``each``.
+    """
+    out = vals[:, :1] * K[cols[:, 0]]
+    for j in range(1, cols.shape[1]):
+        if each:
+            out %= p
+        out += vals[:, j:j + 1] * K[cols[:, j]]
+    return out % p if p else out
 
 
-def sparse_rank(field: Field, rows: Iterable[dict]) -> int:
-    """Rank of sparse rows over `field`; integer entries required over QQ."""
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for arrays of residues mod p.
+
+    In int64 the product is exact while a.shape[1] (p - 1)^2 < 2^63; past
+    that b is split into 16-bit halves, exact while a.shape[1] 2^48 < 2^63,
+    which holds for the pivots of one chunk (fewer than ``_SPARSE_CHUNK``).
+    """
+    if a.dtype == object or a.shape[1] * (p - 1) ** 2 < 2 ** 63:
+        return a @ b % p
+    return (((a @ (b >> 16)) % p << 16) + a @ (b & 0xFFFF)) % p
+
+
+def _sparse_kernel(blocks, ncols: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel mod p of sparse rows: K, ncols x nfree, and the free columns.
+
+    K starts as the identity.  Each chunk of rows is multiplied into it,
+    R = rows K, a gather of K's rows by column index, and the nonzero rows
+    of R are row-reduced by ``_rref_mod``; with P the pivots of R and N its
+    RREF, K becomes K - K[:, P] N without the columns P.  N is zero left of
+    each pivot, so each column of K stays supported on its free column and
+    the pivots left of it: K is the identity on the free columns and minus
+    the RREF of all the rows at the pivots, which are the first-nonzero
+    pivots.  Arithmetic is int64 while (p - 1)^2 < 2^63, and Python ints
+    past that; a gather is reduced after every term when a row's sum of
+    |vals| (symmetric residues) times p - 1 could reach 2^63.  Rows stop
+    being read once the kernel is 0.
+    """
+    dtype = np.int64 if p <= _NUMPY_RREF_MAX_P else object
+    K = np.eye(ncols, dtype=dtype)
+    free = np.arange(ncols)
+    for cols, vals in blocks:
+        vals = vals % p
+        vals[vals > p // 2] -= p
+        vals = vals.astype(dtype, copy=False)
+        each = dtype is np.int64 and int(abs(vals).sum(axis=1).max()) * (p - 1) >= 2 ** 63
+        start = 0
+        while start < len(cols) and len(free):
+            step = max(1, _SPARSE_CHUNK // len(free))
+            R = _gather(cols[start:start + step], vals[start:start + step], K, p, each)
+            start += step
+            R = R[R.any(axis=1)]
+            if not len(R):
+                continue
+            N, P = _rref_mod(R, len(free), p)
+            if not P:
+                continue
+            keep = np.ones(len(free), dtype=bool)
+            keep[P] = False
+            KP, K, N = K[:, P], K[:, keep], N[:len(P), keep]
+            hit = np.flatnonzero(KP.any(axis=1))
+            for rows in np.array_split(hit, max(1, len(hit) * K.shape[1] // _SPARSE_CHUNK)):
+                K[rows] = (K[rows] - _matmul_mod(KP[rows], N, p)) % p
+            free = free[keep]
+    return K, free
+
+
+def _sparse_vanishes(blocks, kernel: List[List[int]]) -> bool:
+    """Whether A K = 0 exactly over every sparse row, in chunks, int64 when safe."""
+    kmax = max(max(map(abs, row)) for row in kernel)
+    for cols, vals in blocks:
+        dtype = _exact_dtype(int(abs(vals).sum(axis=1).max()) * kmax)
+        K, vals = np.array(kernel, dtype=dtype), vals.astype(dtype)
+        step = max(1, _SPARSE_CHUNK // K.shape[1])
+        for start in range(0, len(cols), step):
+            if _gather(cols[start:start + step], vals[start:start + step], K).any():
+                return False
+    return True
+
+
+def sparse_rank(field: Field, rows: Iterable) -> int:
+    """Rank over ``field`` of sparse rows with integer entries (``_sparse_blocks``).
+
+    Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
+    the kernel mod p is lifted and certified against every row by
+    ``_lift``.
+    """
+    blocks = _sparse_blocks(rows)
+    ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
     if field.p:
-        return sparse_rank_gf(rows, field.p)
-    return sparse_rank_int(rows)
+        return ncols - len(_sparse_kernel(blocks, ncols, field.p)[1])
+
+    def modp(p):
+        K, free = _sparse_kernel(blocks, ncols, p)
+        is_pivot = np.ones(ncols, dtype=bool)
+        is_pivot[free] = False
+        pivots = np.flatnonzero(is_pivot)
+        return pivots.tolist(), free.tolist(), (-K[pivots] % p).tolist()
+
+    pivots, free, _, primes = _lift(modp, lambda kernel: _sparse_vanishes(blocks, kernel))
+    nrows = sum(len(cols) for cols, _ in blocks)
+    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
+    return len(pivots)

@@ -5,10 +5,10 @@ from itertools import product
 import pytest
 
 from derring.errors import HomomorphismRejected
-from derring.groups import (DihedralEndoParams, abelian_group, brute_force_endomorphisms,
-                            compose, cyclic_group, dihedral_group, endo_from_images,
-                            enumerate_endomorphisms, identity_endomorphism, make_group,
-                            parse_word, table_group, word_str)
+from derring.groups import (DihedralEndoParams, FiniteGroup, abelian_group,
+                            brute_force_endomorphisms, compose, cyclic_group, dihedral_group,
+                            endo_from_images, enumerate_endomorphisms, identity_endomorphism,
+                            make_group, parse_word, table_group, word_str)
 
 
 def test_word_parser():
@@ -78,6 +78,20 @@ def test_table_group_refuses_names_that_do_not_read_back(names):
     table = [[(i + j) % len(names) for j in range(len(names))] for i in range(len(names))]
     with pytest.raises(ValueError, match="does not read back"):
         table_group(table, names)
+
+
+def test_directly_built_group_refuses_names_that_do_not_read_back():
+    table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="'-r' does not read back"):
+        FiniteGroup(["e", "-r", "r2"], table, [("r", 1)], "table")
+    assert FiniteGroup(["e", "r", "r2"], table, [("r", 1)], "table").order == 3
+
+
+@pytest.mark.parametrize("group", [cyclic_group(1), cyclic_group(7), dihedral_group(3),
+                                   dihedral_group(12), abelian_group([2, 3, 4])],
+                         ids=lambda g: g.describe())
+def test_builtin_family_names_read_back(group):
+    assert [group.eval_word(parse_word(name)) for name in group.names] == list(range(group.order))
 
 
 def test_make_group_dispatch():

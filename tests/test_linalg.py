@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from derring.derivations import derivation_space, derivation_space_full
+from derring.groups import dihedral_group, identity_endomorphism
 from derring.linalg import (GF, QQ, Field, Matrix, _rref_python_mod, parse_field,
-                            rows_full_rank, rows_rank, rref_mod_p, same_row_space, sparse_rank)
+                            rows_full_rank, rref_mod_p, same_row_space, sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import gauss_jordan
 
@@ -187,7 +189,7 @@ def test_sparse_rank_matches_dense(field):
             for _ in range(rng.randint(0, 3)):
                 row[rng.randrange(cols)] = rng.randint(-3, 3)
             dense.append(row)
-        expected = rows_rank(field, dense) if any(any(r) for r in dense) else 0
+        expected = len(gauss_jordan(field, dense)[1])
         sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert sparse_rank(field, sparse_rows) == expected
 
@@ -237,3 +239,14 @@ def test_rational_elimination_logs_its_primes(caplog):
     with caplog.at_level(logging.INFO, logger="derring.linalg"):
         m.rref()
     assert not caplog.records
+
+
+def test_sparse_rational_rank_logs_one_record(caplog):
+    sigma = identity_endomorphism(dihedral_group(4))
+    with caplog.at_level(logging.DEBUG, logger="derring.linalg"):
+        dim, _ = derivation_space_full(QQ, sigma, basis=False)
+    (record,) = [r for r in caplog.records if r.name == "derring.linalg"]
+    assert dim == derivation_space(QQ, sigma, basis=False)[0]
+    # |G|^3 pair rows over |G|^2 unknowns; the kernel entries lift at one prime
+    assert record.shape == (512, 64) and record.rank == 64 - dim
+    assert record.primes == 1 and record.lifted

@@ -7,17 +7,19 @@ and brute-force commutation over every element of a small group ring.
 
 import logging
 import math
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
-from derring.derivations import (AlgebraEndo, TwistedDerivation,
+from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
                                  _relator_images, _relator_matrix, derivation_space,
                                  derivation_space_full,
                                  extend_from_generators, free_eval, inner_derivation, is_inner,
@@ -27,10 +29,11 @@ from derring.groupring import (GroupRingElement, anticentralizer_basis, centrali
                                format_element, parse_element)
 from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             brute_force_endomorphisms, cyclic_group, dihedral_group,
-                            endo_from_images, identity_endomorphism, parse_word,
-                            table_group)
+                            endo_from_images, enumerate_endomorphisms,
+                            identity_endomorphism, parse_word, table_group)
+from derring import linalg
 from derring.linalg import (GF, QQ, Matrix, _NUMPY_RREF_MAX_P, _rref_python_mod, is_prime,
-                            rows_rank, rref_mod_p)
+                            rows_rank, rref_mod_p, sparse_rank)
 from gauss_jordan import gauss_jordan
 
 PROPERTY = settings(max_examples=12, deadline=None)
@@ -52,17 +55,16 @@ def quaternion_group() -> FiniteGroup:
         sign, u = units[(ux, uy)]
         return sx * sy * sign, u
 
-    names = [("" if s > 0 else "-") + u for s, u in elems]
+    # a FiniteGroup's names must read back as words, so -1, -i, ... are m1, mi, ...
+    names = [("" if s > 0 else "m") + u for s, u in elems]
     mul = [[elems.index(times(x, y)) for y in elems] for x in elems]
     relators = [parse_word("i^4"), parse_word("i^2*j^-2"), parse_word("j^-1*i*j*i")]
     return FiniteGroup(names, mul, [("i", 1), ("j", 2)], "table", relators=relators)
 
 
 GROUPS = (dihedral_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6))
-# the same Q8 table with no relators given: it derives them from its normal forms.
-# A table group's names must read back as words, so -1, -i, ... become m1, mi, ...
-Q8_TABLE = table_group(GROUPS[2].mul, [name.replace("-", "m") for name in GROUPS[2].names],
-                       ["i", "j"])
+# the same Q8 table with no relators given: it derives them from its normal forms
+Q8_TABLE = table_group(GROUPS[2].mul, GROUPS[2].names, ["i", "j"])
 
 
 @lru_cache(maxsize=None)
@@ -409,6 +411,92 @@ def test_engine_rref_matches_fraction_elimination(rows):
         assert record.primes >= 2
 
 
+# GF(4294967311) has (p - 1)^2 >= 2^63, so its kernel runs on Python ints
+SPARSE_FIELDS = (GF(2), GF(3), GF(FIRST_PRIME), GF(4294967311), QQ)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 8 columns and rows of 0-4 (column, value) entries; columns may repeat."""
+    cols = draw(st.integers(1, 8))
+    value = draw(st.sampled_from([st.integers(-4, 4), st.integers(-2 ** 70, 2 ** 70)]))
+    entry = st.tuples(st.integers(0, cols - 1), value)
+    return cols, draw(st.lists(st.lists(entry, max_size=4), min_size=1, max_size=12))
+
+
+@PROPERTY
+# the chunk size only trades work for memory: small ones stream a row at a time
+@given(st.sampled_from(SPARSE_FIELDS), sparse_systems(), st.booleans(),
+       st.sampled_from([1, 2 ** 5, linalg._SPARSE_CHUNK]))
+# row 3 is rows 1 + 2 plus (2^31 - 1) e_0: rank 2 modulo 2^31 - 1, 3 over QQ
+@example(QQ, (3, [[(0, 1), (1, 2)], [(1, 1), (2, 3)], [(0, 1 + FIRST_PRIME), (1, 3), (2, 3)]]),
+         True, 1)
+def test_sparse_rank_matches_fraction_elimination(field, system, as_block, chunk):
+    ncols, rows = system
+    dense = [[0] * ncols for _ in rows]
+    for row, entries in zip(dense, rows):
+        for c, v in entries:
+            row[c] += v
+    _, expected = gauss_jordan(field, dense)
+    if as_block:
+        width = max(1, *map(len, rows))
+        padded = [(row + [(0, 0)] * width)[:width] for row in rows]
+        items = [(np.array([[c for c, _ in row] for row in padded]),
+                  np.array([[v for _, v in row] for row in padded]))]
+    else:
+        items = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    with engine_records() as records, mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
+        if not field.p:
+            # the lift starts from the kernel modulo the first prime
+            _, first = gauss_jordan(GF(FIRST_PRIME), dense)
+            assert sparse_rank(GF(FIRST_PRIME), items) == len(first)
+        assert sparse_rank(field, items) == len(expected)
+    if not field.p:
+        # a wrong profile modulo the first prime fails the certificate
+        (record,) = records
+        assert record.rank == len(expected)
+        if first != expected:
+            assert record.primes >= 2
+
+
+def pair_rows_reference(sigma, tau):
+    """The pair-constraint rows as dicts, one table lookup per entry."""
+    G = sigma.group
+    n = G.order
+    mul, inv = G.mul, G.inv
+    for g in range(n):
+        for h in range(n):
+            w, v = tau.images[h], sigma.images[g]
+            for t in range(n):
+                row = {}
+                for key, sign in ((mul[g][h] * n + t, 1), (g * n + mul[t][inv[w]], -1),
+                                  (h * n + mul[inv[v]][t], -1)):
+                    row[key] = row.get(key, 0) + sign
+                yield row
+
+
+def _row_multiset(rows):
+    return Counter(frozenset((c, v) for c, v in row.items() if v) for row in rows)
+
+
+@pytest.mark.parametrize("group", [dihedral_group(n) for n in range(3, 9)]
+                         + [cyclic_group(6), Q8_TABLE], ids=lambda g: g.describe())
+def test_pair_rows_match_the_per_row_reference(group):
+    endos = (enumerate_endomorphisms(group) if group.family == "dihedral"
+             else endomorphisms(group))
+    tau_id = identity_endomorphism(group)
+    for sigma in endos[::max(1, len(endos) // 4)]:
+        for tau in (sigma, tau_id):
+            (cols, vals), = _pair_constraint_rows(sigma, tau)
+            rows = []
+            for cs, vs in zip(cols.tolist(), vals.tolist()):
+                row = {}
+                for c, v in zip(cs, vs):
+                    row[c] = row.get(c, 0) + v
+                rows.append(row)
+            assert _row_multiset(rows) == _row_multiset(pair_rows_reference(sigma, tau))
+
+
 def _prime_at_or_below(n: int) -> int:
     while not is_prime(n):
         n -= 1
@@ -430,6 +518,20 @@ def test_numpy_and_python_mod_p_rref_agree(p, data):
     a = np.array(m, dtype=np.int64)
     assert rref_mod_p(a, p) == _rref_python_mod(m, p)
     assert a.tolist() == m
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, FIRST_PRIME, _prime_at_or_below(_NUMPY_RREF_MAX_P)]), st.data())
+def test_kernel_update_product_is_exact(p, data):
+    rows, inner, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 40)), 5
+    residues = st.one_of(st.just(p - 1), st.integers(0, p - 1))
+    a = data.draw(st.lists(st.lists(residues, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(residues, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    product = linalg._matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    assert product.tolist() == [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+                                for row in a]
 
 
 # -- groups given by their tables ------------------------------------------------
