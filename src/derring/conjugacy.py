@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from .derivations import TwistedDerivation, _dense_rows, _inner_rows, inner_derivation
+from .derivations import TwistedDerivation, inner_block, inner_derivation
 from .groups import Endomorphism, FiniteGroup
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, rows_full_rank, sparse_rank
@@ -112,17 +112,17 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     """Kernel-computed basis of the twisted center of FG (class-sum oracle).
 
     The twisted center is the kernel of the inner-derivation map
-    z -> z tau(g) - sigma(g) z.
+    z -> z tau(g) - sigma(g) z, the rows of ``inner_block``.
     """
-    rows = _dense_rows(field, group.order, _inner_rows(group, sigma, tau))
-    kernel = Matrix(field, rows, coerce=False).kernel_basis()
+    cols, vals, _, _ = inner_block(sigma, tau)
+    kernel = Matrix.from_block(field, cols, vals, group.order).kernel_basis()
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 
 def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                              field: Field) -> int:
-    rank = sparse_rank(field, _inner_rows(group, sigma, tau))
-    return group.order - rank
+    cols, vals, _, _ = inner_block(sigma, tau)
+    return group.order - sparse_rank(field, [(cols, vals)])
 
 
 def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,

@@ -10,18 +10,35 @@ linear in the images, which is what ``derivation_space`` solves, and is
 the one extension path.  The pair solver ``derivation_space_full``
 treats all group images as unknowns constrained by every product pair
 and is kept only as an oracle against it.
+
+The product rule (``product_rule_violation``) and the certificate of
+``is_inner`` are integer-array gathers through sigma's and tau's cached
+``Action`` indices.  D's table is put over one common denominator (1 over
+GF(p)) and the actions' coefficients over another, M; the rule is then
+M D(g h) = D(g) tau(h) + sigma(g) D(h) in integers, reduced mod p over
+GF(p).  Each check runs in int64 while its largest partial sum, at most
+the number of terms times the largest |coefficient| times the largest
+|entry|, stays below 2^63, and in Python ints (numpy ``object``) past
+that; the checks bound it by (M + w) max |entry|, w the largest
+|coefficient| sum of an image of sigma plus one of tau.  Past the bound
+are actions with coefficients near p over a prime above 2^32, every
+table over a prime above 2^63 (p itself leaves int64), and large
+denominators over QQ.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DerivationRejected
-from .groups import Endomorphism, FiniteGroup, Word, _power, first_failing_pair, word_str
+from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, action_gathers,
+                     first_failing_pair, word_str)
 from .groupring import GroupRingElement
-from .linalg import Field, Matrix, sparse_rank
+from .linalg import (Field, Matrix, _exact_dtype, integer_scale, sparse_kernel_basis,
+                     sparse_rank)
 
 
 class AlgebraEndo:
@@ -30,10 +47,10 @@ class AlgebraEndo:
     Verified unital, then multiplicative on the generator pairs (see
     ``first_failing_pair``).  Used where arguments beyond group-induced
     maps are allowed (the averaging construction).  Like ``Endomorphism``
-    it exposes each image through ``terms``.
+    it exposes each image through ``terms`` and its action through ``action``.
     """
 
-    __slots__ = ("group", "field", "ring_images", "_terms")
+    __slots__ = ("group", "field", "ring_images", "_terms", "_action")
 
     def __init__(self, group: FiniteGroup, field: Field,
                  ring_images: Sequence[GroupRingElement], check: bool = True):
@@ -46,8 +63,8 @@ class AlgebraEndo:
             if not self.ring_images[group.identity] == GroupRingElement.one(group, field):
                 raise ValueError("algebra endomorphism must fix the identity")
             images, mul = self.ring_images, group.mul
-            bad = first_failing_pair(
-                group, lambda g, h: images[mul[g][h]] != images[g] * images[h])
+            bad = first_failing_pair(group, lambda gs, hs: (
+                images[mul[g][h]] != images[g] * images[h] for g in gs for h in hs))
             if bad is not None:
                 g, h = bad
                 raise ValueError(
@@ -55,10 +72,24 @@ class AlgebraEndo:
                     f"({group.names[g]}, {group.names[h]})")
         self._terms = [tuple((u, img.coeffs[u]) for u in img.support())
                        for img in self.ring_images]
+        self._action: Optional[Action] = None
 
     def terms(self, g: int) -> Tuple[Tuple[int, object], ...]:
         """The image of g as group-ring terms (index, coefficient): its support."""
         return self._terms[g]
+
+    @property
+    def action(self) -> Action:
+        """The gathers of this map's action on FG, its coefficients over one denominator."""
+        if self._action is None:
+            width = max(1, *map(len, self._terms))
+            pad = [(self.group.identity, 0)] * width
+            terms = [(list(t) + pad)[:width] for t in self._terms]
+            ints, scale = integer_scale([r for t in terms for _, r in t])
+            self._action = action_gathers(
+                self.group, [[u for u, _ in t] for t in terms],
+                [ints[i:i + width] for i in range(0, len(ints), width)], scale)
+        return self._action
 
     def describe(self) -> str:
         return "algebra-endo"
@@ -104,7 +135,7 @@ class TwistedDerivation:
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
-                 "_table")
+                 "_table", "_integers")
 
     def __init__(self, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike,
                  table: Optional[Sequence[GroupRingElement]] = None,
@@ -125,6 +156,7 @@ class TwistedDerivation:
         self.provenance = provenance
         self.witness = witness
         self._table = table
+        self._integers: Optional[Tuple[List[int], int]] = None
 
     @classmethod
     def zero(cls, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike):
@@ -153,6 +185,13 @@ class TwistedDerivation:
 
     def flat(self) -> List:
         return [c for elem in self.table for c in elem.coeffs]
+
+    def integer_table(self) -> Tuple[List[int], int]:
+        """``flat()`` over its common denominator L, and L (``integer_scale``); cached
+        like the table, for the integer checks."""
+        if self._integers is None:
+            self._integers = integer_scale(self.flat())
+        return self._integers
 
     def generator_flat(self) -> List:
         """The generator images, concatenated in generator order."""
@@ -280,24 +319,47 @@ def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
     return table
 
 
+def _rescaled(action: Action, factor: int) -> np.ndarray:
+    """An action's coefficients times ``factor``: int64 while every product fits."""
+    if factor == 1:
+        return action.coeffs
+    return action.coeffs.astype(_exact_dtype(action.weight * factor)) * factor
+
+
+def _actions(sigma: EndoLike, tau: EndoLike):
+    """sigma's and tau's actions and their coefficients over one scale M, then M
+    and the largest |coefficient| sum of an image of sigma plus one of tau on it."""
+    s, t = sigma.action, tau.action
+    scale = math.lcm(s.scale, t.scale)
+    fs, ft = scale // s.scale, scale // t.scale
+    return (s, _rescaled(s, fs), t, _rescaled(t, ft), scale,
+            s.weight * fs + t.weight * ft)
+
+
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """First pair (g, h) violating the twisted product rule, or None.
 
-    Decided on the generator pairs by ``first_failing_pair``; the rows of
-    D and the terms of sigma and tau are read once for all pairs.
+    Decided on the generator pairs by ``first_failing_pair``, in one gather
+    over D's integer table T (see the module notes): for every pair,
+    sum_j ct[h, j] T[g, right[h, j]] + sum_j cs[g, j] T[h, left[g, j]]
+    against M T[g h].  int64 holds while (M + the actions' weight) max |T|
+    < 2^63.
     """
     G, F = D.group, D.field
-    p, mul = F.p, G.mul
-    rows = [elem.coeffs for elem in D.table]
-    sigma_terms = [D.sigma.terms(g) for g in range(G.order)]
-    tau_terms = [D.tau.terms(g) for g in range(G.order)]
+    n, p, mul = G.order, F.p, G.mul_array
+    sig, cs, tau, ct, scale, weight = _actions(D.sigma, D.tau)
+    ints, _ = D.integer_table()
+    # the reduction mod p needs p itself in the dtype
+    T = np.array(ints, dtype=_exact_dtype(max((scale + weight) * max(map(abs, ints)), p)))
+    T = T.reshape(n, n)
 
-    def fails(g: int, h: int) -> bool:
-        terms = zip(_act(G, F, tau_terms[h], rows[g], False),
-                    _act(G, F, sigma_terms[g], rows[h], True))
-        # F.add inlined: this sum is the inner loop of every check
-        rhs = [(a + b) % p for a, b in terms] if p else [a + b for a, b in terms]
-        return rhs != rows[mul[g][h]]
+    def fails(gs, hs):
+        gs, hs = np.asarray(gs), np.asarray(hs)
+        diff = ((T[gs[:, None, None, None], tau.right[hs]] * ct[hs][:, :, None]).sum(axis=2)
+                + (T[hs[:, None, None], sig.left[gs][:, None]]
+                   * cs[gs][:, None, :, None]).sum(axis=2)
+                - scale * T[mul[gs[:, None], hs]])
+        return ((diff % p if p else diff) != 0).any(axis=2).ravel()
 
     return first_failing_pair(G, fails)
 
@@ -325,61 +387,57 @@ def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> 
                              images=images)
 
 
-def _inner_rows(G: FiniteGroup, sigma: EndoLike, tau: EndoLike, elems=None):
-    """Sparse rows of beta -> beta tau(g) - sigma(g) beta, g in elems (default G).
+def inner_block(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """beta -> beta tau(g) - sigma(g) beta for every g, as one (cols, vals) block.
 
-    Row (g, t), in g-major order, holds +r at column t u^-1 for each term
-    (u, r) of tau(g) and -s at column v^-1 t for each term (v, s) of sigma(g).
+    Row g |G| + t, g-major, is M times coefficient t of the image of g:
+    tau(g)'s coefficients at the columns t u^-1 of its terms u and minus
+    sigma(g)'s at v^-1 t, read off tau's right and sigma's left action
+    indices.  Returns cols, vals, the actions' common scale M and their
+    weight on it, which bounds the sum of |vals| in a row.
     """
-    mul, inv = G.mul, G.inv
-    for g in range(G.order) if elems is None else elems:
-        tau_g, sigma_g = tau.terms(g), sigma.terms(g)
-        for t in range(G.order):
-            row: Dict[int, object] = {}
-            for u, r in tau_g:
-                c = mul[t][inv[u]]
-                row[c] = row.get(c, 0) + r
-            for v, s in sigma_g:
-                c = mul[inv[v]][t]
-                row[c] = row.get(c, 0) - s
-            yield row
-
-
-def _dense_rows(field: Field, n: int, sparse_rows) -> List[List]:
-    """Sparse integer or field rows as dense rows of n matrix entries.
-
-    Over GF(p) each entry is reduced into the field; over QQ ints and
-    rationals are already exact matrix entries and are kept as they are.
-    """
-    coerce = field.coerce if field.p else None
-    out = []
-    for sparse in sparse_rows:
-        dense = [0] * n
-        for c, v in sparse.items():
-            dense[c] = coerce(v) if coerce else v
-        out.append(dense)
-    return out
+    sig, cs, tau, ct, scale, weight = _actions(sigma, tau)
+    n = sigma.group.order
+    cols = np.concatenate([tau.right, sig.left], axis=1).transpose(0, 2, 1).reshape(n * n, -1)
+    return cols, np.repeat(np.concatenate([ct, -cs], axis=1), n, axis=0), scale, weight
 
 
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     """A witness beta with D = D_beta, or None when D is not inner.
 
-    Solves beta tau(s) - sigma(s) beta = D(s) for the generators s only;
-    the witness is unique only up to the twisted center.  Since sigma and
-    tau are multiplicative, beta tau(s) = sigma(s) beta on the generators
-    gives it on all of G, so these rows have the same kernel, hence the
-    same RREF, as the full |G|^2 system: when the full system is solvable,
-    both give the same witness.  A solution is returned only when D_beta
-    reproduces all of D's table, which certifies it.
+    Solves beta tau(s) - sigma(s) beta = D(s) for the generators s only,
+    the rows of ``inner_block`` at s; the witness is unique only up to the
+    twisted center.  Since sigma and tau are multiplicative, beta tau(s) =
+    sigma(s) beta on the generators gives it on all of G, so these rows
+    have the same kernel, hence the same RREF, as the full |G|^2 system:
+    when the full system is solvable, both give the same witness.  A
+    solution is returned only when D_beta reproduces all of D's table,
+    which certifies it: the block times beta's integers (over a common
+    denominator Lb) against D's integer table T (over Ld), exact in int64
+    while Ld w max |beta| + M Lb max |T| < 2^63, w the actions' weight on
+    their common scale M.
     """
     G, F = D.group, D.field
-    gens = [s for _, s in G.generators]
-    rows = _dense_rows(F, G.order, _inner_rows(G, D.sigma, D.tau, gens))
-    solution = Matrix(F, rows, coerce=False).solve(D.generator_flat())
+    n, p = G.order, F.p
+    cols, vals, scale, weight = inner_block(D.sigma, D.tau)
+    rows = (np.array([s for _, s in G.generators], dtype=np.int64)[:, None] * n
+            + np.arange(n)).ravel()
+    rhs = D.generator_flat()
+    system = Matrix.from_block(F, cols[rows], vals[rows], n)
+    solution = system.solve(rhs if scale == 1 else [scale * c for c in rhs])
     if solution is None:
         return None
-    beta = GroupRingElement(G, F, solution, coerce=False)
-    return beta if inner_derivation(beta, D.sigma, D.tau) == D else None
+    beta, lb = integer_scale(solution)
+    table, ld = D.integer_table()
+    dtype = _exact_dtype(max(ld * weight * max(map(abs, beta))
+                             + scale * lb * max(map(abs, table)), p))
+    image = (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
+    table = np.array(table, dtype=dtype)
+    if p:
+        same = not ((image - table) % p != 0).any()
+    else:
+        same = np.array_equal(ld * image, scale * lb * table)
+    return GroupRingElement(G, F, solution, coerce=False) if same else None
 
 
 def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
@@ -508,11 +566,7 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     if not basis:
         rank = sparse_rank(field, _pair_constraint_rows(sigma, tau))
         return n * n - rank, None
-    (cols, vals), = _pair_constraint_rows(sigma, tau)
-    dense = np.zeros((len(cols), n * n), dtype=np.int64)
-    np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals)
-    rows = (dense % field.p if field.p else dense).tolist()
-    kernel = Matrix(field, rows, coerce=False).kernel_basis()
+    kernel = sparse_kernel_basis(field, _pair_constraint_rows(sigma, tau), n * n)
     out = []
     for vec in kernel:
         table = [GroupRingElement(G, field, vec[g * n:(g + 1) * n], coerce=False)

@@ -9,15 +9,20 @@ for the empty word); a factor names a generator or an element.
 Every group carries a presentation: the built-in families give their
 relators, and a group given by its table derives them from its normal
 forms.  Endomorphisms are checked on the generator pairs, by the one
-rule of ``first_failing_pair``.
+rule of ``first_failing_pair``.  The table and an endomorphism's action
+on FG are also kept as read-only int64 index arrays, built on first use,
+for the checks that run as numpy gathers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import HomomorphismRejected
 
@@ -68,6 +73,13 @@ def _identity_of(mul: Sequence[Sequence[int]]) -> int:
         if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
             return e
     raise ValueError("multiplication table has no identity")
+
+
+def _frozen(data) -> np.ndarray:
+    """An int64 array of ``data`` that refuses writes."""
+    out = np.array(data, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 class FiniteGroup:
@@ -168,6 +180,16 @@ class FiniteGroup:
         return out
 
     # -- basic operations ---------------------------------------------------
+
+    @cached_property
+    def mul_array(self) -> np.ndarray:
+        """``mul`` as a read-only int64 array, built on first use."""
+        return _frozen(self.mul)
+
+    @cached_property
+    def inv_array(self) -> np.ndarray:
+        """``inv`` as a read-only int64 array, built on first use."""
+        return _frozen(self.inv)
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -400,26 +422,65 @@ def make_group(spec) -> FiniteGroup:
 # -- endomorphisms ----------------------------------------------------------
 
 def first_failing_pair(group: FiniteGroup,
-                       fails: Callable[[int, int], bool]) -> Optional[Tuple[int, int]]:
+                       fails: Callable[[Sequence[int], Sequence[int]], Iterable]
+                       ) -> Optional[Tuple[int, int]]:
     """The first pair (g, h), g-major, at which a product rule fails, or None.
 
-    ``fails(g, h)`` tests phi(g h) = phi(g) phi(h), or D(g h) =
-    D(g) tau(h) + sigma(g) D(h) for unital multiplicative sigma and tau.
-    The pairs (g, s), s a generator, decide it.  At (1, s) the rule gives
-    phi(1) = 1 in G, or D(1) tau(s) = 0 and so D(1) = 0, hence the rule at
-    every (g, 1); at (g, h) for all g and at (h, s) it gives
+    ``fails(gs, hs)`` says, for each pair (g, h) of gs x hs in g-major
+    order, whether phi(g h) = phi(g) phi(h), or D(g h) = D(g) tau(h) +
+    sigma(g) D(h) for unital multiplicative sigma and tau, fails: any
+    iterable of truth values, a generator or a flat numpy array.  The
+    pairs (g, s), s a generator, decide it, in one call.  At (1, s) the
+    rule gives phi(1) = 1 in G, or D(1) tau(s) = 0 and so D(1) = 0, hence
+    the rule at every (g, 1); at (g, h) for all g and at (h, s) it gives
     phi(g h s) = phi(g h) phi(s) = phi(g) phi(h s) and
     D(g h s) = D(g h) tau(s) + sigma(g h) D(s) = D(g) tau(h s) + sigma(g) D(h s),
     so induction on positive words reaches every h.  A trivial group, with
     no generators, is decided on (1, 1).  A map into FG is checked unital
     first, since there (1, s) does not give it.  Only a failure runs the
-    full |G|^2 scan, to name the first failing pair.
+    full scan, one call per g, to name the first failing pair.
     """
-    n, e = group.order, group.identity
-    pairs = [(g, s) for g in range(n) for _, s in group.generators] or [(e, e)]
-    if not any(fails(g, h) for g, h in pairs):
+    n = group.order
+    if not any(fails(range(n), [s for _, s in group.generators] or [group.identity])):
         return None
-    return next(((g, h) for g in range(n) for h in range(n) if fails(g, h)), None)
+    for g in range(n):
+        h = next((h for h, bad in enumerate(fails([g], range(n))) if bad), None)
+        if h is not None:
+            return g, h
+    return None
+
+
+class Action(NamedTuple):
+    """An endomorphism phi of FG acting by multiplication, as gathers.
+
+    phi(g) is the sum over j of (coeffs[g, j] / scale) u_j, the coeffs
+    integers (padding terms have coefficient 0).  Multiplying by u moves
+    the coefficient at v to u v (left) or v u (right), so, read through
+    u^-1, scale (phi(g) alpha)[k] is the sum over j of
+    coeffs[g, j] alpha[left[g, j, k]], and scale (alpha phi(g))[k] that of
+    coeffs[g, j] alpha[right[g, j, k]].  The arrays are read-only; weight,
+    the largest sum of |coeffs| over one image, bounds integer work on them.
+    """
+
+    left: np.ndarray     # (|G|, W, |G|): u_j^-1 k
+    right: np.ndarray    # (|G|, W, |G|): k u_j^-1
+    coeffs: np.ndarray   # (|G|, W): int64 while every entry fits, else Python ints
+    scale: int
+    weight: int
+
+
+def action_gathers(group: FiniteGroup, units, coeffs, scale: int = 1) -> Action:
+    """The ``Action`` whose image of g has the terms units[g][j] with coeffs[g][j]."""
+    mul, inv = group.mul_array, group.inv_array
+    back = inv[np.asarray(units, dtype=np.int64)]
+    try:
+        coeffs = np.array(coeffs, dtype=np.int64)
+    except OverflowError:
+        coeffs = np.array(coeffs, dtype=object)
+    arrays = (mul[back], np.ascontiguousarray(np.moveaxis(mul[:, back], 0, -1)), coeffs)
+    for a in arrays:
+        a.flags.writeable = False
+    return Action(*arrays, scale, int(np.abs(coeffs).sum(axis=1).max(initial=0)))
 
 
 def _dihedral_tags(group: FiniteGroup,
@@ -451,16 +512,18 @@ class Endomorphism:
     images of the generators (``_dihedral_tags``).
     """
 
-    __slots__ = ("group", "images", "family", "s", "t", "is_identity")
+    __slots__ = ("group", "images", "family", "s", "t", "is_identity", "_action")
 
     def __init__(self, group: FiniteGroup, images: Sequence[int], check: bool = True):
         self.group = group
         self.images = tuple(images)
         self.family, self.s, self.t = _dihedral_tags(group, self.images)
         self.is_identity = all(self.images[g] == g for g in range(group.order))
+        self._action: Optional[Action] = None
         if check:
             im, mul = self.images, group.mul
-            bad = first_failing_pair(group, lambda g, h: im[mul[g][h]] != mul[im[g]][im[h]])
+            bad = first_failing_pair(group, lambda gs, hs: (
+                im[mul[g][h]] != mul[im[g]][im[h]] for g in gs for h in hs))
             if bad is not None:
                 g, h = bad
                 raise HomomorphismRejected(
@@ -473,6 +536,15 @@ class Endomorphism:
     def terms(self, g: int) -> Tuple[Tuple[int, int], ...]:
         """The image of g as group-ring terms (index, coefficient): one unit term."""
         return ((self.images[g], 1),)
+
+    @property
+    def action(self) -> Action:
+        """The gathers of this map's action on FG: one unit term per image."""
+        if self._action is None:
+            n = self.group.order
+            self._action = action_gathers(self.group, [[u] for u in self.images],
+                                          np.ones((n, 1), dtype=np.int64))
+        return self._action
 
     def __eq__(self, other):
         return (isinstance(other, Endomorphism) and other.group is self.group

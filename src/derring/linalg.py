@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,18 +45,38 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as _rat
 
 
+# Miller-Rabin on the primes to 37 is exact below psi_12, the least strong
+# pseudoprime to all twelve bases (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def is_prime(p: int) -> bool:
+    """Exact primality by Miller-Rabin below ``_MILLER_RABIN_LIMIT`` (about 3.2e23).
+
+    Larger numbers with no factor up to 37 are refused with a ValueError.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"primality of {p} >= {_MILLER_RABIN_LIMIT} is not decided here")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -198,6 +219,24 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one(), field.zero()
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], coerce=False)
+
+    @classmethod
+    def from_block(cls, field: Field, cols: np.ndarray, vals: np.ndarray,
+                   ncols: int) -> "Matrix":
+        """The rows of one (cols, vals) block (see ``_sparse_blocks``), dense.
+
+        Row i adds vals[i, j] at column cols[i, j]; over GF(p) each entry is
+        reduced into the field, over QQ the integers are exact entries.
+        """
+        dense = np.zeros((len(cols), ncols), dtype=vals.dtype)
+        rows = np.arange(len(cols))
+        for j in range(cols.shape[1]):
+            dense[rows, cols[:, j]] += vals[:, j]
+        if field.p:
+            dense = dense.astype(_exact_dtype(field.p), copy=False) % field.p
+        m = cls(field, dense.tolist(), coerce=False)
+        m.cols = ncols
+        return m
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -422,20 +461,28 @@ def _engine_primes():
             yield p
 
 
-def _integer_rows(data: Sequence[Sequence]) -> List[List[int]]:
-    """Each row times the lcm of its denominators, as Python ints.
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
-    Scaling a row by a nonzero constant keeps the RREF.  gmpy2 numerators
-    become ints here, before any of them reaches numpy.
+
+def integer_scale(values: Sequence) -> Tuple[List[int], int]:
+    """Ints or rationals as integers over their common denominator L, and L.
+
+    Each value is its integer over L, L the lcm of the denominators (1 for
+    ints).  gmpy2 numerators become ints here, before any of them reaches
+    numpy.
     """
-    out = []
-    for row in data:
-        if set(map(type, row)) <= {int}:
-            out.append(list(row))
-        else:
-            lcm = math.lcm(*{int(x.denominator) for x in row})
-            out.append([int(x.numerator) * (lcm // int(x.denominator)) for x in row])
-    return out
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    nums, dens = list(map(_numerator, values)), list(map(_denominator, values))
+    lcm = math.lcm(*map(int, set(dens)))
+    if lcm == 1:
+        return list(map(int, nums)), 1
+    return [int(n) * (lcm // int(d)) for n, d in zip(nums, dens)], lcm
+
+
+def _integer_rows(data: Sequence[Sequence]) -> List[List[int]]:
+    """Each row over its own common denominator, which keeps the RREF."""
+    return [integer_scale(row)[0] for row in data]
 
 
 def _reconstruct(x: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
@@ -649,7 +696,8 @@ def _sparse_kernel(blocks, ncols: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
     K = np.eye(ncols, dtype=dtype)
     free = np.arange(ncols)
     for cols, vals in blocks:
-        vals = vals % p
+        # int64 values are reduced in Python ints when p itself is past int64
+        vals = (vals if p < 2 ** 63 else vals.astype(object)) % p
         vals[vals > p // 2] -= p
         vals = vals.astype(dtype, copy=False)
         each = dtype is np.int64 and int(abs(vals).sum(axis=1).max()) * (p - 1) >= 2 ** 63
@@ -687,6 +735,21 @@ def _sparse_vanishes(blocks, kernel: List[List[int]]) -> bool:
     return True
 
 
+def _sparse_lift(blocks, ncols: int):
+    """``_lift`` of sparse rows: their kernel mod p by ``_sparse_kernel``."""
+    def modp(p):
+        K, free = _sparse_kernel(blocks, ncols, p)
+        is_pivot = np.ones(ncols, dtype=bool)
+        is_pivot[free] = False
+        pivots = np.flatnonzero(is_pivot)
+        return pivots.tolist(), free.tolist(), (-K[pivots] % p).tolist()
+
+    pivots, free, values, primes = _lift(modp, lambda kernel: _sparse_vanishes(blocks, kernel))
+    nrows = sum(len(cols) for cols, _ in blocks)
+    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
+    return pivots, free, values
+
+
 def sparse_rank(field: Field, rows: Iterable) -> int:
     """Rank over ``field`` of sparse rows with integer entries (``_sparse_blocks``).
 
@@ -698,15 +761,29 @@ def sparse_rank(field: Field, rows: Iterable) -> int:
     ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
     if field.p:
         return ncols - len(_sparse_kernel(blocks, ncols, field.p)[1])
+    return len(_sparse_lift(blocks, ncols)[0])
 
-    def modp(p):
-        K, free = _sparse_kernel(blocks, ncols, p)
-        is_pivot = np.ones(ncols, dtype=bool)
-        is_pivot[free] = False
-        pivots = np.flatnonzero(is_pivot)
-        return pivots.tolist(), free.tolist(), (-K[pivots] % p).tolist()
 
-    pivots, free, _, primes = _lift(modp, lambda kernel: _sparse_vanishes(blocks, kernel))
-    nrows = sum(len(cols) for cols, _ in blocks)
-    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
-    return len(pivots)
+def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int) -> List[List]:
+    """The kernel basis of sparse rows over ncols columns, as ``Matrix.kernel_basis``
+    gives it for the same rows dense: one vector per free column, in order.
+
+    It is read off the kernel that ``sparse_rank`` computes: over GF(p)
+    ``_sparse_kernel`` holds these vectors as its columns, and over QQ
+    ``_lift`` gives the RREF entries at the free columns.
+    """
+    blocks = _sparse_blocks(rows)
+    if field.p:
+        return _sparse_kernel(blocks, ncols, field.p)[0].T.tolist()
+    pivots, free, values = _sparse_lift(blocks, ncols)
+    zero, one = _rat(0), _rat(1)
+    basis = []
+    for k, f in enumerate(free):
+        vec = [zero] * ncols
+        vec[f] = one
+        for pc, row in zip(pivots, values):
+            n, d = row[k]
+            if n:
+                vec[pc] = _rat(-n, d)
+        basis.append(vec)
+    return basis

@@ -4,11 +4,13 @@ from itertools import product
 
 import pytest
 
+from derring.derivations import AlgebraEndo
 from derring.errors import HomomorphismRejected
 from derring.groups import (DihedralEndoParams, FiniteGroup, abelian_group,
                             brute_force_endomorphisms, compose, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms, identity_endomorphism,
                             make_group, parse_word, table_group, word_str)
+from derring.linalg import QQ
 
 
 def test_word_parser():
@@ -243,3 +245,31 @@ def test_words_over_custom_elements():
         assert g.eval_word_of(word, {"k": 9, "h": 2}) == idx
     with pytest.raises(ValueError):
         g.words_over([("h", 2)])  # x^2 alone only reaches the even powers
+
+
+def test_cached_table_and_action_arrays_refuse_writes():
+    g = dihedral_group(4)
+    sigma = endo_from_images(g, {"a": "a^3", "b": "a*b"})
+    algebra = AlgebraEndo.from_group_endo(sigma, QQ)
+    assert g.mul_array.tolist() == g.mul and g.inv_array.tolist() == g.inv
+    # built once: every read returns the same arrays
+    assert g.mul_array is g.mul_array and sigma.action is sigma.action
+    arrays = [g.mul_array, g.inv_array, *sigma.action[:3], *algebra.action[:3]]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+    assert g.mul_array[0, 1] == g.mul[0][1]
+
+
+def test_action_indices_differ_with_the_images():
+    g = dihedral_group(4)
+    endos = enumerate_endomorphisms(g)
+    for side in ("left", "right"):
+        indices = {getattr(e.action, side).tobytes() for e in endos}
+        assert len(indices) == len({e.images for e in endos}) == len(endos)
+    a, b = (endo_from_images(g, {"a": "a", "b": b}) for b in ("b", "a*b"))
+    assert a.group is b.group and a.images != b.images
+    assert (a.action.left != b.action.left).any() and (a.action.right != b.action.right).any()
+    # the same images, built twice, give the same indices
+    again = endo_from_images(g, {"a": "a", "b": "b"})
+    assert (again.action.left == a.action.left).all()

@@ -6,8 +6,9 @@ import pytest
 
 from derring.derivations import derivation_space, derivation_space_full
 from derring.groups import dihedral_group, identity_endomorphism
-from derring.linalg import (GF, QQ, Field, Matrix, _rref_python_mod, parse_field,
-                            rows_full_rank, rref_mod_p, same_row_space, sparse_rank)
+from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, _rref_python_mod,
+                            is_prime, parse_field, rows_full_rank, rref_mod_p, same_row_space,
+                            sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import gauss_jordan
 
@@ -250,3 +251,20 @@ def test_sparse_rational_rank_logs_one_record(caplog):
     # |G|^3 pair rows over |G|^2 unknowns; the kernel entries lift at one prime
     assert record.shape == (512, 64) and record.rank == 64 - dim
     assert record.primes == 1 and record.lifted
+
+
+def test_is_prime_is_exact_and_refuses_past_its_range():
+    assert [n for n in range(3000) if is_prime(n)] == [
+        n for n in range(2, 3000) if all(n % f for f in range(2, int(n ** 0.5) + 1))]
+    # 2^61 - 1 and the least primes past 2^32, 2^63 and 2^64
+    for p in (2 ** 61 - 1, 4294967311, 2 ** 63 + 29, 2 ** 64 + 13):
+        assert is_prime(p) and Field(p).p == p
+    # a Carmichael number, strong pseudoprimes to small bases, and semiprimes
+    for n in (561, 3215031751, 3825123056546413051, 4294967311 * 4294967291,
+              (2 ** 31 - 1) * (2 ** 32 - 5)):
+        assert not is_prime(n)
+    # the least strong pseudoprime to all twelve bases is where exactness ends
+    with pytest.raises(ValueError, match="not decided"):
+        is_prime(_MILLER_RABIN_LIMIT)
+    with pytest.raises(ValueError):
+        parse_field(f"GF({_MILLER_RABIN_LIMIT + 2})")

@@ -31,9 +31,10 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             brute_force_endomorphisms, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word, table_group)
-from derring import linalg
+from derring import derivations, linalg
+from derring.derivations import _act
 from derring.linalg import (GF, QQ, Matrix, _NUMPY_RREF_MAX_P, _rref_python_mod, is_prime,
-                            rows_rank, rref_mod_p, sparse_rank)
+                            rows_rank, rref_mod_p, sparse_kernel_basis, sparse_rank)
 from gauss_jordan import gauss_jordan
 
 PROPERTY = settings(max_examples=12, deadline=None)
@@ -286,6 +287,122 @@ def test_generator_checks_match_full_scans_with_algebra_endomorphisms(kind, fiel
     assert_matches_full_checks(data.draw(variant(D, kind)))
 
 
+# -- the integer checks past int64 -----------------------------------------------
+
+# at 4294967311 an algebra endomorphism's coefficients reach (p - 1)^2 > 2^63 against
+# the table's entries; 2^63 + 29, the least prime past int64, has no int64 residues
+EDGE_PRIMES = (GF(4294967311), GF(2 ** 63 + 29))
+# 31-bit primes: a few of them as denominators put a table's lcm past 2^63
+BIG_DENOMINATORS = (1, 3, 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 32 + 15, 2 ** 32 - 5)
+
+
+@contextmanager
+def chosen_dtypes():
+    """Every dtype that the derivation checks pick for their integer work, in order."""
+    chosen = []
+    real = derivations._exact_dtype
+
+    def spy(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    with mock.patch.object(derivations, "_exact_dtype", spy):
+        yield chosen
+
+
+def big_denominator_elements(group):
+    entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(BIG_DENOMINATORS))
+    return st.lists(entry, min_size=group.order, max_size=group.order).map(
+        lambda c: GroupRingElement(group, QQ, c))
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+@PROPERTY
+@given(st.sampled_from(EDGE_PRIMES + (QQ,)), st.booleans(), st.data())
+def test_integer_checks_past_int64_match_full_scans(kind, field, algebra, data):
+    if algebra:
+        group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    else:
+        group = data.draw(st.sampled_from(GROUPS))
+        maps = endomorphisms(group)
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    beta = data.draw(big_denominator_elements(group) if not field.p else elements(group, field))
+    D = inner_derivation(beta, sigma, tau)
+    assert full_scan_violation(D) is None
+    assert_matches_full_checks(data.draw(variant(D, kind)))
+
+
+# beta's coefficients off the center of D8: the central ones cancel from D_beta
+@pytest.mark.parametrize("field, algebra, beta, dtype", [
+    # coefficients 1 on a table below p: 3 (p - 1) < 2^63
+    (GF(4294967311), False, [1, -2, 3, 0, 5, -1, 7, 2], np.int64),
+    # the sign twist has the coefficient p - 1 on the reflections: (p - 1)^2 > 2^63
+    (GF(4294967311), True, [1, -2, 3, 0, 5, -1, 7, 2], object),
+    (GF(2 ** 63 + 29), False, [1, -2, 3, 0, 5, -1, 7, 2], object),
+    (QQ, False, [1, Fraction(1, 2), 3, 5, Fraction(-2, 3), 0, -1, 2], np.int64),
+    # a common denominator (2^31 - 1)(2^32 - 5) > 2^62 and numerators up to 5 times it
+    (QQ, False, [1, Fraction(1, 2 ** 31 - 1), 3, 5, Fraction(-2, 2 ** 32 - 5), 0, -1, 2],
+     object),
+], ids=["GF(4294967311)-group", "GF(4294967311)-algebra", "GF(2^63+29)", "QQ-small",
+        "QQ-large"])
+def test_integer_checks_leave_int64_at_their_bound(field, algebra, beta, dtype):
+    d8 = dihedral_group(4)
+    endo = endo_from_images(d8, {"a": "a^3", "b": "a*b"})
+    if algebra:
+        endo = _sign_twisted(endo, field)
+    D = inner_derivation(GroupRingElement(d8, field, beta), endo, endo)
+    with chosen_dtypes() as chosen:
+        assert product_rule_violation(D) is None
+    assert chosen[-1] is dtype
+    with chosen_dtypes() as chosen:
+        witness = is_inner(D)
+    assert chosen[-1] is dtype
+    assert tuple(witness.coeffs) == full_system_witness(D)
+    bad = TwistedDerivation(d8, field, endo, endo, D.table[:3] + [D.table[4]] + D.table[4:])
+    assert product_rule_violation(bad) == full_scan_violation(bad) is not None
+    assert is_inner(bad) is None and full_system_witness(bad) is None
+
+
+@PROPERTY
+@given(st.sampled_from((GF(3), GF(4294967311), QQ)), st.booleans(), st.data())
+def test_action_gathers_match_the_term_action(field, algebra, data):
+    if algebra:
+        group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    else:
+        group = data.draw(st.sampled_from(GROUPS))
+        maps = endomorphisms(group)
+    phi = data.draw(st.sampled_from(maps))
+    alpha = data.draw(elements(group, field)).coeffs
+    action = phi.action
+    for g in range(group.order):
+        for left, index in ((True, action.left), (False, action.right)):
+            expected = _act(group, field, phi.terms(g), alpha, left)
+            got = [sum(int(c) * field.coerce(alpha[i]) for c, i in zip(action.coeffs[g], col))
+                   for col in index[g].T]
+            assert [field.coerce(x) * action.scale for x in expected] == \
+                [field.coerce(x) for x in got]
+
+
+def dense_pair_kernel(field, sigma, tau):
+    """The pair oracle's kernel basis from its rows built dense."""
+    (cols, vals), = _pair_constraint_rows(sigma, tau)
+    n = sigma.group.order
+    dense = np.zeros((len(cols), n * n), dtype=np.int64)
+    np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals)
+    return Matrix(field, dense.tolist()).kernel_basis()
+
+
+@pytest.mark.parametrize("group", [dihedral_group(3), cyclic_group(6), Q8_TABLE],
+                         ids=lambda g: g.describe())
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_pair_oracle_basis_is_the_dense_kernel_basis(group, field):
+    endos = endomorphisms(group)
+    for sigma, tau in ((endos[-1], endos[-1]), (endos[-1], identity_endomorphism(group))):
+        dim, basis = derivation_space_full(field, sigma, tau)
+        assert [D.flat() for D in basis] == dense_pair_kernel(field, sigma, tau)
+        assert dim == len(basis) == derivation_space(field, sigma, tau, basis=False)[0]
+
+
 # -- generator data and lazy tables ------------------------------------------------
 
 def ring_elements(D):
@@ -459,6 +576,28 @@ def test_sparse_rank_matches_fraction_elimination(field, system, as_block, chunk
             assert record.primes >= 2
 
 
+@PROPERTY
+@given(st.sampled_from(SPARSE_FIELDS + EDGE_PRIMES[1:]), st.data())
+def test_sparse_kernel_basis_matches_fraction_elimination(field, data):
+    ncols, rows = data.draw(sparse_systems())
+    dense = [[0] * ncols for _ in rows]
+    for row, entries in zip(dense, rows):
+        for c, v in entries:
+            row[c] += v
+    reduced, pivots = gauss_jordan(field, dense)
+    expected = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero()] * ncols
+        vec[f] = field.one()
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field.neg(row[f])
+        expected.append(vec)
+    chunk = data.draw(st.sampled_from([1, 2 ** 5, linalg._SPARSE_CHUNK]))
+    items = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    with mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
+        assert sparse_kernel_basis(field, items, ncols) == expected
+
+
 def pair_rows_reference(sigma, tau):
     """The pair-constraint rows as dicts, one table lookup per entry."""
     G = sigma.group
@@ -620,6 +759,9 @@ def test_trivial_table_group_checks_the_base_pair():
     D = TwistedDerivation(trivial, QQ, e, e, [GroupRingElement.one(trivial, QQ)])
     assert verify_derivation(D) == (0, 0)
     assert derivation_space(QQ, e) == (0, []) == derivation_space_full(QQ, e)
+    # no generator rows: the witness 0 is certified, or refused, on the whole table
+    zero = TwistedDerivation(trivial, QQ, e, e, [GroupRingElement.zero(trivial, QQ)])
+    assert is_inner(zero) == GroupRingElement.zero(trivial, QQ) and is_inner(D) is None
 
 
 IDENTIFIER_NAMED = table_group(dihedral_group(3).mul, ["e", "r", "r2", "s", "rs", "r2s"])
