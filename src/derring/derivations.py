@@ -19,8 +19,10 @@ M D(g h) = D(g) tau(h) + sigma(g) D(h) in integers, reduced mod p over
 GF(p).  Each check runs in int64 while its largest partial sum, at most
 the number of terms times the largest |coefficient| times the largest
 |entry|, stays below 2^63, and in Python ints (numpy ``object``) past
-that; the checks bound it by (M + w) max |entry|, w the largest
-|coefficient| sum of an image of sigma plus one of tau.  Past the bound
+that (``linalg.sum_dtype``); the checks bound it by (M + w) max |entry|,
+w the largest |coefficient| sum of an image of sigma plus one of tau,
+summed exactly (``linalg.row_weight``), since an int64 sum of a few
+coefficients near p wraps once p passes 2^62.  Past the bound
 are actions with coefficients near p over a prime above 2^32, every
 table over a prime above 2^63 (p itself leaves int64), and large
 denominators over QQ.
@@ -37,8 +39,8 @@ from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, action_gathers,
                      first_failing_pair, word_str)
 from .groupring import GroupRingElement
-from .linalg import (Field, Matrix, _exact_dtype, integer_scale, sparse_kernel_basis,
-                     sparse_rank)
+from .linalg import (Field, Matrix, integer_scale, sparse_kernel_basis, sparse_rank,
+                     sum_dtype)
 
 
 class AlgebraEndo:
@@ -319,21 +321,12 @@ def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
     return table
 
 
-def _rescaled(action: Action, factor: int) -> np.ndarray:
-    """An action's coefficients times ``factor``: int64 while every product fits."""
-    if factor == 1:
-        return action.coeffs
-    return action.coeffs.astype(_exact_dtype(action.weight * factor)) * factor
-
-
-def _actions(sigma: EndoLike, tau: EndoLike):
-    """sigma's and tau's actions and their coefficients over one scale M, then M
-    and the largest |coefficient| sum of an image of sigma plus one of tau on it."""
-    s, t = sigma.action, tau.action
-    scale = math.lcm(s.scale, t.scale)
-    fs, ft = scale // s.scale, scale // t.scale
-    return (s, _rescaled(s, fs), t, _rescaled(t, ft), scale,
-            s.weight * fs + t.weight * ft)
+def _actions(sigma: EndoLike, tau: EndoLike) -> Tuple[Action, Action, int, int]:
+    """sigma's and tau's actions over one common scale M, then M and their weight
+    on it: the largest |coefficient| sum of an image of sigma plus one of tau."""
+    scale = math.lcm(sigma.action.scale, tau.action.scale)
+    s, t = sigma.action.on_scale(scale), tau.action.on_scale(scale)
+    return s, t, scale, s.weight + t.weight
 
 
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
@@ -343,15 +336,14 @@ def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     over D's integer table T (see the module notes): for every pair,
     sum_j ct[h, j] T[g, right[h, j]] + sum_j cs[g, j] T[h, left[g, j]]
     against M T[g h].  int64 holds while (M + the actions' weight) max |T|
-    < 2^63.
+    < 2^63 and p < 2^63 (``sum_dtype``).
     """
     G, F = D.group, D.field
     n, p, mul = G.order, F.p, G.mul_array
-    sig, cs, tau, ct, scale, weight = _actions(D.sigma, D.tau)
+    sig, tau, scale, weight = _actions(D.sigma, D.tau)
+    cs, ct = sig.coeffs, tau.coeffs
     ints, _ = D.integer_table()
-    # the reduction mod p needs p itself in the dtype
-    T = np.array(ints, dtype=_exact_dtype(max((scale + weight) * max(map(abs, ints)), p)))
-    T = T.reshape(n, n)
+    T = np.array(ints, dtype=sum_dtype(scale + weight, max(map(abs, ints)), p)).reshape(n, n)
 
     def fails(gs, hs):
         gs, hs = np.asarray(gs), np.asarray(hs)
@@ -396,10 +388,11 @@ def inner_block(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray,
     indices.  Returns cols, vals, the actions' common scale M and their
     weight on it, which bounds the sum of |vals| in a row.
     """
-    sig, cs, tau, ct, scale, weight = _actions(sigma, tau)
+    sig, tau, scale, weight = _actions(sigma, tau)
     n = sigma.group.order
     cols = np.concatenate([tau.right, sig.left], axis=1).transpose(0, 2, 1).reshape(n * n, -1)
-    return cols, np.repeat(np.concatenate([ct, -cs], axis=1), n, axis=0), scale, weight
+    vals = np.concatenate([tau.coeffs, -sig.coeffs], axis=1)
+    return cols, np.repeat(vals, n, axis=0), scale, weight
 
 
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
@@ -429,8 +422,7 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
         return None
     beta, lb = integer_scale(solution)
     table, ld = D.integer_table()
-    dtype = _exact_dtype(max(ld * weight * max(map(abs, beta))
-                             + scale * lb * max(map(abs, table)), p))
+    dtype = sum_dtype(ld * weight, max(map(abs, beta)), p, scale * lb * max(map(abs, table)))
     image = (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
     table = np.array(table, dtype=dtype)
     if p:

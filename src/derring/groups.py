@@ -20,11 +20,12 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import HomomorphismRejected
+from .linalg import row_weight, sum_dtype
 
 # a word is a sequence of (generator name, +1 | -1) letters
 Word = Tuple[Tuple[str, int], ...]
@@ -75,11 +76,15 @@ def _identity_of(mul: Sequence[Sequence[int]]) -> int:
     raise ValueError("multiplication table has no identity")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, set to refuse writes."""
+    a.flags.writeable = False
+    return a
+
+
 def _frozen(data) -> np.ndarray:
     """An int64 array of ``data`` that refuses writes."""
-    out = np.array(data, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array(data, dtype=np.int64))
 
 
 class FiniteGroup:
@@ -450,37 +455,63 @@ def first_failing_pair(group: FiniteGroup,
     return None
 
 
-class Action(NamedTuple):
+class Action:
     """An endomorphism phi of FG acting by multiplication, as gathers.
 
     phi(g) is the sum over j of (coeffs[g, j] / scale) u_j, the coeffs
-    integers (padding terms have coefficient 0).  Multiplying by u moves
-    the coefficient at v to u v (left) or v u (right), so, read through
-    u^-1, scale (phi(g) alpha)[k] is the sum over j of
-    coeffs[g, j] alpha[left[g, j, k]], and scale (alpha phi(g))[k] that of
-    coeffs[g, j] alpha[right[g, j, k]].  The arrays are read-only; weight,
+    integers (padding terms have coefficient 0) and back[g, j] = u_j^-1.
+    Multiplying by u moves the coefficient at v to u v (left) or v u
+    (right), so, read through u^-1, scale (phi(g) alpha)[k] is the sum over
+    j of coeffs[g, j] alpha[left[g, j, k]], and scale (alpha phi(g))[k]
+    that of coeffs[g, j] alpha[right[g, j, k]].  ``left`` and ``right``,
+    each (|G|, W, |G|), are built on first read, since the checks read only
+    sigma's left and tau's right.  Every array is read-only; ``weight``,
     the largest sum of |coeffs| over one image, bounds integer work on them.
     """
 
-    left: np.ndarray     # (|G|, W, |G|): u_j^-1 k
-    right: np.ndarray    # (|G|, W, |G|): k u_j^-1
-    coeffs: np.ndarray   # (|G|, W): int64 while every entry fits, else Python ints
-    scale: int
-    weight: int
+    __slots__ = ("group", "back", "coeffs", "scale", "weight", "_left", "_right")
+
+    def __init__(self, group: FiniteGroup, back: np.ndarray, coeffs: np.ndarray,
+                 scale: int, weight: int):
+        self.group, self.back, self.coeffs = group, back, coeffs
+        self.scale, self.weight = scale, weight
+        self._left: Optional[np.ndarray] = None
+        self._right: Optional[np.ndarray] = None
+
+    @property
+    def left(self) -> np.ndarray:
+        """left[g, j, k] = u_j^-1 k."""
+        if self._left is None:
+            self._left = _read_only(self.group.mul_array[self.back])
+        return self._left
+
+    @property
+    def right(self) -> np.ndarray:
+        """right[g, j, k] = k u_j^-1."""
+        if self._right is None:
+            self._right = _read_only(np.ascontiguousarray(
+                np.moveaxis(self.group.mul_array[:, self.back], 0, -1)))
+        return self._right
+
+    def on_scale(self, scale: int) -> "Action":
+        """The same action with its coefficients over ``scale``, a multiple of its own."""
+        if scale == self.scale:
+            return self
+        factor = scale // self.scale
+        coeffs = self.coeffs.astype(sum_dtype(self.weight, factor)) * factor
+        out = Action(self.group, self.back, _read_only(coeffs), scale, self.weight * factor)
+        out._left, out._right = self._left, self._right
+        return out
 
 
 def action_gathers(group: FiniteGroup, units, coeffs, scale: int = 1) -> Action:
-    """The ``Action`` whose image of g has the terms units[g][j] with coeffs[g][j]."""
-    mul, inv = group.mul_array, group.inv_array
-    back = inv[np.asarray(units, dtype=np.int64)]
-    try:
-        coeffs = np.array(coeffs, dtype=np.int64)
-    except OverflowError:
-        coeffs = np.array(coeffs, dtype=object)
-    arrays = (mul[back], np.ascontiguousarray(np.moveaxis(mul[:, back], 0, -1)), coeffs)
-    for a in arrays:
-        a.flags.writeable = False
-    return Action(*arrays, scale, int(np.abs(coeffs).sum(axis=1).max(initial=0)))
+    """The ``Action`` whose image of g has the terms units[g][j] with coeffs[g][j];
+    the coefficients are int64 while each image's |coefficient| sum is below 2^63."""
+    exact = np.array(coeffs, dtype=object)
+    weight = row_weight(exact)
+    coeffs = exact.astype(sum_dtype(weight, 1))
+    back = group.inv_array[np.asarray(units, dtype=np.int64)]
+    return Action(group, _read_only(back), _read_only(coeffs), scale, weight)
 
 
 def _dihedral_tags(group: FiniteGroup,

@@ -226,14 +226,16 @@ class Matrix:
         """The rows of one (cols, vals) block (see ``_sparse_blocks``), dense.
 
         Row i adds vals[i, j] at column cols[i, j]; over GF(p) each entry is
-        reduced into the field, over QQ the integers are exact entries.
+        reduced into the field, over QQ the integers are exact entries.  An
+        entry is at most a row's sum of |vals|, which picks the dtype.
         """
-        dense = np.zeros((len(cols), ncols), dtype=vals.dtype)
+        dense = np.zeros((len(cols), ncols), dtype=sum_dtype(row_weight(vals), 1, field.p))
+        vals = vals.astype(dense.dtype, copy=False)
         rows = np.arange(len(cols))
         for j in range(cols.shape[1]):
             dense[rows, cols[:, j]] += vals[:, j]
         if field.p:
-            dense = dense.astype(_exact_dtype(field.p), copy=False) % field.p
+            dense %= field.p
         m = cls(field, dense.tolist(), coerce=False)
         m.cols = ncols
         return m
@@ -519,19 +521,37 @@ def _integer_kernel(pivots: List[int], free: List[int],
     return kernel
 
 
-def _exact_dtype(bound: int):
-    """int64 for integer work whose partial sums stay below ``bound``, else Python ints."""
-    return np.int64 if bound < 2 ** 63 else object
+def row_weight(rows) -> int:
+    """The largest sum of |entries| over a row of integer rows, exact.
+
+    numpy sums only where no row's sum can reach 2^63, since an int64 sum
+    past it wraps; otherwise the sums are Python ints.
+    """
+    rows = np.asarray(rows)
+    if not rows.size:
+        return 0
+    if rows.dtype != object:
+        top = max(int(rows.max()), -int(rows.min()))
+        if top * rows.shape[1] < 2 ** 63:
+            return int(np.abs(rows).sum(axis=1).max())
+    return max(sum(abs(int(c)) for c in row) for row in rows.tolist())
+
+
+def sum_dtype(weight: int, top: int, p: int = 0, extra: int = 0):
+    """The dtype of exact integer work on sums of terms c x, then reduced mod p.
+
+    Every partial sum is at most weight top + extra, where the |c| of a
+    sum add up to at most ``weight``, |x| <= ``top`` and ``extra`` bounds
+    whatever else is added; int64 while that and p stay below 2^63, else
+    Python ints (numpy ``object``).
+    """
+    return np.int64 if max(weight * top + extra, p) < 2 ** 63 else object
 
 
 def _dense_vanishes(ints: List[List[int]], kernel: List[List[int]]) -> bool:
-    """Whether A K = 0 exactly for integer rows A.
-
-    int64 when each row's sum of |A| times the largest |K| entry is below
-    2^63, so that no partial sum can overflow, and Python ints otherwise.
-    """
+    """Whether A K = 0 exactly for integer rows A, int64 when ``sum_dtype`` allows."""
     kmax = max(max(map(abs, row)) for row in kernel)
-    dtype = _exact_dtype(max(sum(map(abs, row)) for row in ints) * kmax)
+    dtype = sum_dtype(max(sum(map(abs, row)) for row in ints), kmax)
     return not (np.array(ints, dtype=dtype) @ np.array(kernel, dtype=dtype)).any()
 
 
@@ -726,7 +746,7 @@ def _sparse_vanishes(blocks, kernel: List[List[int]]) -> bool:
     """Whether A K = 0 exactly over every sparse row, in chunks, int64 when safe."""
     kmax = max(max(map(abs, row)) for row in kernel)
     for cols, vals in blocks:
-        dtype = _exact_dtype(int(abs(vals).sum(axis=1).max()) * kmax)
+        dtype = sum_dtype(row_weight(vals), kmax)
         K, vals = np.array(kernel, dtype=dtype), vals.astype(dtype)
         step = max(1, _SPARSE_CHUNK // K.shape[1])
         for start in range(0, len(cols), step):

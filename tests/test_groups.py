@@ -254,11 +254,17 @@ def test_cached_table_and_action_arrays_refuse_writes():
     assert g.mul_array.tolist() == g.mul and g.inv_array.tolist() == g.inv
     # built once: every read returns the same arrays
     assert g.mul_array is g.mul_array and sigma.action is sigma.action
-    arrays = [g.mul_array, g.inv_array, *sigma.action[:3], *algebra.action[:3]]
+    arrays = [g.mul_array, g.inv_array]
+    for action in (sigma.action, algebra.action, algebra.action.on_scale(6)):
+        arrays += [action.back, action.left, action.right, action.coeffs]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1
     assert g.mul_array[0, 1] == g.mul[0][1]
+    # a side is built only when read
+    phi = endo_from_images(g, {"a": "a", "b": "a^2*b"})
+    assert phi.action.left[:, 0].tolist() == [g.mul[g.inv[u]] for u in phi.images]
+    assert phi.action._right is None
 
 
 def test_action_indices_differ_with_the_images():

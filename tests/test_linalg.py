@@ -7,8 +7,8 @@ import pytest
 from derring.derivations import derivation_space, derivation_space_full
 from derring.groups import dihedral_group, identity_endomorphism
 from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, _rref_python_mod,
-                            is_prime, parse_field, rows_full_rank, rref_mod_p, same_row_space,
-                            sparse_rank)
+                            is_prime, parse_field, row_weight, rows_full_rank, rref_mod_p,
+                            same_row_space, sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import gauss_jordan
 
@@ -193,6 +193,20 @@ def test_sparse_rank_matches_dense(field):
         expected = len(gauss_jordan(field, dense)[1])
         sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
         assert sparse_rank(field, sparse_rows) == expected
+
+
+def test_row_weight_and_from_block_are_exact_past_int64():
+    big = 2 ** 62
+    vals = np.array([[big, big, -big], [1, -2, 0]], dtype=np.int64)
+    # each entry fits int64, the first row's |vals| sum does not
+    assert row_weight(vals) == 3 * big
+    assert row_weight(vals.astype(object)) == 3 * big
+    assert row_weight(np.zeros((0, 3), dtype=np.int64)) == 0
+    cols = np.array([[0, 0, 1], [0, 1, 2]])
+    assert Matrix.from_block(QQ, cols, vals, 3).data == [[2 * big, -big, 0], [1, -2, 0]]
+    p = 2 ** 63 - 25
+    assert Matrix.from_block(GF(p), cols, vals, 3).data == [
+        [2 * big % p, -big % p, 0], [1, p - 2, 0]]
 
 
 def test_rref_is_reduced():

@@ -290,8 +290,10 @@ def test_generator_checks_match_full_scans_with_algebra_endomorphisms(kind, fiel
 # -- the integer checks past int64 -----------------------------------------------
 
 # at 4294967311 an algebra endomorphism's coefficients reach (p - 1)^2 > 2^63 against
-# the table's entries; 2^63 + 29, the least prime past int64, has no int64 residues
-EDGE_PRIMES = (GF(4294967311), GF(2 ** 63 + 29))
+# the table's entries; at 2^63 - 25, the largest prime below 2^63, every residue fits
+# int64 but the C4 map's four coefficients near p/2 add up past 2^63; 2^63 + 29, the
+# least prime past int64, has no int64 residues
+EDGE_PRIMES = (GF(4294967311), GF(2 ** 63 - 25), GF(2 ** 63 + 29))
 # 31-bit primes: a few of them as denominators put a table's lcm past 2^63
 BIG_DENOMINATORS = (1, 3, 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 32 + 15, 2 ** 32 - 5)
 
@@ -300,13 +302,13 @@ BIG_DENOMINATORS = (1, 3, 2 ** 31 - 1, 2 ** 31 + 11, 2 ** 32 + 15, 2 ** 32 - 5)
 def chosen_dtypes():
     """Every dtype that the derivation checks pick for their integer work, in order."""
     chosen = []
-    real = derivations._exact_dtype
+    real = derivations.sum_dtype
 
-    def spy(bound):
-        chosen.append(real(bound))
+    def spy(*bound):
+        chosen.append(real(*bound))
         return chosen[-1]
 
-    with mock.patch.object(derivations, "_exact_dtype", spy):
+    with mock.patch.object(derivations, "sum_dtype", spy):
         yield chosen
 
 
@@ -361,6 +363,30 @@ def test_integer_checks_leave_int64_at_their_bound(field, algebra, beta, dtype):
     bad = TwistedDerivation(d8, field, endo, endo, D.table[:3] + [D.table[4]] + D.table[4:])
     assert product_rule_violation(bad) == full_scan_violation(bad) is not None
     assert is_inner(bad) is None and full_system_witness(bad) is None
+
+
+@pytest.mark.parametrize("field", EDGE_PRIMES, ids=repr)
+def test_multi_term_algebra_endomorphism_at_large_primes(field):
+    c4, (u_map, shift) = algebra_endos(field)[1]
+    # each image of x -> u has coefficients near p/2 whose sum is about 2p
+    assert u_map.action.weight == max(sum(map(int, img.coeffs)) for img in u_map.ring_images)
+    assert (u_map.action.weight > 2 ** 63) == (field.p > 2 ** 62)
+    beta = GroupRingElement(c4, field, [1, -2, 3, 5])
+    for sigma, tau in ((u_map, u_map), (u_map, shift), (shift, u_map)):
+        # D_beta is 0 for sigma = tau on the commutative C4
+        D = inner_derivation(beta, sigma, tau)
+        with chosen_dtypes() as chosen:
+            assert_matches_full_checks(D)
+        assert chosen[0] is object or sigma is tau
+        for g, t in ((1, 0), (3, 2)):
+            table = list(D.table)
+            coeffs = list(table[g].coeffs)
+            coeffs[t] = field.add(coeffs[t], 1)
+            table[g] = GroupRingElement(c4, field, coeffs, coerce=False)
+            with chosen_dtypes() as chosen:
+                assert_matches_full_checks(TwistedDerivation(c4, field, sigma, tau, table))
+            # past 2^62 the weight alone, times an entry of 1, is past int64
+            assert chosen[0] is object or field.p < 2 ** 62
 
 
 @PROPERTY
