@@ -37,42 +37,66 @@ from .reference import (MATRIX_DIFF_ALLOWED, MATRIX_TABLE_IDS, TABLE_IDS, RowChe
                         matrix_diff, reproduce_dihedral, reproduce_table)
 
 
+def _checked(key: str, value, kind: type, what: str, items: type = object):
+    """The spec entry ``value``, refused with a ValueError naming ``key``
+    unless it is a ``kind`` whose values (a dict's) or elements are ``items``."""
+    inside = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or not all(isinstance(x, items) for x in inside):
+        raise ValueError(f"{key!r} must be {what}, not {value!r}")
+    return value
+
+
+def _image_map(key: str, images) -> Dict[str, str]:
+    return _checked(key, images, dict, "a map from generator names to strings", str)
+
+
 class Job:
-    """A resolved job spec."""
+    """A resolved job spec; an entry of the wrong JSON type is a ValueError."""
 
     def __init__(self, raw: Dict, field_override: Optional[str] = None,
                  sigma_override: Optional[str] = None):
+        if not isinstance(raw, dict):
+            raise ValueError(f"a spec must be a JSON object, not {raw!r}")
         if "group" not in raw:
             raise ValueError("spec needs a 'group' entry")
-        self.group = make_group(raw["group"])
+        self.group = make_group(_checked("group", raw["group"], dict,
+                                         'an object such as {"family": "dihedral", "n": 6}'))
         field_spec = field_override or raw.get("field", "QQ")
         self.field = parse_field(field_spec)
         sigma_spec = raw.get("sigma")
         if sigma_override is not None:
             sigma_spec = json.loads(sigma_override)
         if sigma_spec is not None:
-            self.sigma = endo_from_images(self.group, sigma_spec)
+            self.sigma = endo_from_images(self.group, _image_map("sigma", sigma_spec))
         else:
             self.sigma = identity_endomorphism(self.group)
         if "tau" in raw:
-            self.tau = endo_from_images(self.group, raw["tau"])
+            self.tau = endo_from_images(self.group, _image_map("tau", raw["tau"]))
         else:
             self.tau = self.sigma
         self.derivation_spec = raw.get("derivation")
+        if self.derivation_spec is not None:
+            _checked("derivation", self.derivation_spec, dict,
+                     "an object with 'images' or 'power_seed'")
         self.subset_words = raw.get("subset")
+        if self.subset_words is not None:
+            _checked("subset", self.subset_words, list, "a list of element words", str)
 
     def derivation(self):
         if self.derivation_spec is None:
             raise ValueError("spec has no 'derivation' entry")
         if "images" in self.derivation_spec:
+            texts = _image_map("images", self.derivation_spec["images"])
             images = {name: parse_element(self.group, self.field, text)
-                      for name, text in self.derivation_spec["images"].items()}
+                      for name, text in texts.items()}
             return extend_from_generators(images, self.sigma, self.tau)
         if "power_seed" in self.derivation_spec:
             if self.tau is not self.sigma:
                 raise ValueError("power seeds require tau = sigma")
-            seed = parse_element(self.group, self.field, self.derivation_spec["power_seed"])
-            return cyclic_power_derivation(self.group, self.sigma, seed)
+            seed = _checked("power_seed", self.derivation_spec["power_seed"], str,
+                            "an element string")
+            return cyclic_power_derivation(self.group, self.sigma,
+                                           parse_element(self.group, self.field, seed))
         raise ValueError("derivation spec needs 'images' or 'power_seed'")
 
     def subset_indices(self) -> List[int]:

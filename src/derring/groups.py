@@ -408,17 +408,30 @@ def _greedy_generators(mul, names, identity: int) -> List[Tuple[str, int]]:
     return [(names[g], g) for g in chosen]
 
 
+def _spec_int(key: str, x) -> int:
+    """A group spec's integer entry; other JSON types are a ValueError naming ``key``."""
+    if not isinstance(x, bool) and isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"group entry {key!r} must be an integer, not {x!r}")
+
+
 def make_group(spec) -> FiniteGroup:
     """Build a group from a spec dict like {'family': 'dihedral', 'n': 6}."""
     if isinstance(spec, FiniteGroup):
         return spec
     family = spec["family"]
     if family == "cyclic":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(_spec_int("n", spec["n"]))
     if family == "dihedral":
-        return dihedral_group(int(spec["n"]))
+        return dihedral_group(_spec_int("n", spec["n"]))
     if family == "abelian":
-        return abelian_group([int(f) for f in spec["factors"]])
+        factors = spec["factors"]
+        if not isinstance(factors, list):
+            raise ValueError(f"group entry 'factors' must be a list of integers, not {factors!r}")
+        return abelian_group([_spec_int("factors", f) for f in factors])
     if family == "table":
         return table_group(spec["table"], spec.get("names"), spec.get("generators"))
     raise ValueError(f"unknown group family {family!r}")

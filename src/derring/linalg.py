@@ -4,14 +4,15 @@ Scalars are plain Python ints (always reduced mod p) for GF(p) and
 arbitrary-precision rationals for the rational field, so every result in
 the toolkit is exact; there is no floating point anywhere.
 
-Every row reduction runs one kernel: Gauss-Jordan mod a prime on integer
-rows, first-nonzero pivoting.  It is numpy int64 arithmetic for systems of
-at least ``_NUMPY_RREF_THRESHOLD`` entries while (p - 1)^2 < 2^63, and a
-Python-int loop otherwise.  Over GF(p) that is the whole story.  Over the
-rationals each row is scaled to integers (which keeps the RREF), reduced
-mod 2^31 - 1, and the entries at the free columns are recovered by
-rational reconstruction, combining further primes (taken downward) by CRT
-while reconstruction or the certificate fails.  The certificate is the
+Every row reduction runs one kernel, ``rref_mod_p``: Gauss-Jordan mod a
+prime on rows of residues, first-nonzero pivoting, in Python ints, so it
+is exact for every p.  Each step touches only the nonzero columns of the
+pivot row, and the systems derring builds are sparse.  Over GF(p) that
+is the whole story.  Over the rationals each row is scaled to integers
+(which keeps the RREF), reduced mod 2^31 - 1, and the entries at the
+free columns are recovered by rational reconstruction, combining further
+primes (taken downward) by CRT while reconstruction or the certificate
+fails.  The certificate is the
 exact integer product A K = 0, K the kernel vectors read off the
 candidate RREF.  K is the identity on the non-pivot columns, so it has
 full rank n - r_p and A K = 0 gives rank A <= r_p; a rank mod p never
@@ -187,12 +188,6 @@ def parse_field(spec) -> Field:
     raise ValueError(f"cannot parse field spec {spec!r}")
 
 
-# numpy RREF mod p is only worth its setup cost on larger systems
-_NUMPY_RREF_THRESHOLD = 2048
-# largest p whose products of two residues, (p - 1)^2, fit in int64
-_NUMPY_RREF_MAX_P = math.isqrt(2 ** 63 - 1) + 1
-
-
 class Matrix:
     """Dense row-major matrix over a single exact field.
 
@@ -286,7 +281,7 @@ class Matrix:
         """Reduced row echelon form and its pivot columns (see the module notes)."""
         p = self.field.p
         if p:
-            data, pivots = _rref_mod(self.data, self.cols, p)
+            data, pivots = _rref_mod(self.data, p)
         else:
             data, pivots = _rref_rational(self.data, self.cols)
         return Matrix(self.field, data, coerce=False), tuple(pivots)
@@ -294,7 +289,7 @@ class Matrix:
     def rank(self) -> int:
         if not self.field.p and self.rows:
             # r_p <= r_QQ <= min(rows, cols), so a full rank mod p needs no lift
-            _, pivots = _rref_mod(_integer_rows(self.data), self.cols, _FIRST_PRIME)
+            _, pivots = _rref_mod(_integer_rows(self.data), _FIRST_PRIME)
             if len(pivots) == min(self.rows, self.cols):
                 _log_rational((self.rows, self.cols), len(pivots), 1, lifted=False)
                 return len(pivots)
@@ -364,41 +359,11 @@ def rows_full_rank(field: Field, rows: Sequence[Sequence], expected: int) -> boo
     return Matrix(field, rows, coerce=False).rank() == expected
 
 
-def rref_mod_p(a: "np.ndarray", p: int) -> List[int]:
-    """In-place RREF of an int64 numpy array mod p; returns pivot columns.
-
-    Exact only while (p - 1)^2 fits in int64; larger p is refused.
-    """
-    if p > _NUMPY_RREF_MAX_P:
-        raise ValueError(f"rref_mod_p needs (p - 1)^2 < 2^63, got p = {p}")
-    nrows, ncols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        lead = int(a[r, c])
-        if lead != 1:
-            a[r] = (a[r] * pow(lead, -1, p)) % p
-        hit = np.nonzero(a[:, c])[0]
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(a[hit, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _rref_python_mod(m: List[List[int]], p: int) -> List[int]:
+def rref_mod_p(m: List[List[int]], p: int) -> List[int]:
     """In-place RREF of rows of residues mod p; returns pivot columns.
 
-    Each elimination step touches only the nonzero columns of the pivot row.
+    Python ints, so exact for every prime p.  Each elimination step
+    touches only the nonzero columns of the pivot row.
     """
     nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: List[int] = []
@@ -426,27 +391,10 @@ def _rref_python_mod(m: List[List[int]], p: int) -> List[int]:
     return pivots
 
 
-def _rref_mod(rows, ncols: int, p: int):
-    """RREF mod p of integer rows and its pivots.
-
-    ``rows`` is a list of integer rows, left unchanged, or an array of
-    residues mod p, which may be overwritten; the RREF comes back as the
-    same kind.  numpy runs systems of at least ``_NUMPY_RREF_THRESHOLD``
-    entries while (p - 1)^2 < 2^63; the Python-int loop runs the rest.
-    """
-    numpy = p <= _NUMPY_RREF_MAX_P and len(rows) * ncols >= _NUMPY_RREF_THRESHOLD
-    if isinstance(rows, np.ndarray):
-        if numpy:
-            return rows, rref_mod_p(rows, p)
-        m = rows.tolist()
-        pivots = _rref_python_mod(m, p)
-        return np.array(m, dtype=rows.dtype), pivots
+def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
+    """RREF mod p of integer rows, which are left unchanged, and its pivots."""
     m = [[x % p for x in row] for row in rows]
-    if numpy:
-        a = np.array(m, dtype=np.int64)
-        pivots = rref_mod_p(a, p)
-        return a.tolist(), pivots
-    return m, _rref_python_mod(m, p)
+    return m, rref_mod_p(m, p)
 
 
 # the first prime of the rational engine; further primes are taken below it
@@ -597,7 +545,7 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], Li
         return [], []
 
     def modp(p):
-        reduced, found = _rref_mod(ints, ncols, p)
+        reduced, found = _rref_mod(ints, p)
         taken = set(found)
         free = [c for c in range(ncols) if c not in taken]
         return found, free, [[row[f] for f in free] for row in reduced[:len(found)]]
@@ -702,17 +650,17 @@ def _sparse_kernel(blocks, ncols: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
     K starts as the identity.  Each chunk of rows is multiplied into it,
     R = rows K, a gather of K's rows by column index, and the nonzero rows
-    of R are row-reduced by ``_rref_mod``; with P the pivots of R and N its
-    RREF, K becomes K - K[:, P] N without the columns P.  N is zero left of
-    each pivot, so each column of K stays supported on its free column and
-    the pivots left of it: K is the identity on the free columns and minus
-    the RREF of all the rows at the pivots, which are the first-nonzero
-    pivots.  Arithmetic is int64 while (p - 1)^2 < 2^63, and Python ints
-    past that; a gather is reduced after every term when a row's sum of
-    |vals| (symmetric residues) times p - 1 could reach 2^63.  Rows stop
-    being read once the kernel is 0.
+    of R, as lists, are row-reduced by ``rref_mod_p``; with P the pivots of
+    R and N its RREF, K becomes K - K[:, P] N without the columns P.  N is
+    zero left of each pivot, so each column of K stays supported on its
+    free column and the pivots left of it: K is the identity on the free
+    columns and minus the RREF of all the rows at the pivots, which are the
+    first-nonzero pivots.  K is int64 while (p - 1)^2 < 2^63
+    (``sum_dtype``), and Python ints past that; a gather is reduced after
+    every term when a row's sum of |vals| (symmetric residues) times p - 1
+    could reach 2^63.  Rows stop being read once the kernel is 0.
     """
-    dtype = np.int64 if p <= _NUMPY_RREF_MAX_P else object
+    dtype = sum_dtype(p - 1, p - 1)
     K = np.eye(ncols, dtype=dtype)
     free = np.arange(ncols)
     for cols, vals in blocks:
@@ -729,12 +677,13 @@ def _sparse_kernel(blocks, ncols: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
             R = R[R.any(axis=1)]
             if not len(R):
                 continue
-            N, P = _rref_mod(R, len(free), p)
+            N = R.tolist()
+            P = rref_mod_p(N, p)
             if not P:
                 continue
             keep = np.ones(len(free), dtype=bool)
             keep[P] = False
-            KP, K, N = K[:, P], K[:, keep], N[:len(P), keep]
+            KP, K, N = K[:, P], K[:, keep], np.array(N[:len(P)], dtype=dtype)[:, keep]
             hit = np.flatnonzero(KP.any(axis=1))
             for rows in np.array_split(hit, max(1, len(hit) * K.shape[1] // _SPARSE_CHUNK)):
                 K[rows] = (K[rows] - _matmul_mod(KP[rows], N, p)) % p

@@ -71,6 +71,23 @@ def test_malformed_spec_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+D8 = {"family": "dihedral", "n": 4}
+
+
+# an entry of the wrong JSON type is malformed input (2), not a fault in derring (3)
+@pytest.mark.parametrize("spec, key", [
+    ({"group": "dihedral"}, "'group'"),
+    ({"group": {"family": "dihedral", "n": [4]}}, "'n'"),
+    ({"group": D8, "sigma": {"a": 3, "b": "b"}}, "'sigma'"),
+    ({"group": D8, "derivation": {"images": {"a": 1, "b": "0"}}}, "'images'"),
+    ({"group": D8, "subset": "ab"}, "'subset'"),
+])
+def test_wrongly_typed_spec_exits_2(tmp_path, capsys, spec, key):
+    assert main(["validate", write_spec(tmp_path, spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and key in err
+
+
 @pytest.mark.parametrize("field, literal", [("QQ", "1/0"), ("GF(3)", "1/3")])
 def test_zero_denominator_is_a_spec_error(tmp_path, capsys, field, literal):
     spec = {"group": {"family": "dihedral", "n": 4}, "field": field,

@@ -6,9 +6,8 @@ import pytest
 
 from derring.derivations import derivation_space, derivation_space_full
 from derring.groups import dihedral_group, identity_endomorphism
-from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, _rref_python_mod,
-                            is_prime, parse_field, row_weight, rows_full_rank, rref_mod_p,
-                            same_row_space, sparse_rank)
+from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, is_prime, parse_field,
+                            row_weight, rows_full_rank, rref_mod_p, same_row_space, sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import gauss_jordan
 
@@ -218,9 +217,9 @@ def test_rref_is_reduced():
         assert all(col[i] == 0 for i in range(r.rows) if i != idx)
 
 
-# 2^31 - 1 takes the numpy path, checked against the Python-int loop too;
-# 4294967311 > 2^32 has (p - 1)^2 >= 2^63
-@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311])
+# 2^31 - 1 is the rational engine's first prime; from 4294967311 on the
+# products (p - 1)^2 pass 2^63, and 2^63 + 29 itself does not fit in int64
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 4294967311, 2 ** 63 + 29])
 def test_rref_paths_agree_at_large_primes(p):
     rng = random.Random(p)
     F = GF(p)
@@ -230,14 +229,8 @@ def test_rref_paths_agree_at_large_primes(p):
     reduced, pivots = gauss_jordan(F, m.data)
     assert len(pivots) == 20
     assert m.rref() == (Matrix(F, reduced, coerce=False), pivots)
-    if (p - 1) ** 2 < 2 ** 63:
-        rows = [list(row) for row in m.data]
-        assert tuple(_rref_python_mod(rows, p)) == pivots and rows == reduced
-        a = np.array(m.data, dtype=np.int64)
-        assert tuple(rref_mod_p(a, p)) == pivots and a.tolist() == reduced
-    else:
-        with pytest.raises(ValueError):
-            rref_mod_p(np.array(m.data, dtype=np.int64), p)
+    rows = [list(row) for row in m.data]
+    assert tuple(rref_mod_p(rows, p)) == pivots and rows == reduced
 
 
 def test_rational_elimination_logs_its_primes(caplog):
