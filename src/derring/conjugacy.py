@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from .derivations import TwistedDerivation, inner_block, inner_derivation
+from .derivations import TwistedDerivation, block_rows, inner_block
 from .groups import Endomorphism, FiniteGroup
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, rows_full_rank, sparse_rank
@@ -129,20 +129,27 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                 field: Field) -> List[TwistedDerivation]:
     """The inner-derivation basis D_g, g over non-singleton classes minus reps.
 
-    Exactly |G| - r derivations; their independence is rank-checked on the
-    generator columns, which is exact because a derivation vanishing on
-    the generators vanishes everywhere.
+    Exactly |G| - r derivations.  D_g's generator images are column g of
+    the system that ``is_inner`` solves (group maps act over the scale 1),
+    rank-checked for independence, which is exact because a derivation
+    vanishing on the generators vanishes everywhere.
     """
     partition = twisted_classes(group, sigma, tau)
     members = []
     for cls in partition.classes[partition.singleton_count:]:
         rep = cls[0]
         members.extend(g for g in cls if g != rep)
-    out = [inner_derivation(GroupRingElement.basis(group, field, g), sigma, tau)
-           for g in members]
-    expected = group.order - partition.r
-    if len(out) != expected:
+    if len(members) != group.order - partition.r:
         raise AssertionError("class bookkeeping lost derivations")
-    if out and not rows_full_rank(field, [D.generator_flat() for D in out], expected):
+    n = group.order
+    spans = [(name, slice(k * n, (k + 1) * n)) for k, (name, _) in enumerate(group.generators)]
+    cols, vals, _, _ = inner_block(sigma, tau)
+    rows = block_rows([s for _, s in group.generators], n)
+    columns = list(zip(*Matrix.from_block(field, cols[rows], vals[rows], n).data))
+    columns = [list(columns[g]) for g in members]
+    if columns and not rows_full_rank(field, columns, len(members)):
         raise AssertionError("inner derivation basis is not independent")
-    return out
+    return [TwistedDerivation(group, field, sigma, tau, provenance="inner",
+                              witness=GroupRingElement.basis(group, field, g),
+                              images={name: col[span] for name, span in spans})
+            for g, col in zip(members, columns)]

@@ -11,21 +11,19 @@ the one extension path.  The pair solver ``derivation_space_full``
 treats all group images as unknowns constrained by every product pair
 and is kept only as an oracle against it.
 
-The product rule (``product_rule_violation``) and the certificate of
-``is_inner`` are integer-array gathers through sigma's and tau's cached
-``Action`` indices.  D's table is put over one common denominator (1 over
-GF(p)) and the actions' coefficients over another, M; the rule is then
-M D(g h) = D(g) tau(h) + sigma(g) D(h) in integers, reduced mod p over
-GF(p).  Each check runs in int64 while its largest partial sum, at most
-the number of terms times the largest |coefficient| times the largest
-|entry|, stays below 2^63, and in Python ints (numpy ``object``) past
-that (``linalg.sum_dtype``); the checks bound it by (M + w) max |entry|,
-w the largest |coefficient| sum of an image of sigma plus one of tau,
-summed exactly (``linalg.row_weight``), since an int64 sum of a few
-coefficients near p wraps once p passes 2^62.  Past the bound
-are actions with coefficients near p over a prime above 2^32, every
-table over a prime above 2^63 (p itself leaves int64), and large
-denominators over QQ.
+sigma and tau act on FG only through their cached ``Action`` gathers,
+group and algebra endomorphisms alike: the product rule, the inner
+images and tables, the certificate of ``is_inner`` and the averaging
+witness are integer-array gathers.  D's table is put over one common
+denominator (1 over GF(p)) and the actions' coefficients over another,
+M; the rule is then M D(g h) = D(g) tau(h) + sigma(g) D(h) in integers,
+reduced mod p over GF(p).  Each gather runs in int64 while its largest
+partial sum, at most the sum of its |coefficients| (summed exactly by
+``linalg.row_weight``, since an int64 sum of a few coefficients near p
+wraps once p passes 2^62) times the largest |entry|, stays below 2^63,
+and in Python ints (numpy ``object``) past that (``linalg.sum_dtype``).
+Past the bound are actions with coefficients near p over a prime above
+2^32, every table over a prime above 2^63, and large denominators over QQ.
 """
 
 from __future__ import annotations
@@ -49,10 +47,11 @@ class AlgebraEndo:
     Verified unital, then multiplicative on the generator pairs (see
     ``first_failing_pair``).  Used where arguments beyond group-induced
     maps are allowed (the averaging construction).  Like ``Endomorphism``
-    it exposes each image through ``terms`` and its action through ``action``.
+    it acts on FG through ``action``: the support of each image, its
+    coefficients over one denominator.
     """
 
-    __slots__ = ("group", "field", "ring_images", "_terms", "_action")
+    __slots__ = ("group", "field", "ring_images", "_action")
 
     def __init__(self, group: FiniteGroup, field: Field,
                  ring_images: Sequence[GroupRingElement], check: bool = True):
@@ -72,25 +71,19 @@ class AlgebraEndo:
                 raise ValueError(
                     f"images are not multiplicative at "
                     f"({group.names[g]}, {group.names[h]})")
-        self._terms = [tuple((u, img.coeffs[u]) for u in img.support())
-                       for img in self.ring_images]
         self._action: Optional[Action] = None
-
-    def terms(self, g: int) -> Tuple[Tuple[int, object], ...]:
-        """The image of g as group-ring terms (index, coefficient): its support."""
-        return self._terms[g]
 
     @property
     def action(self) -> Action:
-        """The gathers of this map's action on FG, its coefficients over one denominator."""
+        """The gathers of this map's action on FG, its coefficients over one denominator:
+        a stable sort on "is zero" lists each image's support first, then padding."""
         if self._action is None:
-            width = max(1, *map(len, self._terms))
-            pad = [(self.group.identity, 0)] * width
-            terms = [(list(t) + pad)[:width] for t in self._terms]
-            ints, scale = integer_scale([r for t in terms for _, r in t])
-            self._action = action_gathers(
-                self.group, [[u for u, _ in t] for t in terms],
-                [ints[i:i + width] for i in range(0, len(ints), width)], scale)
+            n = self.group.order
+            ints, scale = integer_scale([c for img in self.ring_images for c in img.coeffs])
+            dense = np.array(ints, dtype=object).reshape(n, n)
+            units = np.argsort(dense == 0, axis=1, kind="stable")[:, :(dense != 0).sum(1).max()]
+            self._action = action_gathers(self.group, units,
+                                          np.take_along_axis(dense, units, axis=1), scale)
         return self._action
 
     def describe(self) -> str:
@@ -106,25 +99,6 @@ class AlgebraEndo:
 EndoLike = Union[Endomorphism, AlgebraEndo]
 
 
-def _act(G: FiniteGroup, F: Field, terms, alpha: Sequence, left: bool) -> List:
-    """sigma(g) alpha (left) or alpha tau(g) (right) as a coefficient list.
-
-    ``terms`` are the (u, r) of the image sigma(g) or tau(g).  Term u
-    moves the coefficient at v to u v (left) or v u (right), read here as
-    a gather through u^-1; r multiplies only when it is not 1, so a group
-    endomorphism costs no field arithmetic.
-    """
-    mul, inv = G.mul, G.inv
-    out = None
-    for u, r in terms:
-        w = inv[u]
-        part = [alpha[k] for k in mul[w]] if left else [alpha[row[w]] for row in mul]
-        if r != 1:
-            part = [F.mul(r, a) for a in part]
-        out = part if out is None else [F.add(a, b) for a, b in zip(out, part)]
-    return [F.zero()] * G.order if out is None else out
-
-
 class TwistedDerivation:
     """A (sigma, tau)-derivation, defined by its generator images.
 
@@ -132,8 +106,10 @@ class TwistedDerivation:
     image; by the extension theorem these fix the derivation.  ``table``,
     the images of all listed group elements, is built on first read and
     cached: beta tau(g) - sigma(g) beta for an inner derivation (its
-    ``witness`` beta), otherwise the extension of ``images`` along the
-    normal forms.  A derivation constructed from a table keeps it as given.
+    ``witness`` beta, ``_witness_images``), otherwise the extension of
+    ``images`` along the normal forms, which needs sigma and tau to be
+    group endomorphisms.  A derivation constructed from a table keeps it
+    as given.  Over QQ an integral coefficient may be an int.
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
@@ -150,13 +126,10 @@ class TwistedDerivation:
             images = {name: table[s].coeffs for name, s in group.generators}
         elif images is None:
             raise ValueError("a derivation needs its table or its generator images")
-        self.group = group
-        self.field = field
-        self.sigma = sigma
-        self.tau = tau
-        self.images = images
-        self.provenance = provenance
-        self.witness = witness
+        elif witness is None and not all(isinstance(e, Endomorphism) for e in (sigma, tau)):
+            raise ValueError("generator images alone extend only along group endomorphisms")
+        self.group, self.field, self.sigma, self.tau = group, field, sigma, tau
+        self.images, self.provenance, self.witness = images, provenance, witness
         self._table = table
         self._integers: Optional[Tuple[List[int], int]] = None
 
@@ -170,8 +143,7 @@ class TwistedDerivation:
         if self._table is None:
             G, F = self.group, self.field
             if self.witness is not None:
-                rows = [_inner_image(self.witness, self.sigma, self.tau, g)
-                        for g in range(G.order)]
+                rows = _witness_images(self.witness, self.sigma, self.tau, range(G.order))
             else:
                 rows = _extension_table(F, self.sigma, self.tau, self.images,
                                         dict(G.generators), G.normal_forms)
@@ -362,21 +334,12 @@ verify_derivation = product_rule_violation
 
 # -- inner derivations -------------------------------------------------------
 
-def _inner_image(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike, g: int) -> List:
-    """beta tau(g) - sigma(g) beta as a coefficient list."""
-    G, F = beta.group, beta.field
-    sub = F.sub
-    return [sub(a, b) if b else a
-            for a, b in zip(_act(G, F, tau.terms(g), beta.coeffs, False),
-                            _act(G, F, sigma.terms(g), beta.coeffs, True))]
-
-
 def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
     """The derivation g -> beta tau(g) - sigma(g) beta, from its generator images."""
     G = beta.group
-    images = {name: _inner_image(beta, sigma, tau, s) for name, s in G.generators}
+    rows = _witness_images(beta, sigma, tau, [s for _, s in G.generators])
     return TwistedDerivation(G, beta.field, sigma, tau, provenance="inner", witness=beta,
-                             images=images)
+                             images=dict(zip([name for name, _ in G.generators], rows)))
 
 
 def inner_block(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -395,6 +358,35 @@ def inner_block(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray,
     return cols, np.repeat(vals, n, axis=0), scale, weight
 
 
+def block_rows(gs: Sequence[int], n: int) -> np.ndarray:
+    """The rows g |G| + t, t in G, of ``inner_block`` for each g of gs."""
+    return (np.asarray(gs, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
+
+
+def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: Sequence[int], dtype) -> np.ndarray:
+    """``inner_block`` rows times beta's integers (over Lb): M Lb D_beta(g)[t], in ``dtype``."""
+    return (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
+
+
+def _witness_images(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
+                    gs: Sequence[int]) -> List[List]:
+    """beta tau(g) - sigma(g) beta for each g of gs, as coefficient lists.
+
+    The rows at gs of ``_inner_gather``, in int64 while w max |beta| and p
+    stay below 2^63; reduced mod p over GF(p), where M = Lb = 1, and over
+    QQ divided by M Lb unless it is 1, leaving integral images as ints.
+    """
+    F, n = beta.field, beta.group.order
+    cols, vals, scale, weight = inner_block(sigma, tau)
+    rows = block_rows(gs, n)
+    ints, lb = integer_scale(beta.coeffs)
+    flat = _inner_gather(cols[rows], vals[rows], ints, sum_dtype(weight, max(map(abs, ints)), F.p))
+    flat = (flat % F.p if F.p else flat).tolist()
+    if scale * lb != 1:
+        flat = [F.div(x, scale * lb) for x in flat]
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
+
+
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     """A witness beta with D = D_beta, or None when D is not inner.
 
@@ -405,16 +397,14 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     have the same kernel, hence the same RREF, as the full |G|^2 system:
     when the full system is solvable, both give the same witness.  A
     solution is returned only when D_beta reproduces all of D's table,
-    which certifies it: the block times beta's integers (over a common
-    denominator Lb) against D's integer table T (over Ld), exact in int64
-    while Ld w max |beta| + M Lb max |T| < 2^63, w the actions' weight on
-    their common scale M.
+    which certifies it: ``_inner_gather`` of beta's integers (over Lb)
+    against D's integer table T (over Ld), exact in int64 while Ld w
+    max |beta| + M Lb max |T| < 2^63, w the actions' weight on scale M.
     """
     G, F = D.group, D.field
     n, p = G.order, F.p
     cols, vals, scale, weight = inner_block(D.sigma, D.tau)
-    rows = (np.array([s for _, s in G.generators], dtype=np.int64)[:, None] * n
-            + np.arange(n)).ravel()
+    rows = block_rows([s for _, s in G.generators], n)
     rhs = D.generator_flat()
     system = Matrix.from_block(F, cols[rows], vals[rows], n)
     solution = system.solve(rhs if scale == 1 else [scale * c for c in rhs])
@@ -423,7 +413,7 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     beta, lb = integer_scale(solution)
     table, ld = D.integer_table()
     dtype = sum_dtype(ld * weight, max(map(abs, beta)), p, scale * lb * max(map(abs, table)))
-    image = (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
+    image = _inner_gather(cols, vals, beta, dtype)
     table = np.array(table, dtype=dtype)
     if p:
         same = not ((image - table) % p != 0).any()
@@ -436,7 +426,9 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
     """The averaged inner witness (1/|G|) sum of D(g^-1) tau(g).
 
     Only needs tau to be a verified unital algebra endomorphism; requires
-    |G| to be invertible in the field.
+    |G| to be invertible in the field.  M L |G| times the witness is one
+    gather of D's integer table T (over L) through tau's right action:
+    the sum over g and j of ct[g, j] T[g^-1, right[g, j]], of weight |G| w_tau.
     """
     G, F = D.group, D.field
     n = G.order
@@ -444,11 +436,11 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
         raise DerivationRejected(
             f"averaging needs |G| = {n} invertible, but the characteristic "
             f"{F.p} divides it")
-    acc = GroupRingElement.zero(G, F)
-    for g in range(n):
-        term = _act(G, F, D.tau.terms(g), D.table[G.inv[g]].coeffs, False)
-        acc = acc + GroupRingElement(G, F, term, coerce=False)
-    return acc.scale(F.inv(F.coerce(n)))
+    tau, (ints, ld) = D.tau.action, D.integer_table()
+    T = np.array(ints, dtype=sum_dtype(n * tau.weight, max(map(abs, ints)), F.p)).reshape(n, n)
+    acc = (T[G.inv_array[:, None, None], tau.right] * tau.coeffs[:, :, None]).sum(axis=(0, 1))
+    inv = F.inv(F.coerce(n * tau.scale * ld))
+    return GroupRingElement(G, F, [F.mul(inv, x) for x in acc.tolist()], coerce=False)
 
 
 # -- solution spaces ---------------------------------------------------------

@@ -131,18 +131,18 @@ class GroupRingElement:
 def apply_endo(sigma, alpha: GroupRingElement) -> GroupRingElement:
     """Linear extension of an endomorphism: sum of a_g sigma(g).
 
-    Accepts any endomorphism exposing the terms (index, coefficient) of
-    each basis image through ``terms(g)``: group endomorphisms and
-    verified algebra endomorphisms.
+    Reads sigma's ``Action``, for group and verified algebra endomorphisms
+    alike: sigma(g) is the sum of coeffs[g, j] / scale times back[g, j]^-1.
     """
-    F = alpha.field
-    zero = F.zero()
-    out = [zero] * alpha.group.order
-    for g, a in enumerate(alpha.coeffs):
-        if a != zero:
-            for u, r in sigma.terms(g):
-                out[u] = F.add(out[u], F.mul(r, a))
-    return GroupRingElement(alpha.group, F, out, coerce=False)
+    F, G, action = alpha.field, alpha.group, sigma.action
+    units, coeffs = G.inv_array[action.back].tolist(), action.coeffs.tolist()
+    out = [F.zero()] * G.order
+    for g in alpha.support():
+        for u, c in zip(units[g], coeffs[g]):
+            out[u] = F.add(out[u], F.mul(c, alpha.coeffs[g]))
+    if action.scale != 1:
+        out = [F.div(x, action.scale) for x in out]
+    return GroupRingElement(G, F, out, coerce=False)
 
 
 # -- centralizers -------------------------------------------------------------
@@ -185,7 +185,7 @@ def anticentralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:
 
 # -- parsing and formatting ---------------------------------------------------
 
-def _split_terms(text: str) -> List[tuple]:
+def _split_summands(text: str) -> List[tuple]:
     terms = []
     sign, token = 1, ""
     for ch in text:
@@ -209,7 +209,7 @@ def parse_element(group: FiniteGroup, field: Field, text: str) -> GroupRingEleme
     """Parse an element literal like ``1 + a + 2*a^3*b``."""
     out = GroupRingElement.zero(group, field)
     coeffs = out.coeffs
-    for sign, term in _split_terms(text):
+    for sign, term in _split_summands(text):
         parts = term.split("*")
         coef = field.one()
         start = 0

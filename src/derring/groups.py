@@ -469,7 +469,8 @@ def first_failing_pair(group: FiniteGroup,
 
 
 class Action:
-    """An endomorphism phi of FG acting by multiplication, as gathers.
+    """An endomorphism phi of FG acting by multiplication, as gathers: how
+    derring reads every action of sigma or tau on FG, group maps or not.
 
     phi(g) is the sum over j of (coeffs[g, j] / scale) u_j, the coeffs
     integers (padding terms have coefficient 0) and back[g, j] = u_j^-1.
@@ -553,7 +554,8 @@ class Endomorphism:
     multiplicative (so unital) by ``first_failing_pair`` unless ``check=False``.
 
     On a dihedral group its ``family`` and ``(s, t)`` are read off the
-    images of the generators (``_dihedral_tags``).
+    images of the generators (``_dihedral_tags``).  ``images`` serve where
+    a group map is needed; its action on FG is ``action``.
     """
 
     __slots__ = ("group", "images", "family", "s", "t", "is_identity", "_action")
@@ -577,17 +579,12 @@ class Endomorphism:
     def __call__(self, g: int) -> int:
         return self.images[g]
 
-    def terms(self, g: int) -> Tuple[Tuple[int, int], ...]:
-        """The image of g as group-ring terms (index, coefficient): one unit term."""
-        return ((self.images[g], 1),)
-
     @property
     def action(self) -> Action:
         """The gathers of this map's action on FG: one unit term per image."""
         if self._action is None:
-            n = self.group.order
             self._action = action_gathers(self.group, [[u] for u in self.images],
-                                          np.ones((n, 1), dtype=np.int64))
+                                          [[1]] * self.group.order)
         return self._action
 
     def __eq__(self, other):

@@ -191,8 +191,10 @@ def parse_field(spec) -> Field:
 class Matrix:
     """Dense row-major matrix over a single exact field.
 
-    Over QQ the entries may be ints as well as rationals; the RREF, and
-    so every kernel vector and solution, holds rationals.
+    Over GF(p) the entries are residues in [0, p), reduced by ``coerce``
+    or already so with ``coerce=False``; ``rref`` does not reduce them
+    again.  Over QQ the entries may be ints as well as rationals; the
+    RREF, and so every kernel vector and solution, holds rationals.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -281,7 +283,8 @@ class Matrix:
         """Reduced row echelon form and its pivot columns (see the module notes)."""
         p = self.field.p
         if p:
-            data, pivots = _rref_mod(self.data, p)
+            data = [list(row) for row in self.data]
+            pivots = rref_mod_p(data, p)
         else:
             data, pivots = _rref_rational(self.data, self.cols)
         return Matrix(self.field, data, coerce=False), tuple(pivots)

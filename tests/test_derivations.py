@@ -282,6 +282,18 @@ def test_averaging_with_algebra_endomorphism():
     assert is_inner(D) is not None
 
 
+def test_algebra_endo_derivation_needs_a_table_or_a_witness():
+    # images alone extend only along group endomorphisms; an inner derivation
+    # of algebra maps carries its witness, which builds its table
+    c2 = cyclic_group(2)
+    sigma = AlgebraEndo(c2, QQ, [GroupRingElement.one(c2, QQ), GroupRingElement(c2, QQ, [-1, 0])])
+    tau = AlgebraEndo.from_group_endo(identity_endomorphism(c2), QQ)
+    with pytest.raises(ValueError, match="group endomorphisms"):
+        TwistedDerivation(c2, QQ, sigma, tau, images={"x": [QQ.one(), QQ.one()]})
+    D = inner_derivation(parse_element(c2, QQ, "x"), sigma, tau)
+    assert D.table[1] == parse_element(c2, QQ, "1 + x") and verify_derivation(D) is None
+
+
 def test_algebra_endo_rejects_non_multiplicative():
     c2 = cyclic_group(2)
     bad = [GroupRingElement.one(c2, QQ), parse_element(c2, QQ, "2*x")]

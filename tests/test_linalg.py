@@ -233,6 +233,15 @@ def test_rref_paths_agree_at_large_primes(p):
     assert tuple(rref_mod_p(rows, p)) == pivots and rows == reduced
 
 
+@pytest.mark.parametrize("field", [GF(3), GF(2 ** 63 + 29), QQ], ids=repr)
+def test_rref_leaves_the_matrix_unchanged(field):
+    m = rand_matrix(field, 6, 8, random.Random(field.p))
+    data = [list(row) for row in m.data]
+    m.rref()
+    m.kernel_basis()
+    assert m.data == data
+
+
 def test_rational_elimination_logs_its_primes(caplog):
     # the first 2 x 2 minor is 2^31 - 1, the engine's first prime: rank 1
     # modulo it, 2 over QQ (an example of test_properties' unlucky kind)

@@ -20,19 +20,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
-                                 _relator_images, _relator_matrix, derivation_space,
-                                 derivation_space_full,
+                                 _relator_images, _relator_matrix, averaging_witness,
+                                 derivation_space, derivation_space_full,
                                  extend_from_generators, free_eval, inner_derivation, is_inner,
                                  product_rule_violation, verify_derivation)
 from derring.errors import DerivationRejected, HomomorphismRejected
-from derring.groupring import (GroupRingElement, anticentralizer_basis, centralizer_basis,
-                               format_element, parse_element)
+from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
+                               centralizer_basis, format_element, parse_element)
 from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             brute_force_endomorphisms, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word, table_group)
 from derring import derivations, linalg
-from derring.derivations import _act
 from derring.linalg import (GF, QQ, Matrix, is_prime, rows_rank, rref_mod_p, sparse_kernel_basis,
                             sparse_rank)
 from gauss_jordan import gauss_jordan
@@ -112,10 +111,10 @@ def algebra_endos(field):
     return out
 
 
-def reference_inner(beta, sigma: AlgebraEndo, tau: AlgebraEndo):
+def reference_inner(beta, sigma, tau):
     """beta tau(g) - sigma(g) beta by convolution products."""
-    return [beta * tau.ring_images[g] - sigma.ring_images[g] * beta
-            for g in range(beta.group.order)]
+    rs, rt = ring_images(sigma, beta.field), ring_images(tau, beta.field)
+    return [beta * rt[g] - rs[g] * beta for g in range(beta.group.order)]
 
 
 @PROPERTY
@@ -335,7 +334,7 @@ def test_integer_checks_past_int64_match_full_scans(kind, field, algebra, data):
 
 
 # beta's coefficients off the center of D8: the central ones cancel from D_beta
-@pytest.mark.parametrize("field, algebra, beta, dtype", [
+BOUND_CASES = [
     # coefficients 1 on a table below p: 3 (p - 1) < 2^63
     (GF(4294967311), False, [1, -2, 3, 0, 5, -1, 7, 2], np.int64),
     # the sign twist has the coefficient p - 1 on the reflections: (p - 1)^2 > 2^63
@@ -345,8 +344,12 @@ def test_integer_checks_past_int64_match_full_scans(kind, field, algebra, data):
     # a common denominator (2^31 - 1)(2^32 - 5) > 2^62 and numerators up to 5 times it
     (QQ, False, [1, Fraction(1, 2 ** 31 - 1), 3, 5, Fraction(-2, 2 ** 32 - 5), 0, -1, 2],
      object),
-], ids=["GF(4294967311)-group", "GF(4294967311)-algebra", "GF(2^63+29)", "QQ-small",
-        "QQ-large"])
+]
+BOUND_IDS = ["GF(4294967311)-group", "GF(4294967311)-algebra", "GF(2^63+29)", "QQ-small",
+             "QQ-large"]
+
+
+@pytest.mark.parametrize("field, algebra, beta, dtype", BOUND_CASES, ids=BOUND_IDS)
 def test_integer_checks_leave_int64_at_their_bound(field, algebra, beta, dtype):
     d8 = dihedral_group(4)
     endo = endo_from_images(d8, {"a": "a^3", "b": "a*b"})
@@ -391,22 +394,67 @@ def test_multi_term_algebra_endomorphism_at_large_primes(field):
 
 @PROPERTY
 @given(st.sampled_from((GF(3), GF(4294967311), QQ)), st.booleans(), st.data())
-def test_action_gathers_match_the_term_action(field, algebra, data):
+def test_action_gathers_match_convolution(field, algebra, data):
     if algebra:
         group, maps = data.draw(st.sampled_from(algebra_endos(field)))
     else:
         group = data.draw(st.sampled_from(GROUPS))
         maps = endomorphisms(group)
     phi = data.draw(st.sampled_from(maps))
-    alpha = data.draw(elements(group, field)).coeffs
-    action = phi.action
+    alpha = data.draw(elements(group, field))
+    action, images = phi.action, ring_images(phi, field)
     for g in range(group.order):
-        for left, index in ((True, action.left), (False, action.right)):
-            expected = _act(group, field, phi.terms(g), alpha, left)
-            got = [sum(int(c) * field.coerce(alpha[i]) for c, i in zip(action.coeffs[g], col))
+        for index, expected in ((action.left, images[g] * alpha),
+                                (action.right, alpha * images[g])):
+            got = [sum(int(c) * alpha.coeffs[i] for c, i in zip(action.coeffs[g], col))
                    for col in index[g].T]
-            assert [field.coerce(x) * action.scale for x in expected] == \
+            assert [x * action.scale for x in expected.coeffs] == \
                 [field.coerce(x) for x in got]
+
+
+def assert_inner_gathers_match_convolution(beta, sigma, tau):
+    """The inner images and table, the averaging witness and apply_endo, each
+    read off the action gathers, against convolution products."""
+    G, F = beta.group, beta.field
+    D = inner_derivation(beta, sigma, tau)
+    expected = reference_inner(beta, sigma, tau)
+    assert all(D.images[name] == expected[s].coeffs for name, s in G.generators)
+    assert D.table == expected
+    zero, rt = GroupRingElement.zero(G, F), ring_images(tau, F)
+    average = sum((expected[G.inv[g]] * rt[g] for g in range(G.order)), zero)
+    assert averaging_witness(D) == average.scale(F.inv(F.coerce(G.order)))
+    images = ring_images(sigma, F)
+    assert apply_endo(sigma, beta) == sum(
+        (images[g].scale(c) for g, c in enumerate(beta.coeffs)), zero)
+
+
+@PROPERTY
+@given(st.sampled_from(EDGE_PRIMES + (QQ,)), st.booleans(), st.data())
+def test_inner_gathers_past_int64_match_convolution(field, algebra, data):
+    if algebra:
+        group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    else:
+        group = data.draw(st.sampled_from(GROUPS))
+        maps = endomorphisms(group)
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    beta = data.draw(big_denominator_elements(group) if not field.p else elements(group, field))
+    assert_inner_gathers_match_convolution(beta, sigma, tau)
+
+
+@pytest.mark.parametrize("field, algebra, beta, dtype", BOUND_CASES, ids=BOUND_IDS)
+def test_inner_gathers_leave_int64_at_their_bound(field, algebra, beta, dtype):
+    d8 = dihedral_group(4)
+    endo = endo_from_images(d8, {"a": "a^3", "b": "a*b"})
+    if algebra:
+        endo = _sign_twisted(endo, field)
+    beta = GroupRingElement(d8, field, beta)
+    # the images at the generators, then the lazy table, then the average
+    with chosen_dtypes() as chosen:
+        D = inner_derivation(beta, endo, endo)
+        D.table
+        averaging_witness(D)
+    assert chosen == [dtype] * 3
+    assert_inner_gathers_match_convolution(beta, endo, endo)
 
 
 def dense_pair_kernel(field, sigma, tau):
