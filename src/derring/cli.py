@@ -91,7 +91,7 @@ class Job:
                       for name, text in texts.items()}
             return extend_from_generators(images, self.sigma, self.tau)
         if "power_seed" in self.derivation_spec:
-            if self.tau is not self.sigma:
+            if self.tau != self.sigma:
                 raise ValueError("power seeds require tau = sigma")
             seed = _checked("power_seed", self.derivation_spec["power_seed"], str,
                             "an element string")

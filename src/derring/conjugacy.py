@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from .derivations import TwistedDerivation, block_rows, inner_block
-from .groups import Endomorphism, FiniteGroup
+from .derivations import TwistedDerivation, inner_block
+from .groups import Endomorphism, FiniteGroup, common_group
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, rows_full_rank, sparse_rank
 
@@ -50,6 +50,7 @@ def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
     """Orbit partition, singleton classes first, then by representative."""
     if tau is None:
         tau = sigma
+    common_group(group, sigma, tau)
     seen = [False] * group.order
     singletons, larger = [], []
     for x in range(group.order):
@@ -114,15 +115,17 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     The twisted center is the kernel of the inner-derivation map
     z -> z tau(g) - sigma(g) z, the rows of ``inner_block``.
     """
-    cols, vals, _, _ = inner_block(sigma, tau)
-    kernel = Matrix.from_block(field, cols, vals, group.order).kernel_basis()
+    n = common_group(group, sigma, tau).order
+    cols, vals, _, _ = inner_block(sigma, tau, range(n))
+    kernel = Matrix.from_block(field, cols, vals, n).kernel_basis()
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 
 def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                              field: Field) -> int:
-    cols, vals, _, _ = inner_block(sigma, tau)
-    return group.order - sparse_rank(field, [(cols, vals)])
+    n = common_group(group, sigma, tau).order
+    cols, vals, _, _ = inner_block(sigma, tau, range(n))
+    return n - sparse_rank(field, [(cols, vals)])
 
 
 def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
@@ -143,9 +146,8 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
         raise AssertionError("class bookkeeping lost derivations")
     n = group.order
     spans = [(name, slice(k * n, (k + 1) * n)) for k, (name, _) in enumerate(group.generators)]
-    cols, vals, _, _ = inner_block(sigma, tau)
-    rows = block_rows([s for _, s in group.generators], n)
-    columns = list(zip(*Matrix.from_block(field, cols[rows], vals[rows], n).data))
+    cols, vals, _, _ = inner_block(sigma, tau, [s for _, s in group.generators])
+    columns = list(zip(*Matrix.from_block(field, cols, vals, n).data))
     columns = [list(columns[g]) for g in members]
     if columns and not rows_full_rank(field, columns, len(members)):
         raise AssertionError("inner derivation basis is not independent")

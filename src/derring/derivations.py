@@ -6,10 +6,13 @@ images, which fix it; the table of all group images is built only when
 read.  Every group carries relators (given, or derived from its normal
 forms), and generator images extend to a derivation exactly when the
 induced free-word evaluation kills every relator; that criterion is
-linear in the images, which is what ``derivation_space`` solves, and is
-the one extension path.  The pair solver ``derivation_space_full``
-treats all group images as unknowns constrained by every product pair
-and is kept only as an oracle against it.
+linear in the images, one (cols, vals) block read off the table
+(``relator_block``), which ``derivation_space`` solves and
+``extend_from_generators`` gathers the images through: the one extension
+path.  The pair solver ``derivation_space_full`` treats all group images
+as unknowns constrained by every product pair and is kept only as an
+oracle against it.  Like the inner, pair and commutator systems, every
+system here is one such block over maps of one group (``common_group``).
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike: the product rule, the inner
@@ -35,9 +38,9 @@ import numpy as np
 
 from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, action_gathers,
-                     first_failing_pair, word_str)
+                     common_group, first_failing_pair, word_str)
 from .groupring import GroupRingElement
-from .linalg import (Field, Matrix, integer_scale, sparse_kernel_basis, sparse_rank,
+from .linalg import (Field, Matrix, integer_scale, row_weight, sparse_kernel_basis, sparse_rank,
                      sum_dtype)
 
 
@@ -109,7 +112,8 @@ class TwistedDerivation:
     ``witness`` beta, ``_witness_images``), otherwise the extension of
     ``images`` along the normal forms, which needs sigma and tau to be
     group endomorphisms.  A derivation constructed from a table keeps it
-    as given.  Over QQ an integral coefficient may be an int.
+    as given.  Over QQ an integral coefficient may be an int.  The group,
+    sigma, tau and the witness must share one group.
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
@@ -119,6 +123,7 @@ class TwistedDerivation:
                  table: Optional[Sequence[GroupRingElement]] = None,
                  provenance: str = "table", witness: Optional[GroupRingElement] = None,
                  images: Optional[Dict[str, List]] = None):
+        common_group(group, sigma, tau, group if witness is None else witness)
         if table is not None:
             if len(table) != group.order:
                 raise ValueError("derivation table must cover every group element")
@@ -215,8 +220,7 @@ def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
     Letters may be inverses; each contributes one term, sandwiched between
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
     The empty word evaluates to 0.  Kept as the object-algebra reference
-    for the index arithmetic of ``_relator_matrix``, ``_relator_images`` and
-    ``_extension_table``.
+    for the index arithmetic of ``relator_block`` and ``_extension_table``.
     """
     G = sigma.group
     out = GroupRingElement.zero(G, next(iter(images.values())).field)
@@ -234,12 +238,15 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     """Extend generator images to a derivation when every relator image vanishes.
 
     ``images`` maps every generator name, and nothing else, to its image.
-    Raises DerivationRejected carrying the first failing relator and its
-    value, from ``_relator_images``.
+    The relator images are one gather of the images' integers (over L)
+    through ``relator_block``, exact in int64 while the longest relator's
+    length times their largest |entry| and p stay below 2^63.  Raises
+    DerivationRejected carrying the first relator whose image is not 0,
+    and that image.
     """
     if tau is None:
         tau = sigma
-    G = sigma.group
+    G = common_group(sigma, tau, *images.values())
     names = [name for name, _ in G.generators]
     missing = set(names) - set(images)
     if missing:
@@ -250,11 +257,15 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     F = images[names[0]].field
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
                           images={name: images[name].coeffs for name in names})
-    for rel, value in _relator_images(F, D.images, sigma, tau):
-        if any(value):
-            raise DerivationRejected(
-                f"relator {word_str(rel)} maps to a nonzero element",
-                relator=rel, value=GroupRingElement(G, F, value, coerce=False))
+    cols, vals = relator_block(sigma, tau)
+    ints, lf = integer_scale(D.generator_flat())
+    flat = _inner_gather(cols, vals, ints, sum_dtype(row_weight(vals), max(map(abs, ints)), F.p))
+    values = (flat % F.p if F.p else flat).reshape(-1, G.order)
+    bad = np.flatnonzero(values.any(axis=1))
+    if len(bad):
+        rel, value = G.relators[bad[0]], [F.div(x, lf) for x in values[bad[0]].tolist()]
+        raise DerivationRejected(f"relator {word_str(rel)} maps to a nonzero element",
+                                 relator=rel, value=GroupRingElement(G, F, value, coerce=False))
     return D
 
 
@@ -342,29 +353,26 @@ def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> 
                              images=dict(zip([name for name, _ in G.generators], rows)))
 
 
-def inner_block(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """beta -> beta tau(g) - sigma(g) beta for every g, as one (cols, vals) block.
+def inner_block(sigma: EndoLike, tau: EndoLike,
+                gs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """beta -> beta tau(g) - sigma(g) beta for each g of gs, as one (cols, vals) block.
 
-    Row g |G| + t, g-major, is M times coefficient t of the image of g:
-    tau(g)'s coefficients at the columns t u^-1 of its terms u and minus
-    sigma(g)'s at v^-1 t, read off tau's right and sigma's left action
-    indices.  Returns cols, vals, the actions' common scale M and their
-    weight on it, which bounds the sum of |vals| in a row.
+    Row i |G| + t is M times coefficient t of the image of gs[i]: tau(g)'s
+    coefficients at the columns t u^-1 of its terms u and minus sigma(g)'s
+    at v^-1 t, read off tau's right and sigma's left action indices.
+    Returns cols, vals, the actions' common scale M and their weight on
+    it, which bounds the sum of |vals| in a row.
     """
+    n, gs = common_group(sigma, tau).order, np.asarray(gs, dtype=np.int64)
     sig, tau, scale, weight = _actions(sigma, tau)
-    n = sigma.group.order
-    cols = np.concatenate([tau.right, sig.left], axis=1).transpose(0, 2, 1).reshape(n * n, -1)
-    vals = np.concatenate([tau.coeffs, -sig.coeffs], axis=1)
-    return cols, np.repeat(vals, n, axis=0), scale, weight
-
-
-def block_rows(gs: Sequence[int], n: int) -> np.ndarray:
-    """The rows g |G| + t, t in G, of ``inner_block`` for each g of gs."""
-    return (np.asarray(gs, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
+    vals = np.concatenate([tau.coeffs[gs], -sig.coeffs[gs]], axis=1)
+    cols = np.concatenate([tau.right[gs], sig.left[gs]], axis=1).transpose(0, 2, 1)
+    return cols.reshape(-1, vals.shape[1]), np.repeat(vals, n, axis=0), scale, weight
 
 
 def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: Sequence[int], dtype) -> np.ndarray:
-    """``inner_block`` rows times beta's integers (over Lb): M Lb D_beta(g)[t], in ``dtype``."""
+    """A block's rows times the integers beta, in ``dtype``: for ``inner_block``,
+    M Lb D_beta(g)[t] for beta over Lb."""
     return (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
 
 
@@ -372,15 +380,14 @@ def _witness_images(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
                     gs: Sequence[int]) -> List[List]:
     """beta tau(g) - sigma(g) beta for each g of gs, as coefficient lists.
 
-    The rows at gs of ``_inner_gather``, in int64 while w max |beta| and p
+    ``_inner_gather`` through the rows of gs, in int64 while w max |beta| and p
     stay below 2^63; reduced mod p over GF(p), where M = Lb = 1, and over
     QQ divided by M Lb unless it is 1, leaving integral images as ints.
     """
-    F, n = beta.field, beta.group.order
-    cols, vals, scale, weight = inner_block(sigma, tau)
-    rows = block_rows(gs, n)
+    F, n = beta.field, common_group(beta, sigma, tau).order
+    cols, vals, scale, weight = inner_block(sigma, tau, gs)
     ints, lb = integer_scale(beta.coeffs)
-    flat = _inner_gather(cols[rows], vals[rows], ints, sum_dtype(weight, max(map(abs, ints)), F.p))
+    flat = _inner_gather(cols, vals, ints, sum_dtype(weight, max(map(abs, ints)), F.p))
     flat = (flat % F.p if F.p else flat).tolist()
     if scale * lb != 1:
         flat = [F.div(x, scale * lb) for x in flat]
@@ -403,17 +410,16 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     """
     G, F = D.group, D.field
     n, p = G.order, F.p
-    cols, vals, scale, weight = inner_block(D.sigma, D.tau)
-    rows = block_rows([s for _, s in G.generators], n)
+    cols, vals, scale, weight = inner_block(D.sigma, D.tau, [s for _, s in G.generators])
     rhs = D.generator_flat()
-    system = Matrix.from_block(F, cols[rows], vals[rows], n)
+    system = Matrix.from_block(F, cols, vals, n)
     solution = system.solve(rhs if scale == 1 else [scale * c for c in rhs])
     if solution is None:
         return None
     beta, lb = integer_scale(solution)
     table, ld = D.integer_table()
     dtype = sum_dtype(ld * weight, max(map(abs, beta)), p, scale * lb * max(map(abs, table)))
-    image = _inner_gather(cols, vals, beta, dtype)
+    image = _inner_gather(*inner_block(D.sigma, D.tau, range(n))[:2], beta, dtype)
     table = np.array(table, dtype=dtype)
     if p:
         same = not ((image - table) % p != 0).any()
@@ -445,58 +451,27 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
 
 # -- solution spaces ---------------------------------------------------------
 
-def _relator_letters(sigma: Endomorphism, tau: Endomorphism):
-    """Each relator with its letters as (name, sign, block), block[e] = left e right.
+def relator_block(sigma: Endomorphism, tau: Endomorphism) -> Tuple[np.ndarray, np.ndarray]:
+    """The linear map from generator images to relator images, as one (cols, vals) block.
 
-    A letter (name, sign, left, right) of ``_word_letters`` adds
-    ``sign * left f(name) right`` to the relator's image, so it moves the
-    coefficient of f(name) at e to ``block[e]``: a signed permutation block.
+    Column k |G| + e is coefficient e of generator k's image; row j |G| + t
+    is coefficient t of relator j's image.  A letter (name, sign, left,
+    right) of ``_word_letters`` adds ``sign * left f(name) right``, so it
+    puts sign at the column of name's coefficient at left^-1 t right^-1.
+    The relators are padded to the longest with letters of sign 0.
     """
-    G = sigma.group
-    mul, support = G.mul, dict(G.generators)
-    for rel in G.relators:
-        yield rel, [(name, sign, [mul[x][right] for x in mul[left]])
-                    for name, sign, left, right in _word_letters(G, sigma, tau, support, rel)]
-
-
-def _relator_images(field: Field, images: Dict[str, Sequence], sigma: Endomorphism,
-                    tau: Endomorphism):
-    """Each relator with its image under the extension of ``images``, a coefficient list.
-
-    ``images`` maps generator names to coefficient lists; each letter
-    moves its generator's image through its block, with its sign.
-    """
-    for rel, letters in _relator_letters(sigma, tau):
-        value = [field.zero()] * sigma.group.order
-        for name, sign, block in letters:
-            op = field.add if sign > 0 else field.sub
-            for e, c in enumerate(images[name]):
-                if c:
-                    value[block[e]] = op(value[block[e]], c)
-        yield rel, value
-
-
-def _relator_matrix(field: Field, sigma: Endomorphism, tau: Endomorphism) -> Matrix:
-    """The linear map from generator images to relator images.
-
-    Column k |G| + e sends generator k to the basis element e, the rest
-    to 0; row j |G| + t is coefficient t of relator j's image.  Each letter
-    of relator j adds its signed permutation block to its generator's
-    columns.  The entries are small integers: reduced mod p over GF(p),
-    kept as ints over QQ.
-    """
-    G = sigma.group
-    n = G.order
+    G = common_group(sigma, tau)
+    n, mul, inv, support = G.order, G.mul_array, G.inv_array, dict(G.generators)
     base = {name: k * n for k, (name, _) in enumerate(G.generators)}
-    data = [[0] * (len(base) * n) for _ in range(len(G.relators) * n)]
-    for j, (_, letters) in enumerate(_relator_letters(sigma, tau)):
-        for name, sign, block in letters:
-            col = base[name]
-            for e, t in enumerate(block):
-                data[j * n + t][col + e] += sign
-    if field.p:
-        data = [[x % field.p for x in row] for row in data]
-    return Matrix(field, data, coerce=False)
+    letters = [[(base[name], sign, left, right) for name, sign, left, right
+                in _word_letters(G, sigma, tau, support, rel)] for rel in G.relators]
+    width = max(map(len, letters), default=0)
+    pad = [(0, 0, G.identity, G.identity)]
+    start, sign, left, right = np.array(
+        [row + pad * (width - len(row)) for row in letters],
+        dtype=np.int64).reshape(len(letters), width, 4).transpose(2, 0, 1)
+    cols = start[..., None] + mul[mul[inv[left][..., None], np.arange(n)], inv[right][..., None]]
+    return cols.transpose(0, 2, 1).reshape(len(letters) * n, width), np.repeat(sign, n, axis=0)
 
 
 def derivation_space(field: Field, sigma: Endomorphism,
@@ -505,13 +480,14 @@ def derivation_space(field: Field, sigma: Endomorphism,
     """Dimension (and optionally a basis) of all (sigma, tau)-derivations.
 
     Unknowns are the generator images; each relator contributes |G|
-    linear constraints, the coefficients of its image.
+    linear constraints, the coefficients of its image (``relator_block``).
     """
     if tau is None:
         tau = sigma
     G = sigma.group
     n = G.order
-    kernel = _relator_matrix(field, sigma, tau).kernel_basis()
+    cols, vals = relator_block(sigma, tau)
+    kernel = Matrix.from_block(field, cols, vals, len(G.generators) * n).kernel_basis()
     dim = len(kernel)
     if not basis:
         return dim, None
@@ -528,7 +504,7 @@ def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
     -1 at the columns gh |G| + t, g |G| + t tau(h)^-1 and h |G| +
     sigma(g)^-1 t, built by index arithmetic on the table.
     """
-    G = sigma.group
+    G = common_group(sigma, tau)
     n = G.order
     mul, inv = np.array(G.mul), np.array(G.inv)
     g, h, t = np.ix_(range(n), range(n), range(n))
@@ -631,7 +607,7 @@ def cyclic_power_derivation(group: FiniteGroup, sigma: Endomorphism,
     It extends through the relator x^n, whose image n sigma(x)^(n-1) value
     must vanish; its table is then D(x^k) = k sigma(x)^(k-1) value.
     """
-    if group.family != "cyclic":
+    if common_group(group, sigma, value).family != "cyclic":
         raise ValueError("power-formula derivations need a cyclic group")
     D = extend_from_generators({"x": value}, sigma)
     D.provenance = "power-formula"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from .errors import MathRejection
-from .groups import DihedralEndoParams, Endomorphism, FiniteGroup
+from .groups import DihedralEndoParams, Endomorphism, FiniteGroup, common_group
 from .groupring import GroupRingElement
 from .linalg import Field
 
@@ -147,7 +147,7 @@ class DihedralPrediction:
 
 
 def predict(group: FiniteGroup, endo: Endomorphism, field: Field) -> DihedralPrediction:
-    if group.family != "dihedral":
+    if common_group(group, endo).family != "dihedral":
         raise ValueError("predictions are stated for dihedral groups")
     params = params_for(endo)
     n = params.n

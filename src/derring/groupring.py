@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+import numpy as np
+
 from .groups import FiniteGroup, parse_word
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, integer_scale
 
 
 class GroupRingElement:
@@ -147,38 +149,34 @@ def apply_endo(sigma, alpha: GroupRingElement) -> GroupRingElement:
 
 # -- centralizers -------------------------------------------------------------
 
-def _commutator_map_columns(beta: GroupRingElement, sign: int) -> Matrix:
+def _commutator_map(beta: GroupRingElement, sign: int) -> Matrix:
     """Matrix of alpha -> alpha*beta - sign*(beta*alpha) in the group basis.
 
-    Column g is e_g beta - sign beta e_g: coefficient b of h in beta lands
-    at row g h with +b and at row h g with -sign b.
+    Built from one (cols, vals) block: row k has b_h at column k h^-1 and
+    -sign b_h at column h^-1 k for each h in beta's support, b the
+    integers of beta over their common denominator (``integer_scale``),
+    which scale the map and keep its kernel.
     """
-    G, F = beta.group, beta.field
-    mul = G.mul
-    zero = F.zero()
-    data = [[zero] * G.order for _ in range(G.order)]
-    for h, b in enumerate(beta.coeffs):
-        if b == zero:
-            continue
-        b_sign = F.mul(F.coerce(sign), b)
-        for g in range(G.order):
-            row = data[mul[g][h]]
-            row[g] = F.add(row[g], b)
-            row = data[mul[h][g]]
-            row[g] = F.sub(row[g], b_sign)
-    return Matrix(F, data, coerce=False)
+    G = beta.group
+    ints, _ = integer_scale(beta.coeffs)
+    hs = [h for h, b in enumerate(ints) if b]
+    b = np.array([ints[h] for h in hs], dtype=object)
+    inv = G.inv_array[np.array(hs, dtype=np.int64)]
+    cols = np.concatenate([G.mul_array[:, inv], G.mul_array[inv].T], axis=1)
+    vals = np.tile(np.concatenate([b, -sign * b]), (G.order, 1))
+    return Matrix.from_block(beta.field, cols, vals, G.order)
 
 
 def centralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:
     """Basis of {alpha : alpha*beta = beta*alpha}, in echelon order."""
-    m = _commutator_map_columns(beta, 1)
+    m = _commutator_map(beta, 1)
     return [GroupRingElement(beta.group, beta.field, v, coerce=False)
             for v in m.kernel_basis()]
 
 
 def anticentralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:
     """Basis of {alpha : alpha*beta = -beta*alpha}."""
-    m = _commutator_map_columns(beta, -1)
+    m = _commutator_map(beta, -1)
     return [GroupRingElement(beta.group, beta.field, v, coerce=False)
             for v in m.kernel_basis()]
 

@@ -101,7 +101,7 @@ class FiniteGroup:
     def __init__(self, names: Sequence[str], mul: Sequence[Sequence[int]],
                  generators: Sequence[Tuple[str, int]], family: str,
                  relators: Optional[Sequence[Word]] = None,
-                 family_params=None, check: bool = True):
+                 family_params=None):
         self.order = len(names)
         self.names = list(names)
         self.mul = [list(row) for row in mul]
@@ -111,8 +111,7 @@ class FiniteGroup:
         self.identity = _identity_of(self.mul)
         self.inv = self._build_inverses()
         self.normal_forms = self.words_over(self.generators)
-        if check:
-            self._check_associativity()
+        self._check_associativity()
         self._index_of_name = {name: i for i, name in enumerate(self.names)}
         # word letters: element names, with generator names taking precedence
         self._letters = {**self._index_of_name, **dict(self.generators)}
@@ -438,6 +437,17 @@ def make_group(spec) -> FiniteGroup:
 
 
 # -- endomorphisms ----------------------------------------------------------
+
+def common_group(*items) -> FiniteGroup:
+    """The one group of ``items``: groups, or maps and elements read through
+    their ``group``; a ValueError when they do not all share that group object."""
+    group = getattr(items[0], "group", items[0])
+    for x in items:
+        if getattr(x, "group", x) is not group:
+            raise ValueError("maps and elements from different groups: " + ", ".join(
+                getattr(y, "group", y).describe() for y in items))
+    return group
+
 
 def first_failing_pair(group: FiniteGroup,
                        fails: Callable[[Sequence[int], Sequence[int]], Iterable]

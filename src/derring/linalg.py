@@ -227,14 +227,11 @@ class Matrix:
         entry is at most a row's sum of |vals|, which picks the dtype.
         """
         dense = np.zeros((len(cols), ncols), dtype=sum_dtype(row_weight(vals), 1, field.p))
-        vals = vals.astype(dense.dtype, copy=False)
-        rows = np.arange(len(cols))
-        for j in range(cols.shape[1]):
-            dense[rows, cols[:, j]] += vals[:, j]
+        np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals.astype(dense.dtype, copy=False))
         if field.p:
             dense %= field.p
-        m = cls(field, dense.tolist(), coerce=False)
-        m.cols = ncols
+        m = cls.__new__(cls)  # the rows are fresh lists of one length: no copy, no check
+        m.field, m.rows, m.cols, m.data = field, len(cols), ncols, dense.tolist()
         return m
 
     @classmethod
@@ -596,29 +593,15 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
 _SPARSE_CHUNK = 2 ** 12
 
 
-def _sparse_blocks(rows) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The items of ``rows`` as (cols, vals) blocks of two (m, w) arrays.
+def _sparse_blocks(blocks) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The (cols, vals) blocks of ``blocks`` as two (m, w) arrays each, empty ones dropped.
 
-    An item is a dict row {column: integer} or one block, whose row i has
-    the entries vals[i, j] at the columns cols[i, j]; a column repeated in
-    a row adds.  The dict rows become one block, padded with zeros at
-    column 0, and values too large for int64 stay Python ints.  The order
-    of the rows changes no rank.
+    Row i of a block has the entries vals[i, j] at the columns cols[i, j];
+    a column repeated in a row adds, so a row is padded with zeros at any
+    column.  Values too large for int64 are a numpy ``object`` array of
+    Python ints.  The order of the rows changes no rank.
     """
-    items = list(rows)
-    blocks = [(np.asarray(item[0], dtype=np.int64), np.asarray(item[1]))
-              for item in items if not isinstance(item, dict)]
-    dicts = [item for item in items if isinstance(item, dict)]
-    if dicts:
-        width = max(1, *map(len, dicts))
-        pad = [0] * width
-        vals = [(list(row.values()) + pad)[:width] for row in dicts]
-        try:
-            vals = np.array(vals, dtype=np.int64)
-        except OverflowError:
-            vals = np.array(vals, dtype=object)
-        blocks.append((np.array([(list(row) + pad)[:width] for row in dicts], dtype=np.int64),
-                       vals))
+    blocks = [(np.asarray(cols, dtype=np.int64), np.asarray(vals)) for cols, vals in blocks]
     return [(cols, vals) for cols, vals in blocks if cols.size]
 
 
@@ -723,7 +706,7 @@ def _sparse_lift(blocks, ncols: int):
 
 
 def sparse_rank(field: Field, rows: Iterable) -> int:
-    """Rank over ``field`` of sparse rows with integer entries (``_sparse_blocks``).
+    """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``).
 
     Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
     the kernel mod p is lifted and certified against every row by

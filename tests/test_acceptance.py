@@ -7,6 +7,8 @@ deviations in the ternary table).
 
 import random
 
+import numpy as np
+
 from derring.conjugacy import (class_sums, inner_basis, twisted_center_dimension,
                                twisted_centralizer, twisted_classes)
 from derring.derivations import (averaging_witness, derivation_space,
@@ -113,17 +115,14 @@ def test_criterion_04_inner_grid():
 # -- criterion 5 ---------------------------------------------------------------
 
 def _kernel_dim_of_commutator_map(group, field, w, sign):
-    """dim ker(alpha -> alpha*w - sign*w*alpha) for a group element w."""
+    """dim ker(alpha -> alpha*w - sign*w*alpha) for a group element w.
+
+    Row t of the map's (cols, vals) block has 1 at t w^-1 and -sign at w^-1 t.
+    """
     n = group.order
     mul, inv = group.mul, group.inv
-    rows = []
-    for t in range(n):
-        row = {mul[t][inv[w]]: 1}
-        c2 = mul[inv[w]][t]
-        row[c2] = row.get(c2, 0) - sign
-        if any(row.values()):
-            rows.append(row)
-    return n - sparse_rank(field, rows)
+    cols = np.array([[mul[t][inv[w]], mul[inv[w]][t]] for t in range(n)])
+    return n - sparse_rank(field, [(cols, np.tile([1, -sign], (n, 1)))])
 
 
 def test_criterion_05_explicit_bases():

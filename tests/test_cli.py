@@ -221,6 +221,18 @@ def test_derive_lists_table(tmp_path, capsys):
     assert payload["table"]["x"].startswith("1 + x")
 
 
+def test_power_seed_takes_a_tau_equal_to_sigma(tmp_path, capsys):
+    # tau is parsed apart from sigma, so the two maps are equal but not one object
+    c6 = {"group": {"family": "cyclic", "n": 6}, "field": "GF(3)", "sigma": {"x": "x"},
+          "tau": {"x": "x"}, "derivation": {"power_seed": "1 + x^3"}}
+    rc, payload = run_json(capsys, ["derive", write_spec(tmp_path, c6), "--format", "json"])
+    assert rc == 0
+    assert payload["table"]["x"] == "1 + x^3" and payload["table"]["x^2"] == "2*x + 2*x^4"
+    c6["tau"] = {"x": "x^5"}
+    assert main(["derive", write_spec(tmp_path, c6, "other.json")]) == 2
+    assert "power seeds require tau = sigma" in capsys.readouterr().err
+
+
 def test_derive_refuses_unknown_generator_exits_2(tmp_path, capsys):
     spec = write_spec(tmp_path, {
         "group": {"family": "dihedral", "n": 4}, "field": "GF(3)",

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from derring.derivations import (AlgebraEndo, TwistedDerivation,
+from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
                                  abelian_basis, averaging_witness,
                                  cyclic_power_derivation, derivation_space,
                                  derivation_space_full, extend_from_generators,
-                                 free_eval, inner_derivation, is_inner,
-                                 verify_derivation)
+                                 free_eval, inner_block, inner_derivation, is_inner,
+                                 relator_block, verify_derivation)
 from derring.errors import DerivationRejected
 from derring.groups import (abelian_group, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word)
-from derring.conjugacy import twisted_classes
+from derring.conjugacy import inner_basis, twisted_center_dimension, twisted_classes
+from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
 from derring.linalg import GF, QQ, rows_rank
 from derring.reference import REFERENCE_TABLES, build_context
@@ -538,3 +539,36 @@ def test_extension_requires_exactly_the_generator_images():
         extend_from_generators({"a": zero}, sigma)
     with pytest.raises(ValueError, match="unknown generators in image map"):
         extend_from_generators({"a": zero, "b": zero, "c": zero}, sigma)
+
+
+D6, C6 = dihedral_group(3), cyclic_group(6)
+ID_D6, POWER_C6 = identity_endomorphism(D6), endo_from_images(C6, {"x": "x^5"})
+MIXED_GROUPS = {
+    "relator_block": lambda F: relator_block(ID_D6, POWER_C6),
+    "inner_block": lambda F: inner_block(ID_D6, POWER_C6, range(6)),
+    "_pair_constraint_rows": lambda F: next(_pair_constraint_rows(ID_D6, POWER_C6)),
+    "twisted_classes": lambda F: twisted_classes(D6, POWER_C6, POWER_C6),
+    "TwistedDerivation": lambda F: TwistedDerivation(
+        D6, F, ID_D6, POWER_C6, images={"a": [0] * 6, "b": [0] * 6}),
+    "TwistedDerivation witness": lambda F: TwistedDerivation(
+        C6, F, POWER_C6, POWER_C6, witness=GroupRingElement.one(D6, F), images={"x": [0] * 6}),
+    "derivation_space": lambda F: derivation_space(F, ID_D6, POWER_C6),
+    "derivation_space_full": lambda F: derivation_space_full(F, ID_D6, POWER_C6, basis=False),
+    "inner_basis": lambda F: inner_basis(D6, ID_D6, POWER_C6, F),
+    "twisted_center_dimension": lambda F: twisted_center_dimension(D6, POWER_C6, POWER_C6, F),
+    "inner_derivation": lambda F: inner_derivation(GroupRingElement.one(D6, F),
+                                                   POWER_C6, POWER_C6),
+    "extend_from_generators": lambda F: extend_from_generators(
+        {"x": GroupRingElement.one(D6, F)}, POWER_C6),
+    "cyclic_power_derivation": lambda F: cyclic_power_derivation(
+        cyclic_group(6), POWER_C6, GroupRingElement.one(C6, F)),
+    "predict": lambda F: predict(dihedral_group(5), identity_endomorphism(dihedral_group(4)), F),
+}
+
+
+@pytest.mark.parametrize("entry", MIXED_GROUPS)
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_maps_of_different_groups_are_refused(entry, field):
+    # D6 and C6 have one order, so index arithmetic alone would answer silently
+    with pytest.raises(ValueError, match="different groups"):
+        MIXED_GROUPS[entry](field)

@@ -190,8 +190,13 @@ def test_sparse_rank_matches_dense(field):
                 row[rng.randrange(cols)] = rng.randint(-3, 3)
             dense.append(row)
         expected = len(gauss_jordan(field, dense)[1])
-        sparse_rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
-        assert sparse_rank(field, sparse_rows) == expected
+        # one (cols, vals) block of the nonzero entries, padded with (0, 0)
+        entries = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+        width = max(1, *map(len, entries))
+        padded = [row + [(0, 0)] * (width - len(row)) for row in entries]
+        block = (np.array([[j for j, _ in row] for row in padded]),
+                 np.array([[v for _, v in row] for row in padded]))
+        assert sparse_rank(field, [block]) == expected
 
 
 def test_row_weight_and_from_block_are_exact_past_int64():

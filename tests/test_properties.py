@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
-from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
-                                 _relator_images, _relator_matrix, averaging_witness,
-                                 derivation_space, derivation_space_full,
-                                 extend_from_generators, free_eval, inner_derivation, is_inner,
-                                 product_rule_violation, verify_derivation)
+from derring.derivations import (AlgebraEndo, TwistedDerivation, _inner_gather,
+                                 _pair_constraint_rows, averaging_witness, derivation_space,
+                                 derivation_space_full, extend_from_generators, free_eval,
+                                 inner_derivation, is_inner, product_rule_violation,
+                                 relator_block, verify_derivation)
 from derring.errors import DerivationRejected, HomomorphismRejected
 from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
                                centralizer_basis, format_element, parse_element)
@@ -127,13 +127,13 @@ def test_relator_matrix_matches_free_eval(point, data):
     images = {name: GroupRingElement(group, field, vec[k * n:(k + 1) * n])
               for k, (name, _) in enumerate(group.generators)}
     expected = [c for rel in group.relators for c in free_eval(images, sigma, tau, rel).coeffs]
-    got = _relator_matrix(field, sigma, tau).mul_vec([field.coerce(v) for v in vec])
+    cols, vals = relator_block(sigma, tau)
+    got = Matrix.from_block(field, cols, vals, len(vec)).mul_vec([field.coerce(v) for v in vec])
     assert got == expected
-    # extend_from_generators applies the same letter blocks without the matrix
+    # extend_from_generators gathers the integer images through the same block
+    assert [field.coerce(x) for x in _inner_gather(cols, vals, vec, object).tolist()] == expected
     values = [(rel, free_eval(images, sigma, tau, rel)) for rel in group.relators]
     coeffs = {name: img.coeffs for name, img in images.items()}
-    assert list(_relator_images(field, coeffs, sigma, tau)) == [
-        (rel, value.coeffs) for rel, value in values]
     failing = [(rel, value) for rel, value in values if not value.is_zero()]
     if not failing:
         assert extend_from_generators(images, sigma, tau).images == coeffs
@@ -315,6 +315,32 @@ def big_denominator_elements(group):
     entry = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(BIG_DENOMINATORS))
     return st.lists(entry, min_size=group.order, max_size=group.order).map(
         lambda c: GroupRingElement(group, QQ, c))
+
+
+def gauss_jordan_kernel(field, dense):
+    """The kernel basis of dense rows read off ``gauss_jordan``, one vector per
+    free column, as ``Matrix.kernel_basis`` gives it."""
+    reduced, pivots = gauss_jordan(field, dense)
+    basis = []
+    for f in (c for c in range(len(dense[0])) if c not in pivots):
+        vec = [field.zero()] * len(dense[0])
+        vec[f] = field.one()
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = field.neg(row[f])
+        basis.append(vec)
+    return basis
+
+
+@PROPERTY
+@given(st.sampled_from(GROUPS), st.sampled_from(EDGE_PRIMES + (GF(3), QQ)),
+       st.sampled_from((1, -1)), st.data())
+def test_commutator_kernels_match_convolution(group, field, sign, data):
+    # residues near p, or denominators whose lcm passes 2^63
+    beta = data.draw(elements(group, field) if field.p else big_denominator_elements(group))
+    units = [GroupRingElement.basis(group, field, g) for g in range(group.order)]
+    columns = [(e * beta - (beta * e).scale(sign)).coeffs for e in units]
+    basis = (centralizer_basis if sign == 1 else anticentralizer_basis)(beta)
+    assert [v.coeffs for v in basis] == gauss_jordan_kernel(field, list(zip(*columns)))
 
 
 @pytest.mark.parametrize("kind", VARIANTS)
@@ -606,6 +632,16 @@ def test_engine_rref_matches_fraction_elimination(rows):
 SPARSE_FIELDS = (GF(2), GF(3), GF(FIRST_PRIME), GF(4294967311), QQ)
 
 
+def entry_block(rows):
+    """Rows of (column, value) entries as one (cols, vals) block, padded with
+    (0, 0); the values are Python ints (numpy ``object``) past int64."""
+    width = max(1, *map(len, rows))
+    padded = [(row + [(0, 0)] * width)[:width] for row in rows]
+    vals = [[v for _, v in row] for row in padded]
+    dtype = np.int64 if all(abs(v) < 2 ** 63 for row in vals for v in row) else object
+    return np.array([[c for c, _ in row] for row in padded]), np.array(vals, dtype=dtype)
+
+
 @st.composite
 def sparse_systems(draw):
     """Up to 8 columns and rows of 0-4 (column, value) entries; columns may repeat."""
@@ -622,20 +658,18 @@ def sparse_systems(draw):
 # row 3 is rows 1 + 2 plus (2^31 - 1) e_0: rank 2 modulo 2^31 - 1, 3 over QQ
 @example(QQ, (3, [[(0, 1), (1, 2)], [(1, 1), (2, 3)], [(0, 1 + FIRST_PRIME), (1, 3), (2, 3)]]),
          True, 1)
-def test_sparse_rank_matches_fraction_elimination(field, system, as_block, chunk):
+def test_sparse_rank_matches_fraction_elimination(field, system, one_block, chunk):
     ncols, rows = system
     dense = [[0] * ncols for _ in rows]
     for row, entries in zip(dense, rows):
         for c, v in entries:
             row[c] += v
     _, expected = gauss_jordan(field, dense)
-    if as_block:
-        width = max(1, *map(len, rows))
-        padded = [(row + [(0, 0)] * width)[:width] for row in rows]
-        items = [(np.array([[c for c, _ in row] for row in padded]),
-                  np.array([[v for _, v in row] for row in padded]))]
+    # one block with repeated columns, or a block per row of summed entries
+    if one_block:
+        items = [entry_block(rows)]
     else:
-        items = [{c: v for c, v in enumerate(row) if v} for row in dense]
+        items = [entry_block([[(c, v) for c, v in enumerate(row) if v]]) for row in dense]
     with engine_records() as records, mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
         if not field.p:
             # the lift starts from the kernel modulo the first prime
@@ -658,18 +692,10 @@ def test_sparse_kernel_basis_matches_fraction_elimination(field, data):
     for row, entries in zip(dense, rows):
         for c, v in entries:
             row[c] += v
-    reduced, pivots = gauss_jordan(field, dense)
-    expected = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [field.zero()] * ncols
-        vec[f] = field.one()
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(row[f])
-        expected.append(vec)
     chunk = data.draw(st.sampled_from([1, 2 ** 5, linalg._SPARSE_CHUNK]))
-    items = [{c: v for c, v in enumerate(row) if v} for row in dense]
+    items = [entry_block(rows)]
     with mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
-        assert sparse_kernel_basis(field, items, ncols) == expected
+        assert sparse_kernel_basis(field, items, ncols) == gauss_jordan_kernel(field, dense)
 
 
 def pair_rows_reference(sigma, tau):
