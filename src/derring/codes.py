@@ -6,16 +6,21 @@ independent images spans an [n, |T|] code.
 
 Every code report rests on one exact weight enumeration.  Of the code
 (q^k codewords) and its dual (q^(n-k) codewords), only the smaller side
-is enumerated, the code itself on a tie, by numpy-blocked integer
-arithmetic mod q.  The other side's weight distribution follows from it
-by the MacWilliams identity, computed exactly as integer Kravchuk sums;
-both distributions are checked to have the right number of codewords.
-A code whose smaller side exceeds ``ENUMERATION_CAP`` is refused.
+is enumerated, the code itself on a tie.  The enumeration meets in the
+middle on bit planes: the codewords of one half of the rows are held as
+b = bit_length(q - 1) planes of ceil(n/64) uint64 words, for any n, and
+every codeword's weight is a popcount of XORs against the other half's,
+in blocks of at most ``_BLOCK_WORDS`` (2^16) words, with exact int64
+counts up to the cap.  The other side's weight distribution follows by the
+MacWilliams identity, computed exactly as integer Kravchuk sums; both
+distributions are checked to have the right number of codewords.  A
+code whose smaller side exceeds ``ENUMERATION_CAP`` is refused.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -27,7 +32,7 @@ import numpy as np
 from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
 from .groupring import GroupRingElement
-from .linalg import Field, Matrix
+from .linalg import Field, Matrix, debug_record
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
@@ -111,36 +116,64 @@ def encode_via_derivation(code: LinearCode, D: TwistedDerivation,
 
 # -- weight enumeration (internal) -------------------------------------------
 
+# most uint64 words in one block's XOR, and most entries in one block's
+# residue table of prefix codewords
+_BLOCK_WORDS = 2 ** 16
+
+
+def _span_planes(gen: np.ndarray, start: int, stop: int, q: int) -> np.ndarray:
+    """Bit planes of the codewords of messages start..stop-1 over the rows of gen.
+
+    Message x has the base-q digits of x, least significant first.  The
+    result is (b, stop - start, ceil(n/64)) uint64, b = bit_length(q - 1):
+    plane i packs bit i of every residue, little-endian.
+    """
+    b = (q - 1).bit_length()
+    words = -(-gen.shape[1] // 64)
+    digits = np.arange(start, stop, dtype=np.int64)[:, None] // q ** np.arange(
+        len(gen), dtype=np.int64) % q
+    table = digits @ gen % q
+    if b > 1:
+        table = table >> np.arange(b, dtype=np.int64)[:, None, None] & 1
+    packed = np.packbits(table.reshape(b, stop - start, -1), axis=-1, bitorder="little")
+    planes = np.zeros((b, stop - start, 8 * words), dtype=np.uint8)
+    planes[:, :, :packed.shape[2]] = packed
+    return planes.view(np.uint64)
+
+
 def _weight_counts(rows: List[List[int]], q: int) -> List[int]:
     """Exact weight distribution of the span of rows over GF(q).
 
-    Enumerates all q^k messages with blocked numpy integer arithmetic.
-    Counts include the zero codeword; the total is exactly q^k.
+    Meet in the middle: every codeword is s - p, with p spanned by the
+    first ceil(k/2) rows and s by the other floor(k/2) (the span of p is
+    closed under negation), and coordinate j of s - p is zero exactly
+    when s_j = p_j.  The q^floor(k/2) codewords s are held as
+    b = bit_length(q - 1) bit planes S_i of ceil(n/64) uint64 words, for
+    any n; the codewords p are built and packed the same way, block by
+    block, so wt(s - p) = popcount(OR_i (S_i XOR P_i)) summed over the
+    words, each block's XOR at most ``_BLOCK_WORDS`` words.  Residue
+    tables and counts are int64: with q^k within
+    ``ENUMERATION_CAP`` (checked by the caller), q < 2^26 and each
+    message-times-rows sum is below 2^52, so the counts are exact.  They
+    include the zero codeword, and the total is checked to be q^k.
     """
     k = len(rows)
     n = len(rows[0])
     gen = np.array(rows, dtype=np.int64) % q
-    # tables hold residues mod q, and the sum of two residues before the mod
-    dtype = np.min_scalar_type(2 * (q - 1))
-
-    def span_table(sub: np.ndarray) -> np.ndarray:
-        table = np.zeros((1, n), dtype=dtype)
-        for row in sub:
-            shifts = (np.arange(q, dtype=np.int64)[:, None] * row[None, :]) % q
-            table = (table[None, :, :] + shifts[:, None, :].astype(dtype)) % q
-            table = table.reshape(-1, n)
-        return table
-
-    k_lo = 0
-    while k_lo < k and q ** (k_lo + 1) <= 65536:
-        k_lo += 1
-    suffix = span_table(gen[k - k_lo:])
-    prefix = span_table(gen[:k - k_lo])
+    hi = (k + 1) // 2
+    suffix = _span_planes(gen[hi:], 0, q ** (k - hi), q)
+    planes, size, words = suffix.shape
+    step = max(1, _BLOCK_WORDS // (words * max(size, 64)))
     counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = max(1, (1 << 25) // max(1, suffix.shape[0] * n))
-    for start in range(0, prefix.shape[0], chunk):
-        block = (prefix[start:start + chunk, None, :] + suffix[None, :, :]) % q
-        weights = np.count_nonzero(block, axis=2)
+    for start in range(0, q ** hi, step):
+        prefix = _span_planes(gen[:hi], start, min(start + step, q ** hi), q)
+        # bit 1 at the nonzero coordinates of every s - p
+        nonzero = prefix[0][:, None] ^ suffix[0]
+        for plane in range(1, planes):
+            nonzero |= prefix[plane][:, None] ^ suffix[plane]
+        weights = np.bitwise_count(nonzero[..., 0]).astype(np.intp)
+        for word in range(1, words):
+            weights += np.bitwise_count(nonzero[..., word])
         counts += np.bincount(weights.ravel(), minlength=n + 1)
     if int(counts.sum()) != q ** k:
         raise AssertionError("weight enumeration lost codewords")
@@ -161,7 +194,7 @@ def _transform_counts(dual_counts: List[int], n: int, q: int, dual_size: int) ->
     """Weight distribution of a code from its dual's, exactly in integers."""
     out = []
     for row in _kravchuk_matrix(n, q):
-        total = sum(ai * kji for ai, kji in zip(dual_counts, row) if ai)
+        total = sum(map(operator.mul, dual_counts, row))
         if total % dual_size:
             raise AssertionError("dual weight transform is not integral")
         out.append(total // dual_size)
@@ -180,7 +213,9 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
     Enumerates only the smaller of the two (the code itself on a tie) and
     obtains the other by the MacWilliams transform.  Refused with
     ``EnumerationTooLarge`` (a ``ValueError``) when the smaller side has
-    more than ``ENUMERATION_CAP`` codewords.
+    more than ``ENUMERATION_CAP`` codewords.  Otherwise writes one DEBUG
+    record on the ``derring.codes`` logger: the side enumerated (code or
+    dual), q, its dimension k and its q^k codewords.
     """
     q = code.field.p
     n, k = code.n, code.k
@@ -191,6 +226,10 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
         raise EnumerationTooLarge(
             f"weight enumeration too large: the smaller of the code and its dual "
             f"has {q}^{small_k} codewords, above the enumeration cap")
+    side = "code" if k <= n - k else "dual"
+    debug_record("derring.codes", "weight enumeration of the %s: %d^%d = %d codewords",
+                 side, q, small_k, q ** small_k, side=side, q=q, k=small_k,
+                 codewords=q ** small_k)
     if k <= n - k:
         counts = _weight_counts(_int_rows(code.generator.data), q)
         return counts, _transform_counts(counts, n, q, q ** k)

@@ -490,10 +490,11 @@ def sum_dtype(weight: int, top: int, p: int = 0, extra: int = 0):
 
     Every partial sum is at most weight top + extra, where the |c| of a
     sum add up to at most ``weight``, |x| <= ``top`` and ``extra`` bounds
-    whatever else is added; int64 while that and p stay below 2^63, else
-    Python ints (numpy ``object``).
+    whatever else is added; int64 while that, top itself (a zero weight
+    still holds the x) and p stay below 2^63, else Python ints (numpy
+    ``object``).
     """
-    return np.int64 if max(weight * top + extra, p) < 2 ** 63 else object
+    return np.int64 if max(weight * top + extra, top, p) < 2 ** 63 else object
 
 
 def _dense_vanishes(ints: List[List[int]], kernel: List[List[int]]) -> bool:
@@ -565,8 +566,8 @@ def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], Li
     return out, pivots
 
 
-def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
-    """One DEBUG record per rational elimination on the ``derring.linalg`` logger.
+def debug_record(logger: str, message: str, *args, **fields) -> None:
+    """One DEBUG record on the named logger, ``fields`` as record attributes.
 
     derring does not import ``logging`` itself: a process that has not
     imported it has set no level or handler, so there is nothing to record.
@@ -574,12 +575,16 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
     logging = sys.modules.get("logging")
     if logging is None:
         return
-    log = logging.getLogger("derring.linalg")
+    log = logging.getLogger(logger)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("QQ elimination %dx%d: rank %d, %d prime(s), %s", shape[0], shape[1],
-                  rank, primes, "lift" if lifted else "no lift",
-                  extra={"shape": tuple(shape), "rank": rank, "primes": primes,
-                         "lifted": lifted})
+        log.debug(message, *args, extra=fields)
+
+
+def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
+    """One DEBUG record per rational elimination on the ``derring.linalg`` logger."""
+    debug_record("derring.linalg", "QQ elimination %dx%d: rank %d, %d prime(s), %s",
+                 shape[0], shape[1], rank, primes, "lift" if lifted else "no lift",
+                 shape=tuple(shape), rank=rank, primes=primes, lifted=lifted)
 
 
 # -- sparse systems ---------------------------------------------------------

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from derring import cli
+from derring import cli, codes
 from derring.cli import main
 from derring.derivations import inner_derivation
 from derring.groupring import format_element, parse_element
@@ -182,17 +182,25 @@ def test_idd_over_large_field(tmp_path, capsys):
     assert (payload["n"], payload["k"], payload["d"]) == (16, 2, 4)
 
 
-def test_idd_above_enumeration_cap_exits_1(tmp_path, capsys):
-    # D(x^k) = k x^(k-1) on C42 over GF(3): the 21 images below are
-    # distinct basis elements, and a [42,21] code has 3^21 codewords on
-    # either side, above the enumeration cap
-    exponents = [k for k in range(1, 42) if k % 3][:21]
-    spec = write_spec(tmp_path, {
-        "group": {"family": "cyclic", "n": 42}, "field": "GF(3)",
-        "sigma": {"x": "x"}, "derivation": {"power_seed": "1"},
-        "subset": [f"x^{k}" for k in exponents]})
-    assert main(["idd", spec]) == 1
-    assert capsys.readouterr().err.startswith("rejected: weight enumeration too large")
+def test_idd_above_enumeration_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # D(x^j) = j x^(j-1) on C_n over GF(3): the k images below are distinct
+    # basis elements, so the code is [n, k] and the smaller of it and its
+    # dual has 3^smaller codewords, above the 3^16 cap ([36,19]: 3^17, one
+    # past it).  An enumeration would crash, exit 3; the cap refuses first
+    def crash(rows, q):
+        raise RuntimeError("enumerated past the cap")
+
+    monkeypatch.setattr(codes, "_weight_counts", crash)
+    for n, k, smaller in [(42, 21, 21), (36, 19, 17)]:
+        exponents = [j for j in range(1, n) if j % 3][:k]
+        spec = write_spec(tmp_path, {
+            "group": {"family": "cyclic", "n": n}, "field": "GF(3)",
+            "sigma": {"x": "x"}, "derivation": {"power_seed": "1"},
+            "subset": [f"x^{j}" for j in exponents]})
+        assert main(["idd", spec]) == 1
+        assert capsys.readouterr().err.startswith(
+            "rejected: weight enumeration too large: the smaller of the code and its dual "
+            f"has 3^{smaller} codewords")
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

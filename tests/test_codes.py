@@ -1,18 +1,22 @@
+import logging
 import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from derring.codes import (LinearCode, code_report, derivation_matrix,
+from derring import codes
+from derring.codes import (ENUMERATION_CAP, LinearCode, code_report, derivation_matrix,
                            dual_code, encode, encode_via_derivation, idd_code,
                            is_lcd, is_self_orthogonal, linear_code_report, matrix_text,
                            min_distance, subset_sweep, weight_distribution,
                            _transform_counts, _weight_counts)
 from derring.derivations import TwistedDerivation, cyclic_power_derivation, inner_derivation
-from derring.errors import DependentSubset
+from derring.errors import DependentSubset, EnumerationTooLarge
 from derring.groups import cyclic_group, dihedral_group, endo_from_images, identity_endomorphism
 from derring.groupring import parse_element
 from derring.linalg import GF, QQ, Matrix, same_row_space
+from derring.reference import REFERENCE_TABLES, build_context
 
 
 def c18_derivation():
@@ -40,6 +44,14 @@ def brute_min_distance(rows, q):
         w = sum(1 for x in cw if x)
         best = w if best is None else min(best, w)
     return best
+
+
+def brute_weights(rows, q):
+    """Independent oracle: the weight of every message's codeword, counted in plain python."""
+    counts = [0] * (len(rows[0]) + 1)
+    for msg in product(range(q), repeat=len(rows)):
+        counts[sum(1 for col in zip(*rows) if sum(m * x for m, x in zip(msg, col)) % q)] += 1
+    return counts
 
 
 def brute_dual_distance(rows, q):
@@ -136,8 +148,9 @@ def test_min_distance_against_brute_oracle(q):
         assert min_distance(code) == brute_min_distance(rows, q)
 
 
-# q = 61 and 67 straddle the old int8 bound 2(q - 1) <= 127, q = 127 and 131
-# the uint8 bound 2(q - 1) <= 255
+# q = 61 and 67 straddle the int8 bound 2(q - 1) <= 127, q = 127 and 131
+# the uint8 bound 2(q - 1) <= 255, both of an earlier enumeration that
+# summed residues in the narrowest integer type
 @pytest.mark.parametrize("q", [2, 3, 5, 61, 67, 127, 131])
 def test_distances_against_brute_oracles(q):
     rng = random.Random(q * 31)
@@ -163,6 +176,74 @@ def test_large_q_inner_derivation_code(q):
     rep = code_report(D, subset)
     assert rep.params == (16, 2, brute_min_distance(rows, q)) == (16, 2, 4)
     assert rep.dual_d == brute_dual_distance(rows, q)
+
+
+# b = bit_length(q - 1) bit planes: 1, 2, 3, 3, 8 and 9; n on both sides of
+# the uint64 word edges; every k, odd and even, whose brute enumeration
+# stays small, with and without a zero row
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 131, 257])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_weight_counts_against_brute_oracle(q, n):
+    rng = random.Random(q * 1000 + n)
+    k = 1
+    while k == 1 or q ** k * n * k <= 6000:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        assert _weight_counts(rows, q) == brute_weights(rows, q)
+        if k > 1:
+            rows[rng.randrange(k)] = [0] * n
+            assert _weight_counts(rows, q) == brute_weights(rows, q)
+        k += 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(1, 70), st.data())
+def test_weight_counts_property(q, k, n, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    assert _weight_counts(rows, q) == brute_weights(rows, q)
+
+
+def test_enumeration_cap_refuses_at_once(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_(rows, q):
+        raise Enumerated
+
+    def kernel(self):
+        raise AssertionError("computed a dual before checking the cap")
+
+    monkeypatch.setattr(codes, "_weight_counts", enumerate_)
+    rng = random.Random(17)
+
+    def ternary(n, k):
+        rows = [[int(i == j) for j in range(k)] + [rng.randrange(3) for _ in range(n - k)]
+                for i in range(k)]
+        return LinearCode(GF(3), n, k, Matrix(GF(3), rows), {})
+
+    assert 3 ** 16 == ENUMERATION_CAP
+    with pytest.raises(Enumerated):
+        weight_distribution(ternary(32, 16))
+    monkeypatch.setattr(Matrix, "kernel_basis", kernel)
+    # 3^17 codewords on the smaller side: the code itself on a tie, or the dual
+    for n, k in ((34, 17), (37, 20)):
+        with pytest.raises(EnumerationTooLarge, match=r"3\^17 codewords"):
+            weight_distribution(ternary(n, k))
+
+
+def test_enumeration_logs_its_side_and_size(caplog):
+    group, F, sigma, D = build_context("c24")
+    subset = REFERENCE_TABLES["c24"]["subsets"]["S4"]
+    with caplog.at_level(logging.DEBUG, logger="derring.codes"):
+        report = code_report(D, subset)
+    assert report.params == (24, 14, 4)
+    # k = 14 > n - k: the [24, 10] dual is enumerated
+    (record,) = [r for r in caplog.records if r.name == "derring.codes"]
+    assert (record.side, record.q, record.k, record.codewords) == ("dual", 3, 10, 3 ** 10)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="derring.codes"):
+        code_report(D, subset)
+    assert not caplog.records
 
 
 def test_weight_distribution_sides_agree():

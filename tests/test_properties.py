@@ -658,6 +658,8 @@ def sparse_systems(draw):
 # row 3 is rows 1 + 2 plus (2^31 - 1) e_0: rank 2 modulo 2^31 - 1, 3 over QQ
 @example(QQ, (3, [[(0, 1), (1, 2)], [(1, 1), (2, 3)], [(0, 1 + FIRST_PRIME), (1, 3), (2, 3)]]),
          True, 1)
+# the kernel (-1, 2^63) is certified against a zero row's block of weight 0
+@example(QQ, (2, [[], [(0, 2 ** 63), (1, 1)]]), False, 1)
 def test_sparse_rank_matches_fraction_elimination(field, system, one_block, chunk):
     ncols, rows = system
     dense = [[0] * ncols for _ in rows]
