@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from .derivations import TwistedDerivation, inner_block
+from .derivations import TwistedDerivation, common_field, generator_rows, inner_block
 from .groups import Endomorphism, FiniteGroup, common_group
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, rows_full_rank, sparse_rank
@@ -117,7 +117,7 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     """
     n = common_group(group, sigma, tau).order
     cols, vals, _, _ = inner_block(sigma, tau, range(n))
-    kernel = Matrix.from_block(field, cols, vals, n).kernel_basis()
+    kernel = Matrix.from_block(common_field(field, sigma, tau), cols, vals, n).kernel_basis()
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 
@@ -125,7 +125,7 @@ def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endom
                              field: Field) -> int:
     n = common_group(group, sigma, tau).order
     cols, vals, _, _ = inner_block(sigma, tau, range(n))
-    return n - sparse_rank(field, [(cols, vals)])
+    return n - sparse_rank(common_field(field, sigma, tau), [(cols, vals)])
 
 
 def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
@@ -133,9 +133,9 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
     """The inner-derivation basis D_g, g over non-singleton classes minus reps.
 
     Exactly |G| - r derivations.  D_g's generator images are column g of
-    the system that ``is_inner`` solves (group maps act over the scale 1),
-    rank-checked for independence, which is exact because a derivation
-    vanishing on the generators vanishes everywhere.
+    the system that ``is_inner`` solves, ``generator_rows`` (group maps act
+    over the scale 1), rank-checked for independence, which is exact
+    because a derivation vanishing on the generators vanishes everywhere.
     """
     partition = twisted_classes(group, sigma, tau)
     members = []
@@ -146,8 +146,8 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
         raise AssertionError("class bookkeeping lost derivations")
     n = group.order
     spans = [(name, slice(k * n, (k + 1) * n)) for k, (name, _) in enumerate(group.generators)]
-    cols, vals, _, _ = inner_block(sigma, tau, [s for _, s in group.generators])
-    columns = list(zip(*Matrix.from_block(field, cols, vals, n).data))
+    cols, vals, _, _ = generator_rows(sigma, tau)
+    columns = list(zip(*Matrix.from_block(common_field(field, sigma, tau), cols, vals, n).data))
     columns = [list(columns[g]) for g in members]
     if columns and not rows_full_rank(field, columns, len(members)):
         raise AssertionError("inner derivation basis is not independent")

@@ -12,7 +12,12 @@ linear in the images, one (cols, vals) block read off the table
 path.  The pair solver ``derivation_space_full`` treats all group images
 as unknowns constrained by every product pair and is kept only as an
 oracle against it.  Like the inner, pair and commutator systems, every
-system here is one such block over maps of one group (``common_group``).
+system here is one such block over maps of one group (``common_group``),
+and over one field (``common_field``).  The blocks fixed by (sigma, tau)
+and the inner system's elimination, fixed by (sigma, tau, field), are
+built once and kept in one bounded cache (``_cached``), so ``is_inner``
+solves by an integer product.  A derivation's table is computed in
+integers from its generator images, never in field arithmetic.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike: the product rule, the inner
@@ -31,17 +36,18 @@ Past the bound are actions with coefficients near p over a prime above
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DerivationRejected
-from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, action_gathers,
-                     common_group, first_failing_pair, word_str)
+from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only,
+                     action_gathers, common_group, first_failing_pair, word_str)
 from .groupring import GroupRingElement
-from .linalg import (Field, Matrix, integer_scale, row_weight, sparse_kernel_basis, sparse_rank,
-                     sum_dtype)
+from .linalg import (Field, Matrix, _rat, debug_record, integer_scale, row_weight,
+                     sparse_kernel_basis, sparse_rank, sum_dtype)
 
 
 class AlgebraEndo:
@@ -102,18 +108,69 @@ class AlgebraEndo:
 EndoLike = Union[Endomorphism, AlgebraEndo]
 
 
+def common_field(field: Field, *items) -> Field:
+    """``field``, or a ValueError when one of ``items`` that carries a field
+    (an ``AlgebraEndo``, whose images are that field's elements, or an
+    element) is over another; a group map acts over every field."""
+    for x in items:
+        other = getattr(x, "field", field)
+        if other != field:
+            raise ValueError(f"maps and elements over different fields: {other} and {field}")
+    return field
+
+
+@functools.lru_cache(maxsize=64)
+def _cached(build, *key):
+    """``build(*key)``, built once while the key stays among the 64 latest.
+
+    The one cache of the systems fixed by (sigma, tau) or (sigma, tau,
+    field): the relator block, the inner system's generator rows and its
+    elimination.  Keys compare an ``Endomorphism`` by its group object and
+    images, an ``AlgebraEndo`` by identity and a field by p, so no entry
+    crosses groups or fields.  Every array in an entry is read-only.
+    """
+    return build(*key)
+
+
+def _shared(build):
+    """``build``, answered from ``_cached``."""
+    @functools.wraps(build)
+    def cached(*key):
+        return _cached(build, *key)
+    return cached
+
+
+def _lowest_terms(field: Field, ints: Sequence[int], den: int) -> Tuple[List[int], int]:
+    """Integers over den as ``integer_scale`` puts their values: residues over 1
+    over GF(p), where den is 1, and over QQ divided by gcd(den, entries)."""
+    if field.p:
+        return [x % field.p for x in ints], 1
+    g = math.gcd(den, *ints)
+    return ([x // g for x in ints], den // g) if g > 1 else (list(ints), den)
+
+
+def _values(field: Field, ints: Sequence[int], den: int) -> List:
+    """The field elements x / den of integers x; the ints themselves when den is 1."""
+    if den == 1:
+        return list(ints)
+    inv = field.inv(field.coerce(den))
+    return [field.mul(inv, x) for x in ints]
+
+
 class TwistedDerivation:
     """A (sigma, tau)-derivation, defined by its generator images.
 
     ``images`` maps each generator name to the coefficient list of its
-    image; by the extension theorem these fix the derivation.  ``table``,
-    the images of all listed group elements, is built on first read and
-    cached: beta tau(g) - sigma(g) beta for an inner derivation (its
-    ``witness`` beta, ``_witness_images``), otherwise the extension of
-    ``images`` along the normal forms, which needs sigma and tau to be
-    group endomorphisms.  A derivation constructed from a table keeps it
-    as given.  Over QQ an integral coefficient may be an int.  The group,
-    sigma, tau and the witness must share one group.
+    image; by the extension theorem these fix the derivation.  The table
+    of all group images is computed on first read, in integers
+    (``integer_table``): beta tau(g) - sigma(g) beta for an inner
+    derivation (its ``witness`` beta, ``_witness_ints``), otherwise the
+    extension of ``images`` along the normal forms (``_extension_ints``),
+    which needs sigma and tau to be group endomorphisms; ``table`` is read
+    off it.  A derivation constructed from a table keeps it as given.
+    Over QQ an integral coefficient may be an int.  The group, sigma, tau
+    and the witness must share one group, and the field must be that of
+    the witness and of any algebra endomorphism (``common_field``).
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
@@ -124,6 +181,7 @@ class TwistedDerivation:
                  provenance: str = "table", witness: Optional[GroupRingElement] = None,
                  images: Optional[Dict[str, List]] = None):
         common_group(group, sigma, tau, group if witness is None else witness)
+        common_field(field, sigma, tau, witness)
         if table is not None:
             if len(table) != group.order:
                 raise ValueError("derivation table must cover every group element")
@@ -146,13 +204,10 @@ class TwistedDerivation:
     @property
     def table(self) -> List[GroupRingElement]:
         if self._table is None:
-            G, F = self.group, self.field
-            if self.witness is not None:
-                rows = _witness_images(self.witness, self.sigma, self.tau, range(G.order))
-            else:
-                rows = _extension_table(F, self.sigma, self.tau, self.images,
-                                        dict(G.generators), G.normal_forms)
-            self._table = [GroupRingElement(G, F, row, coerce=False) for row in rows]
+            G, F, n = self.group, self.field, self.group.order
+            flat = _values(F, *self.integer_table())
+            self._table = [GroupRingElement(G, F, flat[i:i + n], coerce=False)
+                           for i in range(0, n * n, n)]
         return self._table
 
     def __call__(self, alpha: GroupRingElement) -> GroupRingElement:
@@ -166,10 +221,29 @@ class TwistedDerivation:
         return [c for elem in self.table for c in elem.coeffs]
 
     def integer_table(self) -> Tuple[List[int], int]:
-        """``flat()`` over its common denominator L, and L (``integer_scale``); cached
-        like the table, for the integer checks."""
+        """The table as integers over one denominator L, and L: exactly
+        ``integer_scale(flat())``, L the lcm of the reduced denominators (1
+        over GF(p)).  Cached, for the integer checks.
+
+        A table given is scaled.  Otherwise it is computed in integers from
+        the generator images, never from field elements: the gather of the
+        witness (``_witness_ints``) or the extension (``_extension_ints``) of
+        the images over their common denominator, in lowest terms
+        (``_lowest_terms``).
+        """
         if self._integers is None:
-            self._integers = integer_scale(self.flat())
+            G, F = self.group, self.field
+            if self._table is not None:
+                self._integers = integer_scale(self.flat())
+            elif self.witness is not None:
+                self._integers = _witness_ints(self.witness, self.sigma, self.tau,
+                                               inner_block(self.sigma, self.tau, range(G.order)))
+            else:
+                ints, den = integer_scale(self.generator_flat())
+                n = G.order
+                images = {name: ints[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)}
+                self._integers = _lowest_terms(F, _extension_ints(
+                    self.sigma, self.tau, images, dict(G.generators), G.normal_forms), den)
         return self._integers
 
     def generator_flat(self) -> List:
@@ -220,7 +294,7 @@ def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
     Letters may be inverses; each contributes one term, sandwiched between
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
     The empty word evaluates to 0.  Kept as the object-algebra reference
-    for the index arithmetic of ``relator_block`` and ``_extension_table``.
+    for the index arithmetic of ``relator_block`` and ``_extension_ints``.
     """
     G = sigma.group
     out = GroupRingElement.zero(G, next(iter(images.values())).field)
@@ -254,7 +328,7 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     extra = set(images) - set(names)
     if extra:
         raise ValueError(f"unknown generators in image map: {sorted(extra)}")
-    F = images[names[0]].field
+    F = common_field(images[names[0]].field, *images.values())
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
                           images={name: images[name].coeffs for name in names})
     cols, vals = relator_block(sigma, tau)
@@ -269,22 +343,22 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     return D
 
 
-def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
-                     images: Dict[str, Sequence], support: Dict[str, int],
-                     words: Sequence[Word]) -> List[List]:
-    """The product-rule extension of generator images, as coefficient lists.
+def _extension_ints(sigma: Endomorphism, tau: Endomorphism, images: Dict[str, Sequence[int]],
+                    support: Dict[str, int], words: Sequence[Word]) -> List[int]:
+    """The product-rule extension of integer generator images, as one flat list.
 
-    ``images`` maps each name of ``support`` to a coefficient list, and
+    ``images`` maps each name of ``support`` to a list of ints, and
     ``words`` gives every element a word over ``support``, closed under
     prefixes as ``FiniteGroup.words_over`` builds them.  D(g) is the
     free-word evaluation of g's word (see ``_word_letters``), computed from
     its prefix w and last letter x as D(w) tau(x) plus the term of x:
-    sigma(w) f(x), or -sigma(w x) f(x) tau(x) for an inverse letter.
-    Relators are not checked.
+    sigma(w) f(x), or -sigma(w x) f(x) tau(x) for an inverse letter.  It
+    is index arithmetic on the table with Python int adds, so exact;
+    relators are not checked.
     """
     G = sigma.group
-    mul, inv, zero = G.mul, G.inv, F.zero()
-    table: List[List] = [[zero] * G.order] * G.order
+    mul, inv = G.mul, G.inv
+    table: List[List[int]] = [[0] * G.order] * G.order
     # parents first; the identity, whose word is empty, keeps its zero row
     for g in sorted(range(G.order), key=lambda g: len(words[g]))[1:]:
         name, sign = words[g][-1]
@@ -293,15 +367,15 @@ def _extension_table(F: Field, sigma: Endomorphism, tau: Endomorphism,
         prev, back = table[w], inv[tx]
         out = [prev[row[back]] for row in mul]
         if sign > 0:
-            op, left, right = F.add, mul[sigma.images[w]], G.identity
+            for k, c in zip(mul[sigma.images[w]], images[name]):
+                if c:
+                    out[k] += c
         else:
-            op, left, right = F.sub, mul[sigma.images[g]], tx
-        for e, c in enumerate(images[name]):
-            if c:
-                k = mul[left[e]][right]
-                out[k] = op(out[k], c)
+            for e, c in zip(mul[sigma.images[g]], images[name]):
+                if c:
+                    out[mul[e][tx]] -= c
         table[g] = out
-    return table
+    return [c for row in table for c in row]
 
 
 def _actions(sigma: EndoLike, tau: EndoLike) -> Tuple[Action, Action, int, int]:
@@ -347,10 +421,10 @@ verify_derivation = product_rule_violation
 
 def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
     """The derivation g -> beta tau(g) - sigma(g) beta, from its generator images."""
-    G = beta.group
-    rows = _witness_images(beta, sigma, tau, [s for _, s in G.generators])
-    return TwistedDerivation(G, beta.field, sigma, tau, provenance="inner", witness=beta,
-                             images=dict(zip([name for name, _ in G.generators], rows)))
+    G, F, n = beta.group, beta.field, beta.group.order
+    flat = _values(F, *_witness_ints(beta, sigma, tau, generator_rows(sigma, tau)))
+    return TwistedDerivation(G, F, sigma, tau, provenance="inner", witness=beta, images={
+        name: flat[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)})
 
 
 def inner_block(sigma: EndoLike, tau: EndoLike,
@@ -370,56 +444,109 @@ def inner_block(sigma: EndoLike, tau: EndoLike,
     return cols.reshape(-1, vals.shape[1]), np.repeat(vals, n, axis=0), scale, weight
 
 
+@_shared
+def generator_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``inner_block`` at the generators, the system ``is_inner`` solves; cached, read-only."""
+    cols, vals, scale, weight = inner_block(
+        sigma, tau, [s for _, s in common_group(sigma, tau).generators])
+    return _read_only(cols), _read_only(vals), scale, weight
+
+
 def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: Sequence[int], dtype) -> np.ndarray:
     """A block's rows times the integers beta, in ``dtype``: for ``inner_block``,
     M Lb D_beta(g)[t] for beta over Lb."""
     return (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
 
 
-def _witness_images(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
-                    gs: Sequence[int]) -> List[List]:
-    """beta tau(g) - sigma(g) beta for each g of gs, as coefficient lists.
+def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
+                  rows: Tuple[np.ndarray, np.ndarray, int, int]) -> Tuple[List[int], int]:
+    """beta tau(g) - sigma(g) beta at the g of ``rows``, a block of ``inner_block``,
+    as integers over one denominator, and it (``_lowest_terms``).
 
-    ``_inner_gather`` through the rows of gs, in int64 while w max |beta| and p
-    stay below 2^63; reduced mod p over GF(p), where M = Lb = 1, and over
-    QQ divided by M Lb unless it is 1, leaving integral images as ints.
+    ``_inner_gather`` of beta's integers (over Lb), in int64 while w max
+    |beta| and p stay below 2^63, over M Lb: over GF(p) M = Lb = 1.
     """
-    F, n = beta.field, common_group(beta, sigma, tau).order
-    cols, vals, scale, weight = inner_block(sigma, tau, gs)
+    F = common_field(beta.field, sigma, tau)
+    common_group(beta, sigma, tau)
+    cols, vals, scale, weight = rows
     ints, lb = integer_scale(beta.coeffs)
     flat = _inner_gather(cols, vals, ints, sum_dtype(weight, max(map(abs, ints)), F.p))
-    flat = (flat % F.p if F.p else flat).tolist()
-    if scale * lb != 1:
-        flat = [F.div(x, scale * lb) for x in flat]
-    return [flat[i:i + n] for i in range(0, len(flat), n)]
+    return _lowest_terms(F, flat.tolist(), scale * lb)
+
+
+class _InnerSystem:
+    """The generator rows A of the inner system over one field, eliminated once.
+
+    The RREF of [A | I] is [R | T], with T invertible and T A = R.  So
+    A x = b is solvable exactly when T b vanishes past the rank r, and then
+    x, zero off the pivots and (T b)[i] at pivot i, is the solution read
+    off the RREF of [A | b]: that RREF is [R | T b], since it is unique.
+    T is kept in integers, residues over GF(p) and over QQ each row over
+    its own denominator, so a solve is one integer product.  Each
+    elimination writes one DEBUG record on ``derring.derivations``.
+    """
+
+    __slots__ = ("field", "order", "scale", "pivots", "T", "dens", "weight")
+
+    def __init__(self, sigma: EndoLike, tau: EndoLike, field: Field):
+        self.field, n = common_field(field, sigma, tau), common_group(sigma, tau).order
+        cols, vals, self.scale, _ = generator_rows(sigma, tau)
+        A = Matrix.from_block(field, cols, vals, n).data
+        m = len(A)
+        R, pivots = Matrix(field, [row + [0] * i + [1] + [0] * (m - 1 - i)
+                                   for i, row in enumerate(A)], coerce=False).rref()
+        rows = [integer_scale(row[n:]) for row in R.data]
+        T = np.array([t for t, _ in rows], dtype=object).reshape(m, m)
+        self.order, self.pivots, self.dens = n, [c for c in pivots if c < n], [d for _, d in rows]
+        self.weight = row_weight(T)
+        self.T = _read_only(T.astype(sum_dtype(0, max(map(abs, T.ravel()), default=0))))
+        debug_record("derring.derivations", "inner system %dx%d over %s: rank %d",
+                     m, n, field, len(self.pivots), shape=(m, n), rank=len(self.pivots))
+
+    def solve(self, rhs: Sequence) -> Optional[List]:
+        """The solution of A x = M b read off the RREF, b the generator images
+        ``rhs``, or None when there is none; T b is exact in int64 while T's
+        row weight times max |b| and p stay below 2^63."""
+        F, r = self.field, len(self.pivots)
+        ints, lb = integer_scale(rhs)
+        dtype = sum_dtype(self.weight, max(map(abs, ints), default=0), F.p)
+        Tb = self.T.astype(dtype, copy=False) @ np.array(ints, dtype=dtype)
+        Tb = (Tb % F.p if F.p else Tb).tolist()
+        if any(Tb[r:]):
+            return None
+        x = [F.zero()] * self.order
+        for c, v, d in zip(self.pivots, Tb, self.dens):
+            x[c] = v if F.p else _rat(self.scale * v, d * lb)
+        return x
 
 
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     """A witness beta with D = D_beta, or None when D is not inner.
 
     Solves beta tau(s) - sigma(s) beta = D(s) for the generators s only,
-    the rows of ``inner_block`` at s; the witness is unique only up to the
-    twisted center.  Since sigma and tau are multiplicative, beta tau(s) =
-    sigma(s) beta on the generators gives it on all of G, so these rows
-    have the same kernel, hence the same RREF, as the full |G|^2 system:
-    when the full system is solvable, both give the same witness.  A
-    solution is returned only when D_beta reproduces all of D's table,
-    which certifies it: ``_inner_gather`` of beta's integers (over Lb)
-    against D's integer table T (over Ld), exact in int64 while Ld w
-    max |beta| + M Lb max |T| < 2^63, w the actions' weight on scale M.
+    the rows of ``generator_rows``, eliminated once per (sigma, tau, field)
+    and cached (``_InnerSystem``); a solve is then one integer product.
+    The witness is unique only up to the twisted center: it is the one
+    read off the RREF of the augmented rows [A | M D(s)].  Since sigma
+    and tau are multiplicative, beta tau(s) = sigma(s) beta on the
+    generators gives it on all of G, so these rows have the same kernel,
+    hence the same RREF, as the full |G|^2 system: when the full system is
+    solvable, both give the same witness.  A solution is returned only
+    when D_beta reproduces all of D's table, which certifies it:
+    ``_inner_gather`` of beta's integers (over Lb) against D's integer
+    table T (over Ld), exact in int64 while Ld w max |beta| + M Lb max |T|
+    < 2^63, w the actions' weight on scale M.
     """
     G, F = D.group, D.field
     n, p = G.order, F.p
-    cols, vals, scale, weight = inner_block(D.sigma, D.tau, [s for _, s in G.generators])
-    rhs = D.generator_flat()
-    system = Matrix.from_block(F, cols, vals, n)
-    solution = system.solve(rhs if scale == 1 else [scale * c for c in rhs])
+    solution = _cached(_InnerSystem, D.sigma, D.tau, F).solve(D.generator_flat())
     if solution is None:
         return None
     beta, lb = integer_scale(solution)
     table, ld = D.integer_table()
+    cols, vals, scale, weight = inner_block(D.sigma, D.tau, range(n))
     dtype = sum_dtype(ld * weight, max(map(abs, beta)), p, scale * lb * max(map(abs, table)))
-    image = _inner_gather(*inner_block(D.sigma, D.tau, range(n))[:2], beta, dtype)
+    image = _inner_gather(cols, vals, beta, dtype)
     table = np.array(table, dtype=dtype)
     if p:
         same = not ((image - table) % p != 0).any()
@@ -451,6 +578,7 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
 
 # -- solution spaces ---------------------------------------------------------
 
+@_shared
 def relator_block(sigma: Endomorphism, tau: Endomorphism) -> Tuple[np.ndarray, np.ndarray]:
     """The linear map from generator images to relator images, as one (cols, vals) block.
 
@@ -458,7 +586,8 @@ def relator_block(sigma: Endomorphism, tau: Endomorphism) -> Tuple[np.ndarray, n
     is coefficient t of relator j's image.  A letter (name, sign, left,
     right) of ``_word_letters`` adds ``sign * left f(name) right``, so it
     puts sign at the column of name's coefficient at left^-1 t right^-1.
-    The relators are padded to the longest with letters of sign 0.
+    The relators are padded to the longest with letters of sign 0.  Cached,
+    read-only (``_cached``).
     """
     G = common_group(sigma, tau)
     n, mul, inv, support = G.order, G.mul_array, G.inv_array, dict(G.generators)
@@ -471,7 +600,8 @@ def relator_block(sigma: Endomorphism, tau: Endomorphism) -> Tuple[np.ndarray, n
         [row + pad * (width - len(row)) for row in letters],
         dtype=np.int64).reshape(len(letters), width, 4).transpose(2, 0, 1)
     cols = start[..., None] + mul[mul[inv[left][..., None], np.arange(n)], inv[right][..., None]]
-    return cols.transpose(0, 2, 1).reshape(len(letters) * n, width), np.repeat(sign, n, axis=0)
+    return (_read_only(cols.transpose(0, 2, 1).reshape(len(letters) * n, width)),
+            _read_only(np.repeat(sign, n, axis=0)))
 
 
 def derivation_space(field: Field, sigma: Endomorphism,
@@ -578,12 +708,13 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
         return []
     support = dict(p_gens + reg_gens)
     words = group.words_over(p_gens + reg_gens)
-    zero, one = GroupRingElement.zero(group, field), GroupRingElement.one(group, field)
+    n, zero, one = group.order, GroupRingElement.zero(group, field), GroupRingElement.one(group, field)
     seeds = []
     for iname, _ in p_gens:
         images = {name: (one if name == iname else zero).coeffs for name in support}
-        table = [GroupRingElement(group, field, row, coerce=False) for row in
-                 _extension_table(field, sigma, sigma, images, support, words)]
+        flat = _extension_ints(sigma, sigma, images, support, words)
+        table = [GroupRingElement(group, field, [c % field.p for c in flat[i:i + n]], coerce=False)
+                 for i in range(0, n * n, n)]
         D = TwistedDerivation(group, field, sigma, sigma, table, provenance="extended")
         bad = product_rule_violation(D)
         if bad is not None:

@@ -314,21 +314,6 @@ class Matrix:
             basis.append(v)
         return basis
 
-    def solve(self, rhs: Sequence) -> Optional[List]:
-        """A particular solution of M x = rhs, or None when inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError("rhs length must equal the number of rows")
-        F = self.field
-        aug = Matrix(F, [list(row) + [F.coerce(b)] for row, b in zip(self.data, rhs)],
-                     coerce=False)
-        R, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [F.zero()] * self.cols
-        for r_idx, pc in enumerate(pivots):
-            x[pc] = R.data[r_idx][self.cols]
-        return x
-
 
 def _dot(field: Field, a: Sequence, b: Sequence):
     acc = field.zero()

@@ -5,7 +5,7 @@ arithmetic, entry by entry: the slow, obviously exact route that the
 multimodular engine of ``derring.linalg`` is tested against.
 """
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from derring.linalg import Field
 
@@ -35,3 +35,18 @@ def gauss_jordan(field: Field, data: Sequence[Sequence]) -> Tuple[List[List], Tu
         if r == nrows:
             break
     return m, tuple(pivots)
+
+
+def solve(field: Field, data: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
+    """The particular solution of data x = rhs read off ``gauss_jordan`` of [data | rhs]:
+    zero off the pivots, the last column at each pivot.  None when inconsistent."""
+    if len(rhs) != len(data):
+        raise ValueError("rhs length must equal the number of rows")
+    ncols = len(data[0]) if data else 0
+    reduced, pivots = gauss_jordan(field, [list(row) + [b] for row, b in zip(data, rhs)])
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row[ncols]
+    return x

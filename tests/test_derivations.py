@@ -1,4 +1,6 @@
+import logging
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from derring.groups import (abelian_group, cyclic_group, dihedral_group,
 from derring.conjugacy import inner_basis, twisted_center_dimension, twisted_classes
 from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
-from derring.linalg import GF, QQ, rows_rank
+from derring.linalg import GF, QQ, integer_scale, rows_rank
 from derring.reference import REFERENCE_TABLES, build_context
 
 
@@ -572,3 +574,105 @@ def test_maps_of_different_groups_are_refused(entry, field):
     # D6 and C6 have one order, so index arithmetic alone would answer silently
     with pytest.raises(ValueError, match="different groups"):
         MIXED_GROUPS[entry](field)
+
+
+# u = a^2 + a*b + 2 a^2*b is a unit of GF(3)[D6]; x -> u x u^-1 sends a to
+# a + 2 b + 2 a*b + 2 a^2*b, coefficients [0, 1, 0, 2, 2, 2]
+U_GF3, U_INV_GF3 = (parse_element(D6, GF(3), text)
+                    for text in ("a^2 + a*b + 2*a^2*b", "2 + 2*a^2 + 2*a*b + a^2*b"))
+MIXED_FIELDS = {
+    "inner_derivation": lambda sigma: inner_derivation(GroupRingElement.basis(D6, QQ, 1),
+                                                       sigma, sigma),
+    "TwistedDerivation": lambda sigma: TwistedDerivation(
+        D6, QQ, sigma, sigma, [GroupRingElement.zero(D6, QQ)] * 6),
+    "TwistedDerivation witness": lambda sigma: TwistedDerivation(
+        D6, GF(3), sigma, sigma, witness=GroupRingElement.one(D6, QQ),
+        images={"a": [0] * 6, "b": [0] * 6}),
+    "twisted_center_dimension": lambda sigma: twisted_center_dimension(D6, sigma, sigma, QQ),
+    "extend_from_generators": lambda sigma: extend_from_generators(
+        {"a": GroupRingElement.zero(D6, GF(3)), "b": GroupRingElement.zero(D6, QQ)}, ID_D6),
+}
+
+
+@pytest.mark.parametrize("entry", MIXED_FIELDS)
+def test_maps_and_elements_of_different_fields_are_refused(entry):
+    assert U_GF3 * U_INV_GF3 == GroupRingElement.one(D6, GF(3))
+    sigma = AlgebraEndo(D6, GF(3), [U_GF3 * GroupRingElement.basis(D6, GF(3), g) * U_INV_GF3
+                                    for g in range(6)])
+    assert sigma.ring_images[1].coeffs == [0, 1, 0, 2, 2, 2]
+    # a over QQ against this map once gave a derivation failing the product rule at (3, 3)
+    with pytest.raises(ValueError, match="different fields"):
+        MIXED_FIELDS[entry](sigma)
+    D = inner_derivation(GroupRingElement.basis(D6, GF(3), 1), sigma, sigma)
+    assert verify_derivation(D) is None
+    assert inner_derivation(is_inner(D), sigma, sigma) == D
+
+
+def test_inner_system_is_eliminated_once(caplog):
+    # a fresh group, so no elimination of its pair is cached yet
+    d16 = dihedral_group(8)
+    sigma = endo_from_images(d16, {"a": "a^3", "b": "a*b"})
+    _, basis = derivation_space(QQ, sigma)
+    with caplog.at_level(logging.DEBUG, logger="derring.derivations"):
+        witnesses = [is_inner(D) for D in basis]
+    # |G| is invertible over QQ: every member is inner
+    assert len(basis) > 1 and None not in witnesses
+    # the generator rows of a and b, of rank |G| - r = 16 - 7
+    (record,) = [r for r in caplog.records if r.name == "derring.derivations"]
+    assert (record.shape, record.rank) == ((32, 16), 9)
+    caplog.clear()
+    fresh = endo_from_images(dihedral_group(8), {"a": "a^3", "b": "a*b"})
+    with caplog.at_level(logging.INFO, logger="derring.derivations"):
+        is_inner(inner_derivation(GroupRingElement.one(fresh.group, QQ), fresh, fresh))
+    assert not caplog.records
+
+
+def _reference_table(D):
+    """D's table by free-word evaluation of each normal form."""
+    G = D.group
+    images = {name: GroupRingElement(G, D.field, D.images[name]) for name, _ in G.generators}
+    return [free_eval(images, D.sigma, D.tau, word) for word in G.normal_forms]
+
+
+def _assert_integer_table_matches(D, table):
+    """A copy of D from its generator images computes ``table`` in integers."""
+    E = TwistedDerivation(D.group, D.field, D.sigma, D.tau, images=D.images)
+    assert E.integer_table() == integer_scale([c for e in table for c in e.coeffs])
+    assert E.table == table
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_integer_table_matches_free_eval(n):
+    G = dihedral_group(n)
+    pairs = [(identity_endomorphism(G), endo_from_images(G, {"a": f"a^{n - 1}", "b": "a*b"})),
+             (endo_from_images(G, {"a": "a", "b": "b"}), identity_endomorphism(G))]
+    rng = random.Random(n)
+    for F in (GF(3), QQ):
+        for sigma, tau in pairs:
+            _, basis = derivation_space(F, sigma, tau)
+            # over QQ a combination with denominators 3 and 7 puts the table over 21
+            scales = [Fraction(rng.choice([1, 2, -5]), rng.choice([3, 7]) if not F.p else 1)
+                      for _ in basis]
+            mix = {name: [F.coerce(sum(c * D.images[name][t] for c, D in zip(scales, basis)))
+                          for t in range(G.order)] for name, _ in G.generators}
+            for D in basis[:3] + [TwistedDerivation(G, F, sigma, tau, images=mix)]:
+                _assert_integer_table_matches(D, _reference_table(D))
+            # inner derivations: their gathers over a denominator, in lowest terms; for
+            # sigma = tau the central 1/2 gives D = 0, whose table is over 1
+            for text in ("1/2", "1/2*a + 1/5*b"):
+                beta = parse_element(G, F, text)
+                D = inner_derivation(beta, sigma, tau)
+                table = [beta * GroupRingElement.basis(G, F, tau.images[g])
+                         - GroupRingElement.basis(G, F, sigma.images[g]) * beta
+                         for g in range(G.order)]
+                assert D.integer_table() == integer_scale([c for e in table for c in e.coeffs])
+                assert D.table == table
+                _assert_integer_table_matches(D, table)
+
+
+@pytest.mark.parametrize("order, field", [(12, GF(2)), (12, GF(3)), (18, GF(3))])
+def test_integer_table_matches_abelian_basis(order, field):
+    G = cyclic_group(order)
+    for sigma in (identity_endomorphism(G), endo_from_images(G, {"x": "x^5"})):
+        for D in abelian_basis(G, sigma, field):
+            _assert_integer_table_matches(D, D.table)

@@ -9,7 +9,7 @@ from derring.groups import dihedral_group, identity_endomorphism
 from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, is_prime, parse_field,
                             row_weight, rows_full_rank, rref_mod_p, same_row_space, sparse_rank)
 from derring.reference import reference_matrix
-from gauss_jordan import gauss_jordan
+from gauss_jordan import gauss_jordan, solve
 
 FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
 
@@ -131,16 +131,19 @@ def test_rank_nullity_and_kernel_exactness(field):
             assert m.mul_vec(v) == zero
 
 
+# ``solve`` is the reference that the cached inner-system solves of
+# ``derivations.is_inner`` are tested against (``test_properties``)
+
 def test_solve_identity_and_zero():
     ident = Matrix.identity(GF(7), 3)
-    assert ident.solve([1, 0, 0]) == [1, 0, 0]
+    assert solve(GF(7), ident.data, [1, 0, 0]) == [1, 0, 0]
     zero = Matrix.zeros(GF(7), 2, 3)
-    assert zero.solve([1, 0]) is None
+    assert solve(GF(7), zero.data, [1, 0]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        Matrix.identity(GF(7), 3).solve([1, 0])
+        solve(GF(7), Matrix.identity(GF(7), 3).data, [1, 0])
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -151,7 +154,7 @@ def test_solve_consistent_systems(field):
         m = rand_matrix(field, rows, cols, rng)
         x0 = [field.coerce(rng.randint(-3, 3)) for _ in range(cols)]
         rhs = m.mul_vec(x0)
-        x = m.solve(rhs)
+        x = solve(field, m.data, rhs)
         assert x is not None
         assert m.mul_vec(x) == rhs
 

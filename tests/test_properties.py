@@ -22,8 +22,8 @@ from derring.conjugacy import twisted_classes
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _inner_gather,
                                  _pair_constraint_rows, averaging_witness, derivation_space,
                                  derivation_space_full, extend_from_generators, free_eval,
-                                 inner_derivation, is_inner, product_rule_violation,
-                                 relator_block, verify_derivation)
+                                 generator_rows, inner_block, inner_derivation, is_inner,
+                                 product_rule_violation, relator_block, verify_derivation)
 from derring.errors import DerivationRejected, HomomorphismRejected
 from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
                                centralizer_basis, format_element, parse_element)
@@ -34,7 +34,7 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
 from derring import derivations, linalg
 from derring.linalg import (GF, QQ, Matrix, is_prime, rows_rank, rref_mod_p, sparse_kernel_basis,
                             sparse_rank)
-from gauss_jordan import gauss_jordan
+from gauss_jordan import gauss_jordan, solve
 
 PROPERTY = settings(max_examples=12, deadline=None)
 FIELDS = (GF(2), GF(3), QQ)
@@ -230,7 +230,7 @@ def full_system_witness(D):
     G, F = D.group, D.field
     cols = [inner_derivation(GroupRingElement.basis(G, F, c), D.sigma, D.tau).flat()
             for c in range(G.order)]
-    solution = Matrix(F, cols).transpose().solve(D.flat())
+    solution = solve(F, Matrix(F, cols).transpose().data, D.flat())
     return None if solution is None else tuple(solution)
 
 
@@ -357,6 +357,73 @@ def test_integer_checks_past_int64_match_full_scans(kind, field, algebra, data):
     D = inner_derivation(beta, sigma, tau)
     assert full_scan_violation(D) is None
     assert_matches_full_checks(data.draw(variant(D, kind)))
+
+
+def fresh_witness(D):
+    """``is_inner`` by a fresh reference solve: ``solve`` on the generator rows of
+    ``inner_block`` against M times the generator images, certified on all of D."""
+    G, F = D.group, D.field
+    cols, vals, scale, _ = inner_block(D.sigma, D.tau, [s for _, s in G.generators])
+    x = solve(F, Matrix.from_block(F, cols, vals, G.order).data,
+              [scale * c for c in D.generator_flat()])
+    if x is None or inner_derivation(GroupRingElement(G, F, x), D.sigma, D.tau) != D:
+        return None
+    return tuple(x)
+
+
+def assert_cached_witness(D):
+    """is_inner, eliminating and then read from the cache, against ``fresh_witness``."""
+    expected = fresh_witness(D)
+    for _ in range(2):
+        witness = is_inner(D)
+        assert (None if witness is None else tuple(witness.coeffs)) == expected
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+@PROPERTY
+@given(st.sampled_from((GF(2), GF(3), GF(2 ** 63 + 29), QQ)), st.booleans(), st.data())
+def test_cached_is_inner_matches_a_fresh_solve(kind, field, algebra, data):
+    derivations._cached.cache_clear()
+    # the algebra maps need 1/2 in the field
+    if algebra and field.p != 2:
+        group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    else:
+        group = data.draw(st.sampled_from(GROUPS))
+        maps = endomorphisms(group)
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    beta = data.draw(big_denominator_elements(group) if not field.p else elements(group, field))
+    D = inner_derivation(beta, sigma, tau)
+    if isinstance(sigma, Endomorphism) and isinstance(tau, Endomorphism):
+        # plus a member of the derivation space, outer where the characteristic divides |G|
+        _, basis = derivation_space(field, sigma, tau)
+        E = data.draw(st.sampled_from(basis)) if basis else D
+        D = TwistedDerivation(group, field, sigma, tau, images={
+            name: (D.table[s] + E.table[s]).coeffs for name, s in group.generators})
+    assert_cached_witness(data.draw(variant(D, kind)))
+
+
+def test_cached_systems_never_cross_groups_or_fields():
+    # two D8 objects: maps with equal images hash alike but compare by group
+    groups = [dihedral_group(4), dihedral_group(4)]
+    maps = [endo_from_images(G, {"a": "a^3", "b": "a*b"}) for G in groups]
+    assert hash(maps[0]) == hash(maps[1]) and maps[0] != maps[1]
+    blocks = [relator_block(s, s) for s in maps] + [generator_rows(s, s) for s in maps]
+    assert blocks[0][0] is not blocks[1][0] and blocks[2][0] is not blocks[3][0]
+    assert relator_block(maps[0], maps[0])[0] is blocks[0][0]
+    for cols in (blocks[0][0], blocks[2][1]):
+        with pytest.raises(ValueError, match="read-only"):
+            cols[0, 0] = 1
+    for G, sigma in zip(groups, maps):
+        witness = is_inner(inner_derivation(parse_element(G, QQ, "a + 2*b"), sigma, sigma))
+        assert witness.group is G
+    # one pair over QQ, then over GF(2), where 2 divides |G| and some members are outer
+    sigma = maps[0]
+    outer = 0
+    for field in (QQ, GF(2)):
+        for D in derivation_space(field, sigma)[1]:
+            assert_cached_witness(D)
+            outer += is_inner(D) is None
+    assert outer > 0
 
 
 # beta's coefficients off the center of D8: the central ones cancel from D_beta
