@@ -10,14 +10,16 @@ linear in the images, one (cols, vals) block read off the table
 (``relator_block``), which ``derivation_space`` solves and
 ``extend_from_generators`` gathers the images through: the one extension
 path.  The pair solver ``derivation_space_full`` treats all group images
-as unknowns constrained by every product pair and is kept only as an
-oracle against it.  Like the inner, pair and commutator systems, every
-system here is one such block over maps of one group (``common_group``),
-and over one field (``common_field``).  The blocks fixed by (sigma, tau)
-and the inner system's elimination, fixed by (sigma, tau, field), are
-built once and kept in one bounded cache (``_cached``), so ``is_inner``
-solves by an integer product.  A derivation's table is computed in
-integers from its generator images, never in field arithmetic.
+as unknowns constrained by every product pair, eliminating the pairs
+along a spanning tree of G in closed form (``_tree_seed``), and is kept
+only as an oracle against it.  Like the inner, pair and commutator
+systems, every system here is one such block over maps of one group
+(``common_group``), and over one field (``common_field``).  The blocks
+fixed by (sigma, tau) and the inner system's elimination, fixed by
+(sigma, tau, field), are built once and kept in one bounded cache
+(``_cached``), so ``is_inner`` solves by an integer product.  A
+derivation's table is computed in integers from its generator images,
+never in field arithmetic.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike: the product rule, the inner
@@ -47,7 +49,7 @@ from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only
                      action_gathers, common_group, first_failing_pair, word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, Matrix, _rat, debug_record, integer_scale, row_weight,
-                     sparse_kernel_basis, sparse_rank, sum_dtype)
+                     sparse_kernel, sparse_kernel_basis, sum_dtype)
 
 
 class AlgebraEndo:
@@ -636,7 +638,7 @@ def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
     """
     G = common_group(sigma, tau)
     n = G.order
-    mul, inv = np.array(G.mul), np.array(G.inv)
+    mul, inv = G.mul_array, G.inv_array
     g, h, t = np.ix_(range(n), range(n), range(n))
     cols = np.stack(np.broadcast_arrays(
         mul[g, h] * n + t,
@@ -645,24 +647,84 @@ def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
     yield cols, np.broadcast_to(np.array([1, -1, -1]), cols.shape)
 
 
+def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
+    """The pair rows along a spanning tree of G, eliminated in closed form: the
+    seed (K0, roots) of ``linalg._sparse_kernel``, and the tree edges (y, g, x).
+
+    The roots are 1 and the distinct generators other than 1 (X'), taken
+    from ``G.generators`` alone, never from the relators or normal forms.
+    A BFS from them over right multiplication by X' reaches each other
+    element y once, as y = g x; the pair (g, x) gives the |G| rows
+    D(y)[t] = D(g)[t tau(x)^-1] + D(x)[sigma(g)^-1 t].  Each has
+    coefficient 1 at a column of y, and y is met after g, so these rows
+    are unit-triangular on the columns of the elements other than the
+    roots.  Their kernel, over every field, is therefore parametrized by
+    the values at the roots: K0, |G|^2 x (|X'| + 1)|G|, is the identity at
+    the root columns (in increasing order) and fills the rows of y by one
+    gather-add per edge.  K0 vanishes on the tree rows and has full column
+    rank, so it spans their kernel and the seeded rank is exact.  Its
+    entries are at most the depth of the tree, so int64.
+    """
+    G = common_group(sigma, tau)
+    n, mul, inv, tau_of, sigma_of = G.order, G.mul_array, G.inv_array, tau.images, sigma.images
+    gens = list(dict.fromkeys(s for _, s in G.generators if s != G.identity))
+    order = [G.identity] + gens
+    seen = set(order)
+    edges = []
+    for g in order:  # BFS: the list grows as it is read
+        for x in gens:
+            y = G.mul[g][x]
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                edges.append((y, g, x))
+    roots = sorted([G.identity] + gens)
+    t = np.arange(n)
+    K0 = np.zeros((n * n, len(roots) * n), dtype=np.int64)
+    for k, r in enumerate(roots):
+        K0[r * n + t, k * n + t] = 1
+    for y, g, x in edges:
+        K0[y * n + t] = K0[g * n + mul[t, inv[tau_of[x]]]] + K0[x * n + mul[inv[sigma_of[g]], t]]
+    return (K0, (np.array(roots)[:, None] * n + t).ravel()), edges
+
+
 def derivation_space_full(field: Field, sigma: Endomorphism,
                           tau: Optional[Endomorphism] = None,
                           basis: bool = True) -> Tuple[int, Optional[List[TwistedDerivation]]]:
-    """Oracle solver: all |G| images unknown, all product pairs constrained."""
+    """Oracle solver: all |G| images unknown, all product pairs constrained.
+
+    It never reads the relators.  The |G|^3 pair rows
+    (``_pair_constraint_rows``) all stream through the sparse kernel
+    (``linalg.sparse_kernel``), seeded by the kernel of the rows along a
+    spanning tree (``_tree_seed``), which meets the seed's precondition:
+    those rows are among the rows, and K0 spans their kernel.  Both modes
+    read that one kernel; a basis is put in the canonical form of
+    ``Matrix.kernel_basis`` (``sparse_kernel_basis``).  Each solve writes
+    one DEBUG record on ``derring.derivations``.
+    """
     if tau is None:
         tau = sigma
-    G = sigma.group
+    G = common_group(sigma, tau)
     n = G.order
+    seed, edges = _tree_seed(sigma, tau)
+    rows = _pair_constraint_rows(sigma, tau)
+    if basis:
+        kernel = sparse_kernel_basis(field, rows, n * n, seed)
+        dim = len(kernel)
+    else:
+        dim = sparse_kernel(field, rows, n * n, seed).shape[1]
+    debug_record("derring.derivations",
+                 "pair oracle |G| = %d over %s: %d tree edges, seed width %d, rank %d",
+                 n, field, len(edges), seed[0].shape[1], n * n - dim,
+                 order=n, edges=len(edges), width=seed[0].shape[1], rank=n * n - dim)
     if not basis:
-        rank = sparse_rank(field, _pair_constraint_rows(sigma, tau))
-        return n * n - rank, None
-    kernel = sparse_kernel_basis(field, _pair_constraint_rows(sigma, tau), n * n)
+        return dim, None
     out = []
     for vec in kernel:
         table = [GroupRingElement(G, field, vec[g * n:(g + 1) * n], coerce=False)
                  for g in range(n)]
         out.append(TwistedDerivation(G, field, sigma, tau, table, provenance="solver"))
-    return len(kernel), out
+    return dim, out
 
 
 # -- commutative constructions -------------------------------------------------

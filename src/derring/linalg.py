@@ -28,7 +28,12 @@ through K, the kernel mod p of the rows before them: a chunk times K is
 row-reduced by the kernel above and updates K.  K ends as the identity
 on the free columns and minus the RREF at the pivots, the same pivots
 and entries as the dense step, so the lift reads its residues off K and
-certifies A K = 0 exactly against every sparse row.
+certifies A K = 0 exactly against every sparse row.  K may start from a
+seed instead of the identity: an integer K0 whose columns span the
+kernel of some of the rows, the identity at its root rows.  K is then K0
+times the kernel of the rows times K0, which the lift reconstructs at
+the roots and certifies as A K0 K = 0; ``sparse_kernel_basis`` puts any
+kernel in the canonical form of ``Matrix.kernel_basis``.
 """
 
 from __future__ import annotations
@@ -577,7 +582,9 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
 # The derivation oracle's pair-constraint systems have |G|^3 rows of three
 # entries over |G|^2 columns, and reach their rank long before their last
 # row.  Streaming them through the kernel makes a row that depends on the
-# rows before it cost one gather, as wide as that kernel.
+# rows before it cost one gather, as wide as that kernel; seeded by the
+# kernel of its spanning-tree rows, that kernel is (|X| + 1)|G| wide from
+# the first row, not |G|^2.
 
 # each chunk's gathered rows hold about this many entries
 _SPARSE_CHUNK = 2 ** 12
@@ -621,24 +628,35 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (((a @ (b >> 16)) % p << 16) + a @ (b & 0xFFFF)) % p
 
 
-def _sparse_kernel(blocks, ncols: int, p: int) -> Tuple[np.ndarray, np.ndarray]:
+def _sparse_kernel(blocks, ncols: int, p: int, seed=None) -> Tuple[np.ndarray, np.ndarray]:
     """The kernel mod p of sparse rows: K, ncols x nfree, and the free columns.
 
-    K starts as the identity.  Each chunk of rows is multiplied into it,
+    K starts as the identity, or as the seed (K0, roots) reduced mod p: an
+    integer ncols x r matrix K0 that is the identity at the rows ``roots``
+    (increasing) and whose columns span the kernel, over every field, of
+    some of the rows.  That is the seed's precondition: every kernel vector
+    of all the rows is then K0 c for one c, and K0 has full column rank,
+    so the kernel is K0 times the kernel of the rows times K0, and the free
+    columns are among the roots.  Each chunk of rows is multiplied into K,
     R = rows K, a gather of K's rows by column index, and the nonzero rows
     of R, as lists, are row-reduced by ``rref_mod_p``; with P the pivots of
     R and N its RREF, K becomes K - K[:, P] N without the columns P.  N is
-    zero left of each pivot, so each column of K stays supported on its
-    free column and the pivots left of it: K is the identity on the free
-    columns and minus the RREF of all the rows at the pivots, which are the
-    first-nonzero pivots.  K is int64 while (p - 1)^2 < 2^63
-    (``sum_dtype``), and Python ints past that; a gather is reduced after
-    every term when a row's sum of |vals| (symmetric residues) times p - 1
-    could reach 2^63.  Rows stop being read once the kernel is 0.
+    zero left of each pivot, so each column of K stays supported (at the
+    roots) on its free column and the pivots left of it: at the roots K is
+    the identity on the free columns and minus the RREF, at the pivots, of
+    the rows times K0; unseeded, K0 is the identity and that is the RREF
+    of the rows, with its first-nonzero pivots.  K is int64 while
+    (p - 1)^2 < 2^63 (``sum_dtype``), and Python ints past that; a gather
+    is reduced after every term when a row's sum of |vals| (symmetric
+    residues) times p - 1 could reach 2^63.  Rows stop being read once the
+    kernel is 0.
     """
     dtype = sum_dtype(p - 1, p - 1)
-    K = np.eye(ncols, dtype=dtype)
-    free = np.arange(ncols)
+    if seed is None:
+        K, free = np.eye(ncols, dtype=dtype), np.arange(ncols)
+    else:
+        # an int64 seed is reduced in Python ints when p itself is past int64
+        K, free = seed[0].astype(dtype) % p, np.array(seed[1])
     for cols, vals in blocks:
         # int64 values are reduced in Python ints when p itself is past int64
         vals = (vals if p < 2 ** 63 else vals.astype(object)) % p
@@ -680,55 +698,84 @@ def _sparse_vanishes(blocks, kernel: List[List[int]]) -> bool:
     return True
 
 
-def _sparse_lift(blocks, ncols: int):
-    """``_lift`` of sparse rows: their kernel mod p by ``_sparse_kernel``."""
-    def modp(p):
-        K, free = _sparse_kernel(blocks, ncols, p)
-        is_pivot = np.ones(ncols, dtype=bool)
-        is_pivot[free] = False
-        pivots = np.flatnonzero(is_pivot)
-        return pivots.tolist(), free.tolist(), (-K[pivots] % p).tolist()
+def _seeded(seed, kernel: List[List[int]]) -> List[List[int]]:
+    """Integer kernel vectors given at a seed's roots, K0 times them: exact,
+    int64 while K0's row weight times their largest |entry| is below 2^63.
+    Unseeded, the vectors themselves."""
+    if seed is None:
+        return kernel
+    K0 = seed[0]
+    dtype = sum_dtype(row_weight(K0), max((abs(x) for row in kernel for x in row), default=0))
+    return (K0.astype(dtype) @ np.array(kernel, dtype=dtype)).tolist()
 
-    pivots, free, values, primes = _lift(modp, lambda kernel: _sparse_vanishes(blocks, kernel))
+
+def _sparse_lift(blocks, ncols: int, seed=None):
+    """``_lift`` of sparse rows: their kernel mod p by ``_sparse_kernel``.
+
+    The system lifted is the rows times the seed's K0, so the pivots, the
+    free columns and the RREF entries are those at its roots, by position
+    (unseeded, every column is a root); the certificate is A K0 K = 0
+    against every row.
+    """
+    roots = np.arange(ncols) if seed is None else seed[1]
+
+    def modp(p):
+        K, free = _sparse_kernel(blocks, ncols, p, seed)
+        at = np.searchsorted(roots, free)
+        is_pivot = np.ones(len(roots), dtype=bool)
+        is_pivot[at] = False
+        pivots = np.flatnonzero(is_pivot)
+        return pivots.tolist(), at.tolist(), (-K[roots[pivots]] % p).tolist()
+
+    pivots, free, values, primes = _lift(
+        modp, lambda kernel: _sparse_vanishes(blocks, _seeded(seed, kernel)))
     nrows = sum(len(cols) for cols, _ in blocks)
-    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
+    _log_rational((nrows, ncols), ncols - len(free), primes, lifted=bool(free and pivots))
     return pivots, free, values
 
 
-def sparse_rank(field: Field, rows: Iterable) -> int:
+def sparse_rank(field: Field, rows: Iterable, seed=None) -> int:
     """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``).
 
     Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
     the kernel mod p is lifted and certified against every row by
-    ``_lift``.
+    ``_lift``.  A seed (K0, roots) must meet ``_sparse_kernel``'s
+    precondition; K0 then has a row per column.
     """
     blocks = _sparse_blocks(rows)
-    ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
+    ncols = len(seed[0]) if seed is not None else 1 + max(
+        (int(cols.max()) for cols, _ in blocks), default=-1)
     if field.p:
-        return ncols - len(_sparse_kernel(blocks, ncols, field.p)[1])
-    return len(_sparse_lift(blocks, ncols)[0])
+        return ncols - len(_sparse_kernel(blocks, ncols, field.p, seed)[1])
+    return ncols - len(_sparse_lift(blocks, ncols, seed)[1])
 
 
-def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int) -> List[List]:
+def sparse_kernel(field: Field, rows: Iterable, ncols: int, seed=None) -> np.ndarray:
+    """A basis of the kernel of sparse rows over ncols columns, as the columns of
+    an ncols x dim integer array: residues over GF(p) (``_sparse_kernel``), and
+    over QQ the lifted kernel, each vector scaled to integers, certified
+    against every row (``_sparse_lift``).  A seed (K0, roots) must meet
+    ``_sparse_kernel``'s precondition.
+    """
+    blocks = _sparse_blocks(rows)
+    if field.p:
+        return _sparse_kernel(blocks, ncols, field.p, seed)[0]
+    pivots, free, values = _sparse_lift(blocks, ncols, seed)
+    return np.array(_seeded(seed, _integer_kernel(pivots, free, values))).reshape(ncols, len(free))
+
+
+def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> List[List]:
     """The kernel basis of sparse rows over ncols columns, as ``Matrix.kernel_basis``
     gives it for the same rows dense: one vector per free column, in order.
 
-    It is read off the kernel that ``sparse_rank`` computes: over GF(p)
-    ``_sparse_kernel`` holds these vectors as its columns, and over QQ
-    ``_lift`` gives the RREF entries at the free columns.
+    That basis is the kernel's RREF with the columns reversed, then each
+    vector and their order reversed: the vector of a free column f is 1 at
+    f and 0 at every other free column, and nonzero only left of f.  So it
+    is one ``Matrix.rref`` of the vectors of ``sparse_kernel``, whatever
+    basis these are; a seed must meet ``_sparse_kernel``'s precondition.
     """
-    blocks = _sparse_blocks(rows)
-    if field.p:
-        return _sparse_kernel(blocks, ncols, field.p)[0].T.tolist()
-    pivots, free, values = _sparse_lift(blocks, ncols)
-    zero, one = _rat(0), _rat(1)
-    basis = []
-    for k, f in enumerate(free):
-        vec = [zero] * ncols
-        vec[f] = one
-        for pc, row in zip(pivots, values):
-            n, d = row[k]
-            if n:
-                vec[pc] = _rat(-n, d)
-        basis.append(vec)
-    return basis
+    K = sparse_kernel(field, rows, ncols, seed)
+    if not K.shape[1]:
+        return []
+    R, _ = Matrix(field, [vec[::-1] for vec in K.T.tolist()], coerce=False).rref()
+    return [vec[::-1] for vec in reversed(R.data)]

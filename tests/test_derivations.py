@@ -2,18 +2,20 @@ import logging
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
-                                 abelian_basis, averaging_witness,
+                                 _tree_seed, abelian_basis, averaging_witness,
                                  cyclic_power_derivation, derivation_space,
                                  derivation_space_full, extend_from_generators,
                                  free_eval, inner_block, inner_derivation, is_inner,
                                  relator_block, verify_derivation)
 from derring.errors import DerivationRejected
-from derring.groups import (abelian_group, cyclic_group, dihedral_group,
-                            endo_from_images, enumerate_endomorphisms,
-                            identity_endomorphism, parse_word)
+from derring.groups import (FiniteGroup, abelian_group, brute_force_endomorphisms,
+                            cyclic_group, dihedral_group, endo_from_images,
+                            enumerate_endomorphisms, identity_endomorphism, parse_word,
+                            table_group)
 from derring.conjugacy import inner_basis, twisted_center_dimension, twisted_classes
 from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
@@ -141,6 +143,70 @@ def test_generator_solver_matches_full_oracle_samples():
         for F in (GF(2), GF(3), QQ):
             assert derivation_space(F, e, basis=False)[0] == \
                 derivation_space_full(F, e, basis=False)[0]
+
+
+def tree_rows(sigma, tau, edges):
+    """The pair rows of the tree edges y = g x, (g, x) the pair, dense."""
+    (cols, vals), = _pair_constraint_rows(sigma, tau)
+    n = sigma.group.order
+    picked = [(g * n + x) * n + t for _, g, x in edges for t in range(n)]
+    dense = np.zeros((len(picked), n * n), dtype=np.int64)
+    np.add.at(dense, (np.arange(len(picked))[:, None], cols[picked]), vals[picked])
+    return dense
+
+
+_D6 = dihedral_group(3)
+SEED_GROUPS = {
+    # its one generator x names the identity: the tree has no edges
+    "trivial": cyclic_group(1),
+    "cyclic": cyclic_group(6),
+    # D6 with a listed twice, as a and c, and b first
+    "repeated": FiniteGroup(_D6.names, _D6.mul, [("b", 3), ("a", 1), ("c", 1)], "table"),
+    "identity named": table_group(_D6.mul, _D6.names, ["1", "b", "a"]),
+}
+
+
+@pytest.mark.parametrize("group", SEED_GROUPS.values(), ids=SEED_GROUPS)
+def test_tree_seed_is_the_kernel_of_the_tree_rows(group):
+    n, endos = group.order, brute_force_endomorphisms(group)
+    roots = sorted({group.identity} | {s for _, s in group.generators})
+    for sigma, tau in ((endos[-1], endos[0]), (endos[0], endos[-1]), (endos[-1], endos[-1])):
+        (K0, free), edges = _tree_seed(sigma, tau)
+        assert K0.shape == (n * n, len(roots) * n) and len(edges) == n - len(roots)
+        assert sorted(y for y, _, _ in edges) == sorted(set(range(n)) - set(roots))
+        assert free.tolist() == [r * n + t for r in roots for t in range(n)]
+        assert (K0[free] == np.eye(len(free), dtype=np.int64)).all()
+        rows = tree_rows(sigma, tau, edges)
+        assert not (rows @ K0).any()
+        # the tree rows are independent: K0, of full column rank, spans their kernel
+        for field in (GF(2), QQ):
+            assert rows_rank(field, rows.tolist()) == len(rows) == n * n - K0.shape[1]
+            assert (derivation_space_full(field, sigma, tau, basis=False)[0]
+                    == derivation_space(field, sigma, tau, basis=False)[0])
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=repr)
+def test_pair_oracle_at_order_64(field):
+    d64 = dihedral_group(32)
+    sigma = endo_from_images(d64, {"a": "a^3", "b": "a*b"})
+    assert derivation_space(field, sigma, basis=False)[0] == 45
+    assert derivation_space_full(field, sigma, basis=False)[0] == 45
+
+
+@pytest.mark.parametrize("basis", [False, True])
+def test_pair_oracle_logs_each_solve(caplog, basis):
+    d16 = dihedral_group(8)
+    sigma = endo_from_images(d16, {"a": "a^3", "b": "a*b"})
+    with caplog.at_level(logging.DEBUG, logger="derring.derivations"):
+        dim, _ = derivation_space_full(QQ, sigma, basis=basis)
+    (record,) = [r for r in caplog.records if r.name == "derring.derivations"]
+    # 16 - 3 elements off the roots 1, a and b; a seed column per root and coefficient
+    assert (record.order, record.edges, record.width, record.rank) == (16, 13, 48, 256 - dim)
+    assert dim == 9
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="derring.derivations"):
+        derivation_space_full(GF(3), sigma, basis=basis)
+    assert not caplog.records
 
 
 def test_full_solver_basis_verifies():

@@ -20,9 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _inner_gather,
-                                 _pair_constraint_rows, averaging_witness, derivation_space,
-                                 derivation_space_full, extend_from_generators, free_eval,
-                                 generator_rows, inner_block, inner_derivation, is_inner,
+                                 _pair_constraint_rows, _tree_seed, averaging_witness,
+                                 derivation_space, derivation_space_full,
+                                 extend_from_generators, free_eval, generator_rows,
+                                 inner_block, inner_derivation, is_inner,
                                  product_rule_violation, relator_block, verify_derivation)
 from derring.errors import DerivationRejected, HomomorphismRejected
 from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
@@ -568,6 +569,39 @@ def test_pair_oracle_basis_is_the_dense_kernel_basis(group, field):
         dim, basis = derivation_space_full(field, sigma, tau)
         assert [D.flat() for D in basis] == dense_pair_kernel(field, sigma, tau)
         assert dim == len(basis) == derivation_space(field, sigma, tau, basis=False)[0]
+
+
+def relabelled(group, perm, generators):
+    """A table copy of ``group`` with element g at index perm[g]."""
+    n = group.order
+    mul, names = [[0] * n for _ in range(n)], [None] * n
+    for g in range(n):
+        names[perm[g]] = group.names[g]
+        for h in range(n):
+            mul[perm[g]][perm[h]] = perm[group.mul[g][h]]
+    return table_group(mul, names, generators)
+
+
+# D8 with its identity at index 5 and its generators listed b first
+D8_RELABELLED = relabelled(dihedral_group(4), [5, 2, 7, 0, 3, 6, 1, 4], ["b", "a"])
+SEEDED_GROUPS = {**{f"D{2 * n}": dihedral_group(n) for n in range(3, 9)},
+                 "C6": cyclic_group(6), "C2xC4": abelian_group([2, 4]), "Q8": GROUPS[2],
+                 "D8 relabelled": D8_RELABELLED}
+
+
+@pytest.mark.parametrize("group", SEEDED_GROUPS.values(), ids=SEEDED_GROUPS)
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from((GF(2), GF(3), GF(2 ** 63 + 29), QQ)), st.data())
+def test_seeded_pair_oracle_matches_the_identity_start(group, field, data):
+    endos = (enumerate_endomorphisms(group) if group.family == "dihedral"
+             else endomorphisms(group))
+    sigma = data.draw(st.sampled_from(endos))
+    tau = data.draw(st.sampled_from([e for e in endos if e != sigma]))
+    n = group.order
+    rank = n * n - derivation_space_full(field, sigma, tau, basis=False)[0]
+    rows, (seed, _) = list(_pair_constraint_rows(sigma, tau)), _tree_seed(sigma, tau)
+    assert rank == sparse_rank(field, rows) == sparse_rank(field, rows, seed)
+    assert rank == n * n - derivation_space(field, sigma, tau, basis=False)[0]
 
 
 # -- generator data and lazy tables ------------------------------------------------
