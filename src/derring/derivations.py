@@ -49,7 +49,7 @@ from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only
                      action_gathers, common_group, first_failing_pair, word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, Matrix, _rat, debug_record, integer_scale, row_weight,
-                     sparse_kernel, sparse_kernel_basis, sum_dtype)
+                     sparse_kernel_basis, sparse_nullity, sum_dtype)
 
 
 class AlgebraEndo:
@@ -695,10 +695,11 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
 
     It never reads the relators.  The |G|^3 pair rows
     (``_pair_constraint_rows``) all stream through the sparse kernel
-    (``linalg.sparse_kernel``), seeded by the kernel of the rows along a
-    spanning tree (``_tree_seed``), which meets the seed's precondition:
-    those rows are among the rows, and K0 spans their kernel.  Both modes
-    read that one kernel; a basis is put in the canonical form of
+    of ``linalg``, seeded by the kernel of the rows along a spanning tree
+    (``_tree_seed``), which meets the seed's precondition: those rows are
+    among the rows, and K0 spans their kernel.  Both modes read that one
+    seeded kernel: the dimension is its number of free columns
+    (``sparse_nullity``), and a basis is put in the canonical form of
     ``Matrix.kernel_basis`` (``sparse_kernel_basis``).  Each solve writes
     one DEBUG record on ``derring.derivations``.
     """
@@ -712,7 +713,7 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
         kernel = sparse_kernel_basis(field, rows, n * n, seed)
         dim = len(kernel)
     else:
-        dim = sparse_kernel(field, rows, n * n, seed).shape[1]
+        dim = sparse_nullity(field, rows, n * n, seed)
     debug_record("derring.derivations",
                  "pair oracle |G| = %d over %s: %d tree edges, seed width %d, rank %d",
                  n, field, len(edges), seed[0].shape[1], n * n - dim,

@@ -29,11 +29,12 @@ row-reduced by the kernel above and updates K.  K ends as the identity
 on the free columns and minus the RREF at the pivots, the same pivots
 and entries as the dense step, so the lift reads its residues off K and
 certifies A K = 0 exactly against every sparse row.  K may start from a
-seed instead of the identity: an integer K0 whose columns span the
-kernel of some of the rows, the identity at its root rows.  K is then K0
-times the kernel of the rows times K0, which the lift reconstructs at
-the roots and certifies as A K0 K = 0; ``sparse_kernel_basis`` puts any
-kernel in the canonical form of ``Matrix.kernel_basis``.
+seed instead of the identity (``sparse_nullity``, ``sparse_kernel_basis``):
+an integer K0 whose columns span the kernel of some of the rows, the
+identity at its root rows.  K is then K0 times the kernel of the rows
+times K0, which the lift reconstructs at the roots and certifies as
+A K0 K = 0; ``sparse_kernel_basis`` puts any kernel in the canonical
+form of ``Matrix.kernel_basis``.
 """
 
 from __future__ import annotations
@@ -734,47 +735,53 @@ def _sparse_lift(blocks, ncols: int, seed=None):
     return pivots, free, values
 
 
-def sparse_rank(field: Field, rows: Iterable, seed=None) -> int:
+def sparse_rank(field: Field, rows: Iterable) -> int:
     """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``).
 
     Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
     the kernel mod p is lifted and certified against every row by
-    ``_lift``.  A seed (K0, roots) must meet ``_sparse_kernel``'s
-    precondition; K0 then has a row per column.
+    ``_lift``.
     """
     blocks = _sparse_blocks(rows)
-    ncols = len(seed[0]) if seed is not None else 1 + max(
-        (int(cols.max()) for cols, _ in blocks), default=-1)
+    ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
     if field.p:
-        return ncols - len(_sparse_kernel(blocks, ncols, field.p, seed)[1])
-    return ncols - len(_sparse_lift(blocks, ncols, seed)[1])
+        return ncols - len(_sparse_kernel(blocks, ncols, field.p)[1])
+    return len(_sparse_lift(blocks, ncols)[0])
 
 
-def sparse_kernel(field: Field, rows: Iterable, ncols: int, seed=None) -> np.ndarray:
-    """A basis of the kernel of sparse rows over ncols columns, as the columns of
-    an ncols x dim integer array: residues over GF(p) (``_sparse_kernel``), and
-    over QQ the lifted kernel, each vector scaled to integers, certified
-    against every row (``_sparse_lift``).  A seed (K0, roots) must meet
-    ``_sparse_kernel``'s precondition.
+def sparse_nullity(field: Field, rows: Iterable, ncols: int, seed) -> int:
+    """Dimension over ``field`` of the kernel of sparse rows over ncols columns,
+    seeded by (K0, roots), which must meet ``_sparse_kernel``'s precondition.
+
+    It is the number of free columns, read without building the kernel
+    vectors: the width of ``_sparse_kernel`` over GF(p), and over QQ that
+    of the lifted kernel, certified against every row (``_sparse_lift``).
     """
     blocks = _sparse_blocks(rows)
     if field.p:
-        return _sparse_kernel(blocks, ncols, field.p, seed)[0]
-    pivots, free, values = _sparse_lift(blocks, ncols, seed)
-    return np.array(_seeded(seed, _integer_kernel(pivots, free, values))).reshape(ncols, len(free))
+        return len(_sparse_kernel(blocks, ncols, field.p, seed)[1])
+    return len(_sparse_lift(blocks, ncols, seed)[1])
 
 
 def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> List[List]:
     """The kernel basis of sparse rows over ncols columns, as ``Matrix.kernel_basis``
     gives it for the same rows dense: one vector per free column, in order.
 
-    That basis is the kernel's RREF with the columns reversed, then each
-    vector and their order reversed: the vector of a free column f is 1 at
-    f and 0 at every other free column, and nonzero only left of f.  So it
-    is one ``Matrix.rref`` of the vectors of ``sparse_kernel``, whatever
-    basis these are; a seed must meet ``_sparse_kernel``'s precondition.
+    A basis of the kernel is read off ``_sparse_kernel``'s columns over
+    GF(p), and over QQ off the lifted kernel, each vector scaled to
+    integers and certified against every row (``_sparse_lift``).  The
+    canonical basis is the kernel's RREF with the columns reversed, then
+    each vector and their order reversed: the vector of a free column f is
+    1 at f and 0 at every other free column, and nonzero only left of f.
+    So it is one ``Matrix.rref`` of those vectors, whatever basis they
+    are; a seed (K0, roots) must meet ``_sparse_kernel``'s precondition.
     """
-    K = sparse_kernel(field, rows, ncols, seed)
+    blocks = _sparse_blocks(rows)
+    if field.p:
+        K = _sparse_kernel(blocks, ncols, field.p, seed)[0]
+    else:
+        pivots, free, values = _sparse_lift(blocks, ncols, seed)
+        K = np.array(_seeded(seed, _integer_kernel(pivots, free, values))).reshape(ncols, len(free))
     if not K.shape[1]:
         return []
     R, _ = Matrix(field, [vec[::-1] for vec in K.T.tolist()], coerce=False).rref()
