@@ -31,8 +31,7 @@ import numpy as np
 
 from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
-from .groupring import GroupRingElement
-from .linalg import Field, Matrix, debug_record
+from .linalg import Field, Matrix, debug_record, rref_mod_p, sum_dtype
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
@@ -59,14 +58,18 @@ class LinearCode:
 def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
     """The code spanned by D(g) for g in the subset, rows in given order.
 
-    Rejects (with a dependency witness) when the images are linearly
-    dependent.  Codes are stated over prime fields.
+    Rejects an entry that is not an int index in range(|G|), and (with a
+    dependency witness) images that are linearly dependent.  Codes are
+    stated over prime fields.
     """
     F = D.field
     if not F.p:
         raise ValueError("codes are constructed over prime fields")
     G = D.group
     subset = list(subset)
+    for g in subset:
+        if isinstance(g, bool) or not isinstance(g, int) or not 0 <= g < G.order:
+            raise ValueError(f"subset entry {g!r} is not an element index in range({G.order})")
     if not subset:
         raise ValueError("subset must be nonempty")
     if len(subset) >= G.order:
@@ -101,17 +104,6 @@ def encode(code: LinearCode, message: Sequence) -> List:
         for j, x in enumerate(row):
             out[j] = F.add(out[j], F.mul(coef, x))
     return out
-
-
-def encode_via_derivation(code: LinearCode, D: TwistedDerivation,
-                          message: Sequence) -> List:
-    """Codeword through the derivation itself (cross-check path)."""
-    F = code.field
-    indices = code.source["subset_indices"]
-    alpha = GroupRingElement.zero(D.group, F)
-    for coef, g in zip(message, indices):
-        alpha.coeffs[g] = F.add(alpha.coeffs[g], F.coerce(coef))
-    return list(D(alpha).coeffs)
 
 
 # -- weight enumeration (internal) -------------------------------------------
@@ -232,6 +224,9 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
                  codewords=q ** small_k)
     if k <= n - k:
         counts = _weight_counts(_int_rows(code.generator.data), q)
+        # the zero codeword is counted q^(k - rank) times
+        if counts[0] != 1:
+            raise ValueError(f"generator rank is not k = {k}")
         return counts, _transform_counts(counts, n, q, q ** k)
     kernel = code.generator.kernel_basis()
     if len(kernel) != n - k:
@@ -268,18 +263,26 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(code.field, code.n, code.n - code.k, gen, source)
 
 
-def _gram(code: LinearCode) -> Matrix:
-    return code.generator * code.generator.transpose()
+def _gram(code: LinearCode) -> np.ndarray:
+    """The Gram matrix G G^T mod q of the generator G, exactly.
+
+    An entry sums n products of residues, so it is at most n (q - 1)^2:
+    int64 while that and q stay below 2^63 (``sum_dtype``), Python ints past.
+    """
+    q, gen = code.field.p, code.generator
+    dtype = sum_dtype(gen.cols * (q - 1), q - 1, q)
+    rows = np.array(gen.data, dtype=dtype).reshape(gen.rows, gen.cols)
+    return rows @ rows.T % q
 
 
 def is_lcd(code: LinearCode) -> bool:
     """Linear complementary dual: the generator Gram matrix is nonsingular."""
-    return _gram(code).rank() == code.k
+    return len(rref_mod_p(_gram(code).tolist(), code.field.p)) == code.k
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
     """Self-orthogonal: every pair of generator rows is orthogonal."""
-    return _gram(code).is_zero()
+    return not _gram(code).any()
 
 
 @dataclass
@@ -321,7 +324,8 @@ def linear_code_report(code: LinearCode) -> CodeReport:
     return CodeReport(
         n=code.n, k=code.k, d=_first_weight(counts),
         dual_n=code.n, dual_k=code.n - code.k, dual_d=_first_weight(dual_counts),
-        lcd=gram.rank() == code.k, self_orthogonal=gram.is_zero(),
+        lcd=len(rref_mod_p(gram.tolist(), code.field.p)) == code.k,
+        self_orthogonal=not gram.any(),
         source=code.source)
 
 

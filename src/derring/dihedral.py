@@ -163,65 +163,6 @@ def predict(group: FiniteGroup, endo: Endomorphism, field: Field) -> DihedralPre
         outer_nonzero=predict_outer(n, char, params), applicable_case=case)
 
 
-def spanning_candidates(group: FiniteGroup, field: Field,
-                        params: DihedralEndoParams) -> List[Tuple[GroupRingElement, GroupRingElement]]:
-    """Candidate generator-image tuples (image of a, image of b).
-
-    These are the unit tuples of the coefficient parametrization behind
-    the closed forms; the derivation space is contained in their span.
-    They need not be individually admissible (when d > 1 the parameters
-    are linked by d-periodic sum constraints), so the authoritative
-    dimension and basis computations stay with the linear solver.  In
-    characteristic 2 with n even, and when the characteristic divides d,
-    the tuples are an actual basis.
-    """
-    n, s, t = params.n, params.s, params.t
-    char = field.char
-
-    elem = lambda pairs: _element(group, field, pairs)
-    rot = lambda k: _rotation(n, k)
-    ref = lambda u: _reflection(n, u)
-    out: List[Tuple[GroupRingElement, GroupRingElement]] = []
-    if char == 2:
-        top = (n - 1) // 2 if n % 2 else n // 2 - 1
-        if n % 2 == 0:
-            half = n // 2
-            out.append((elem([(ref(s + t), 1)]), elem([(rot(0), 1)])))
-            out.append((elem([(ref(s + t + half), 1)]), elem([(rot(half), 1)])))
-            out.append((elem([(rot(s), 1)]), elem([(ref(t), 1)])))
-            out.append((elem([(rot(s + half), 1)]), elem([(ref(t + half), 1)])))
-            out.append((elem([(ref(t), 1)]), elem([])))
-            out.append((elem([(ref(t + half), 1)]), elem([])))
-            # the parametrization gives a^s here (a bare 1 fails the
-            # reflection relator whenever 2s != 0)
-            out.append((elem([(rot(s), 1)]), elem([])))
-            out.append((elem([(rot(s + half), 1)]), elem([])))
-        else:
-            out.append((elem([(ref(t), 1), (ref(t + s), 1)]), elem([(rot(0), 1)])))
-            out.append((elem([]), elem([(ref(t), 1)])))
-        for i in range(1, top + 1):
-            rot_pm = [(rot(i), 1), (rot(-i), 1)]
-            out.append((elem([(ref(t + i), 1), (ref(t - i), 1)]), elem([])))
-            out.append((elem([(ref(s + t + i), 1), (ref(s + t - i), 1)]), elem(rot_pm)))
-            if n % 2 == 0:
-                out.append((elem([(rot(s + i), 1), (rot(s - i), 1)]),
-                            elem([(ref(t + i), 1), (ref(t - i), 1)])))
-                out.append((elem([(rot(s + i), 1), (rot(s - i), 1)]), elem([])))
-            else:
-                out.append((elem([]), elem([(ref(t + i), 1), (ref(t - i), 1)])))
-        return out
-    top = (n - 1) // 2 if n % 2 else n // 2 - 1
-    modular = char != 0 and n % char == 0
-    for i in range(1, top + 1):
-        rot_pm = [(rot(i), 1), (rot(-i), -1)]
-        out.append((elem([(ref(t + i), 1), (ref(t - i), -1)]), elem([])))
-        out.append((elem([(ref(s + t + i), -1), (ref(s + t - i), 1)]), elem(rot_pm)))
-        out.append((elem([]), elem([(ref(t + i), 1), (ref(t - i), -1)])))
-        if modular:
-            out.append((elem([(rot(s + i), 1), (rot(s - i), -1)]), elem([])))
-    return out
-
-
 # -- explicit (anti)centralizer bases ------------------------------------------
 
 def explicit_basis(group: FiniteGroup, field: Field, params: DihedralEndoParams,

@@ -262,24 +262,6 @@ class Matrix:
         zero = self.field.zero()
         return all(x == zero for row in self.data for x in row)
 
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.field != other.field or self.cols != other.rows:
-            raise ValueError("dimension or field mismatch in matrix product")
-        F = self.field
-        out = []
-        bt = other.transpose().data
-        for row in self.data:
-            out.append([_dot(F, row, col) for col in bt])
-        return Matrix(F, out, coerce=False)
-
-    def mul_vec(self, vec: Sequence) -> List:
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        F = self.field
-        return [_dot(F, row, vec) for row in self.data]
-
     # -- row reduction ----------------------------------------------------
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
@@ -319,28 +301,6 @@ class Matrix:
                     v[pc] = F.neg(x)
             basis.append(v)
         return basis
-
-
-def _dot(field: Field, a: Sequence, b: Sequence):
-    acc = field.zero()
-    for x, y in zip(a, b):
-        if x != 0 and y != 0:
-            acc += x * y
-    return acc % field.p if field.p else acc
-
-
-def rows_rank(field: Field, rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return Matrix(field, rows).rank()
-
-
-def same_row_space(field: Field, rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool:
-    ra = rows_rank(field, rows_a)
-    rb = rows_rank(field, rows_b)
-    if ra != rb:
-        return False
-    return rows_rank(field, list(rows_a) + list(rows_b)) == ra
 
 
 def rows_full_rank(field: Field, rows: Sequence[Sequence], expected: int) -> bool:

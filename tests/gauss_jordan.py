@@ -1,13 +1,33 @@
-"""Reference Gauss-Jordan elimination with the field's own arithmetic.
+"""Reference Gauss-Jordan elimination and matrix product with the field's own arithmetic.
 
 Over the rationals this is elimination in ``Fraction`` (or gmpy2)
 arithmetic, entry by entry: the slow, obviously exact route that the
-multimodular engine of ``derring.linalg`` is tested against.
+multimodular engine of ``derring.linalg`` is tested against.  The
+product ``matmul`` is likewise the entry-by-entry reference for the
+integer-array products of ``derring``, such as the Gram matrix of a code.
+The rank helpers at the end are conveniences of the tests, on the
+engine's ``Matrix.rank``.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
-from derring.linalg import Field
+from derring.linalg import Field, Matrix
+
+
+def dot(field: Field, a: Sequence, b: Sequence):
+    """The sum of a[i] b[i] in the field, for entries that are field elements or ints."""
+    acc = field.zero()
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def matmul(field: Field, a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
+    """The product a b of two matrices given as rows, entry by entry."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError("dimension mismatch in matrix product")
+    cols = list(zip(*b))
+    return [[dot(field, row, col) for col in cols] for row in a]
 
 
 def gauss_jordan(field: Field, data: Sequence[Sequence]) -> Tuple[List[List], Tuple[int, ...]]:
@@ -50,3 +70,17 @@ def solve(field: Field, data: Sequence[Sequence], rhs: Sequence) -> Optional[Lis
     for row, pc in zip(reduced, pivots):
         x[pc] = row[ncols]
     return x
+
+
+def rows_rank(field: Field, rows: Sequence[Sequence]) -> int:
+    if not rows:
+        return 0
+    return Matrix(field, rows).rank()
+
+
+def same_row_space(field: Field, rows_a: Sequence[Sequence], rows_b: Sequence[Sequence]) -> bool:
+    ra = rows_rank(field, rows_a)
+    rb = rows_rank(field, rows_b)
+    if ra != rb:
+        return False
+    return rows_rank(field, list(rows_a) + list(rows_b)) == ra

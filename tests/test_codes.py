@@ -7,16 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from derring import codes
 from derring.codes import (ENUMERATION_CAP, LinearCode, code_report, derivation_matrix,
-                           dual_code, encode, encode_via_derivation, idd_code,
+                           dual_code, encode, idd_code,
                            is_lcd, is_self_orthogonal, linear_code_report, matrix_text,
                            min_distance, subset_sweep, weight_distribution,
                            _transform_counts, _weight_counts)
 from derring.derivations import TwistedDerivation, cyclic_power_derivation, inner_derivation
 from derring.errors import DependentSubset, EnumerationTooLarge
 from derring.groups import cyclic_group, dihedral_group, endo_from_images, identity_endomorphism
-from derring.groupring import parse_element
-from derring.linalg import GF, QQ, Matrix, same_row_space
+from derring.groupring import GroupRingElement, parse_element
+from derring.linalg import GF, QQ, Matrix
 from derring.reference import REFERENCE_TABLES, build_context
+from gauss_jordan import gauss_jordan, matmul, same_row_space
 
 
 def c18_derivation():
@@ -31,6 +32,15 @@ def c14_d1():
     e = identity_endomorphism(g)
     v = parse_element(g, GF(2), "1 + x + x^2 + x^3 + x^4 + x^6 + x^9")
     return g, cyclic_power_derivation(g, e, v)
+
+
+def encode_via_derivation(code, D, message):
+    """Codeword through the derivation itself: D applied to the sum of message[i] g_i."""
+    F = code.field
+    alpha = GroupRingElement.zero(D.group, F)
+    for coef, g in zip(message, code.source["subset_indices"]):
+        alpha.coeffs[g] = F.add(alpha.coeffs[g], F.coerce(coef))
+    return list(D(alpha).coeffs)
 
 
 def brute_min_distance(rows, q):
@@ -95,6 +105,15 @@ def test_idd_requires_prime_field():
     D = TwistedDerivation.zero(g, QQ, e, e)
     with pytest.raises(ValueError):
         idd_code(D, [1])
+
+
+def test_idd_code_refuses_entries_that_are_not_element_indices():
+    g, D = c18_derivation()
+    # negative indices once wrapped round to x^17 and x^15, and True passed as 1
+    for bad in ([-1, -3], [1, True], [1, 18], [1.0, 5], ["x"]):
+        entry = next(x for x in bad if not (type(x) is int and 0 <= x < 18))
+        with pytest.raises(ValueError, match=f"subset entry {entry!r} .* range\\(18\\)"):
+            idd_code(D, bad)
 
 
 def test_encode_paths_agree():
@@ -259,6 +278,19 @@ def test_weight_distribution_sides_agree():
     assert weight_distribution(full)[0] == [1, 10, 40, 80, 80, 32]
 
 
+def test_rank_deficient_generator_is_refused_on_both_sides():
+    F = GF(2)
+    # k <= n - k: the code is enumerated, and its zero codeword counted q^(k - rank) times
+    code_side = LinearCode(F, 4, 2, Matrix(F, [[1, 1, 0, 0], [1, 1, 0, 0]]), {})
+    # k > n - k: the dual is enumerated from a kernel of dimension n - rank
+    dual_side = LinearCode(F, 4, 3, Matrix(F, [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]), {})
+    for code in (code_side, dual_side):
+        with pytest.raises(ValueError, match=f"generator rank is not k = {code.k}"):
+            weight_distribution(code)
+        with pytest.raises(ValueError, match="generator rank is not k"):
+            linear_code_report(code)
+
+
 def test_weight_transform_matches_direct_enumeration():
     g, D = c18_derivation()
     code = idd_code(D, [1, 5, 7, 9, 11, 13, 15, 17])
@@ -274,8 +306,8 @@ def test_dual_code_properties():
     dual = dual_code(code)
     assert (dual.n, dual.k) == (18, 10)
     assert min_distance(dual) == 4
-    product_mat = code.generator * dual.generator.transpose()
-    assert product_mat.is_zero()
+    product = matmul(GF(2), code.generator.data, dual.generator.transpose().data)
+    assert not any(any(row) for row in product)
     double = dual_code(dual)
     assert same_row_space(GF(2), [r for r in code.generator.data],
                           [r for r in double.generator.data])
@@ -317,6 +349,57 @@ def test_flags():
     for u in code.generator.data:
         for v in code.generator.data:
             assert sum(a * b for a, b in zip(u, v)) % 2 == 0
+
+
+def reference_flags(field, rows):
+    """(LCD, self-orthogonal) read off the reference Gram product and Gauss-Jordan rank."""
+    gram = matmul(field, rows, [list(col) for col in zip(*rows)])
+    return len(gauss_jordan(field, gram)[1]) == len(rows), not any(any(row) for row in gram)
+
+
+# primes q = a^2 + b^2 round the int64 switch of the Gram product at n = 4:
+# 4 (q - 1)^2 just below 2^63, just above it, and q itself past 2^63
+@pytest.mark.parametrize("q, a, b", [(1518500213, 38617, 5218), (1518520561, 38956, 975),
+                                     (2 ** 63 + 29, 2220365211, 2072040146)])
+def test_gram_flags_on_both_sides_of_the_int64_bound(monkeypatch, q, a, b):
+    assert a * a + b * b == q
+    F = GF(q)
+    # u.u = 2 (a^2 + b^2) = 0 mod q with every entry near q - 1
+    u, w = [q - a, q - b, q - a, q - b], [q - 1, q - 2, q - 1, q - 3]
+    if 4 * (q - 1) ** 2 >= 2 ** 63:
+        # past the bound u.u itself passes 2^63, where an int64 sum wraps
+        assert sum(x * x for x in u) >= 2 ** 63
+    # q^k codewords are past the enumeration cap: the report's flags are read
+    # with the weight distribution stubbed out
+    monkeypatch.setattr(codes, "weight_distribution",
+                        lambda code: ([1, 1] + [0] * (code.n - 1),) * 2)
+    for rows in ([u], [w], [u, w], [w, u]):
+        code = LinearCode(F, 4, len(rows), Matrix(F, rows, coerce=False), {})
+        lcd, self_orthogonal = reference_flags(F, rows)
+        report = linear_code_report(code)
+        assert is_lcd(code) == report.lcd == lcd
+        assert is_self_orthogonal(code) == report.self_orthogonal == self_orthogonal
+    # the one-row code of u is self-orthogonal, so not LCD
+    assert reference_flags(F, [u]) == (False, True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 3), st.integers(2, 12), st.data())
+def test_gram_flags_match_the_reference_on_random_codes(q, k, n, data):
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    F = GF(q)
+    code = LinearCode(F, n, k, Matrix(F, rows), {})
+    lcd, self_orthogonal = reference_flags(F, rows)
+    assert (is_lcd(code), is_self_orthogonal(code)) == (lcd, self_orthogonal)
+    if k >= n:
+        return
+    if len(gauss_jordan(F, rows)[1]) < k:
+        with pytest.raises(ValueError, match="generator rank is not k"):
+            linear_code_report(code)
+        return
+    report = linear_code_report(code)
+    assert (report.lcd, report.self_orthogonal) == (lcd, self_orthogonal)
 
 
 def test_code_report_fields_and_singleton_bound():

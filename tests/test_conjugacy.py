@@ -8,7 +8,8 @@ from derring.groups import (abelian_group, cyclic_group, dihedral_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism)
 from derring.groupring import GroupRingElement, parse_element
-from derring.linalg import GF, QQ, rows_rank, same_row_space
+from derring.linalg import GF, QQ
+from gauss_jordan import rows_rank, same_row_space
 
 
 def test_ordinary_classes_of_d6():

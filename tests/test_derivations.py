@@ -19,8 +19,9 @@ from derring.groups import (FiniteGroup, abelian_group, brute_force_endomorphism
 from derring.conjugacy import inner_basis, twisted_center_dimension, twisted_classes
 from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
-from derring.linalg import GF, QQ, integer_scale, rows_rank
+from derring.linalg import GF, QQ, integer_scale
 from derring.reference import REFERENCE_TABLES, build_context
+from gauss_jordan import rows_rank
 
 
 def rand_elem(group, field, rng):

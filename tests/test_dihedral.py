@@ -2,12 +2,13 @@ import pytest
 
 from derring.conjugacy import twisted_classes
 from derring.derivations import derivation_space, extend_from_generators
-from derring.dihedral import (NoClosedForm, explicit_basis, params_for, predict,
-                              predict_classes, predict_dim_derivations,
-                              predict_dim_inner, predict_outer, spanning_candidates)
+from derring.dihedral import (NoClosedForm, _element, _reflection, _rotation, explicit_basis,
+                              params_for, predict, predict_classes, predict_dim_derivations,
+                              predict_dim_inner, predict_outer)
 from derring.groups import DihedralEndoParams, dihedral_group, endo_from_images
 from derring.groupring import anticentralizer_basis, centralizer_basis, parse_element
-from derring.linalg import GF, QQ, rows_rank, same_row_space
+from derring.linalg import GF, QQ
+from gauss_jordan import rows_rank, same_row_space
 
 
 def make_params(n, s, t):
@@ -132,6 +133,64 @@ def test_explicit_basis_d12_sizes_and_span():
     beta_ab = parse_element(g, F, "a^3*b")  # sigma(ab) = a^(s+t) b
     kernel_ab = centralizer_basis(beta_ab)
     assert same_row_space(F, [v.coeffs for v in basis_ab], [v.coeffs for v in kernel_ab])
+
+
+def spanning_candidates(group, field, params):
+    """Candidate generator-image tuples (image of a, image of b).
+
+    These are the unit tuples of the coefficient parametrization behind
+    the closed forms; the derivation space is contained in their span.
+    They need not be individually admissible (when d > 1 the parameters
+    are linked by d-periodic sum constraints), so the authoritative
+    dimension and basis computations stay with the linear solver.  In
+    characteristic 2 with n even, and when the characteristic divides d,
+    the tuples are an actual basis.
+    """
+    n, s, t = params.n, params.s, params.t
+    char = field.char
+
+    elem = lambda pairs: _element(group, field, pairs)
+    rot = lambda k: _rotation(n, k)
+    ref = lambda u: _reflection(n, u)
+    out = []
+    if char == 2:
+        top = (n - 1) // 2 if n % 2 else n // 2 - 1
+        if n % 2 == 0:
+            half = n // 2
+            out.append((elem([(ref(s + t), 1)]), elem([(rot(0), 1)])))
+            out.append((elem([(ref(s + t + half), 1)]), elem([(rot(half), 1)])))
+            out.append((elem([(rot(s), 1)]), elem([(ref(t), 1)])))
+            out.append((elem([(rot(s + half), 1)]), elem([(ref(t + half), 1)])))
+            out.append((elem([(ref(t), 1)]), elem([])))
+            out.append((elem([(ref(t + half), 1)]), elem([])))
+            # the parametrization gives a^s here (a bare 1 fails the
+            # reflection relator whenever 2s != 0)
+            out.append((elem([(rot(s), 1)]), elem([])))
+            out.append((elem([(rot(s + half), 1)]), elem([])))
+        else:
+            out.append((elem([(ref(t), 1), (ref(t + s), 1)]), elem([(rot(0), 1)])))
+            out.append((elem([]), elem([(ref(t), 1)])))
+        for i in range(1, top + 1):
+            rot_pm = [(rot(i), 1), (rot(-i), 1)]
+            out.append((elem([(ref(t + i), 1), (ref(t - i), 1)]), elem([])))
+            out.append((elem([(ref(s + t + i), 1), (ref(s + t - i), 1)]), elem(rot_pm)))
+            if n % 2 == 0:
+                out.append((elem([(rot(s + i), 1), (rot(s - i), 1)]),
+                            elem([(ref(t + i), 1), (ref(t - i), 1)])))
+                out.append((elem([(rot(s + i), 1), (rot(s - i), 1)]), elem([])))
+            else:
+                out.append((elem([]), elem([(ref(t + i), 1), (ref(t - i), 1)])))
+        return out
+    top = (n - 1) // 2 if n % 2 else n // 2 - 1
+    modular = char != 0 and n % char == 0
+    for i in range(1, top + 1):
+        rot_pm = [(rot(i), 1), (rot(-i), -1)]
+        out.append((elem([(ref(t + i), 1), (ref(t - i), -1)]), elem([])))
+        out.append((elem([(ref(s + t + i), -1), (ref(s + t - i), 1)]), elem(rot_pm)))
+        out.append((elem([]), elem([(ref(t + i), 1), (ref(t - i), -1)])))
+        if modular:
+            out.append((elem([(rot(s + i), 1), (rot(s - i), -1)]), elem([])))
+    return out
 
 
 @pytest.mark.parametrize("n,s,t", [(3, 1, 0), (3, 2, 2), (4, 1, 2), (5, 2, 3),

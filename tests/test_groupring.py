@@ -5,7 +5,8 @@ import pytest
 from derring.groups import cyclic_group, dihedral_group, endo_from_images, identity_endomorphism
 from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
                                centralizer_basis, format_element, parse_element)
-from derring.linalg import GF, QQ, rows_rank, same_row_space
+from derring.linalg import GF, QQ
+from gauss_jordan import rows_rank, same_row_space
 
 
 def rand_elem(group, field, rng):

@@ -33,9 +33,9 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word, table_group)
 from derring import derivations, linalg
-from derring.linalg import (GF, QQ, Matrix, is_prime, rows_rank, rref_mod_p, sparse_kernel_basis,
+from derring.linalg import (GF, QQ, Matrix, is_prime, rref_mod_p, sparse_kernel_basis,
                             sparse_rank)
-from gauss_jordan import gauss_jordan, solve
+from gauss_jordan import dot, gauss_jordan, rows_rank, solve
 
 PROPERTY = settings(max_examples=12, deadline=None)
 FIELDS = (GF(2), GF(3), QQ)
@@ -129,7 +129,7 @@ def test_relator_matrix_matches_free_eval(point, data):
               for k, (name, _) in enumerate(group.generators)}
     expected = [c for rel in group.relators for c in free_eval(images, sigma, tau, rel).coeffs]
     cols, vals = relator_block(sigma, tau)
-    got = Matrix.from_block(field, cols, vals, len(vec)).mul_vec([field.coerce(v) for v in vec])
+    got = [dot(field, row, vec) for row in Matrix.from_block(field, cols, vals, len(vec)).data]
     assert got == expected
     # extend_from_generators gathers the integer images through the same block
     assert [field.coerce(x) for x in _inner_gather(cols, vals, vec, object).tolist()] == expected
