@@ -15,7 +15,7 @@ from typing import List, Set, Tuple
 from .derivations import TwistedDerivation, common_field, generator_rows, inner_block
 from .groups import Endomorphism, FiniteGroup, common_group
 from .groupring import GroupRingElement
-from .linalg import Field, Matrix, rows_full_rank, sparse_rank
+from .linalg import Field, Matrix, dense_block, rows_full_rank, sparse_rank
 
 
 @dataclass
@@ -147,8 +147,7 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
     n = group.order
     spans = [(name, slice(k * n, (k + 1) * n)) for k, (name, _) in enumerate(group.generators)]
     cols, vals, _, _ = generator_rows(sigma, tau)
-    columns = list(zip(*Matrix.from_block(common_field(field, sigma, tau), cols, vals, n).data))
-    columns = [list(columns[g]) for g in members]
+    columns = dense_block(common_field(field, sigma, tau), cols, vals, n)[:, members].T.tolist()
     if columns and not rows_full_rank(field, columns, len(members)):
         raise AssertionError("inner derivation basis is not independent")
     return [TwistedDerivation(group, field, sigma, tau, provenance="inner",

@@ -619,11 +619,11 @@ def derivation_space(field: Field, sigma: Endomorphism,
     G = sigma.group
     n = G.order
     cols, vals = relator_block(sigma, tau)
-    kernel = Matrix.from_block(field, cols, vals, len(G.generators) * n).kernel_basis()
-    dim = len(kernel)
+    system = Matrix.from_block(field, cols, vals, len(G.generators) * n)
     if not basis:
-        return dim, None
-    return dim, [TwistedDerivation(G, field, sigma, tau, provenance="extended", images={
+        return system.cols - system.rank(), None
+    kernel = system.kernel_basis()
+    return len(kernel), [TwistedDerivation(G, field, sigma, tau, provenance="extended", images={
         name: vec[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)})
                  for vec in kernel]
 

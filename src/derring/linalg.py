@@ -12,15 +12,20 @@ is the whole story.  Over the rationals each row is scaled to integers
 (which keeps the RREF), reduced mod 2^31 - 1, and the entries at the
 free columns are recovered by rational reconstruction, combining further
 primes (taken downward) by CRT while reconstruction or the certificate
-fails.  The certificate is the
-exact integer product A K = 0, K the kernel vectors read off the
-candidate RREF.  K is the identity on the non-pivot columns, so it has
-full rank n - r_p and A K = 0 gives rank A <= r_p; a rank mod p never
-exceeds the rational rank, so the two are equal, K spans the rational
-kernel, and the pivots and the RREF are the rational ones.  The loop has
-no cap: unlucky primes divide some nonzero minor, so there are finitely
-many, and the CRT modulus grows until every entry reconstructs.  A rank
-mod p equal to min(rows, cols) is already exact and needs no lift.
+fails.  The certificate is Cabay's bound (S. Cabay, "Exact solution of
+linear equations", SYMSAC 1971): K, the kernel vectors read off the
+candidate RREF and scaled to integers, is a multiple of the kernel mod p
+at every prime of the CRT modulus M, so A K = 0 mod M, and no entry of
+A K exceeds w max|K|, w the largest sum of |entries| of a row of A; so
+w max|K| < M proves A K = 0 with no product, and a loose bound costs one
+more prime.  K is the identity on the non-pivot columns, so it has full
+rank n - r_p and A K = 0 gives rank A <= r_p; a rank mod p never exceeds
+the rational rank, so the two are equal, K spans the rational kernel,
+and the pivots and the RREF are the rational ones.  The loop has no
+cap: unlucky primes divide some nonzero minor, so there are finitely
+many, and M grows until every entry reconstructs and the bound holds.
+``Matrix.rank`` reads the pivots with no rational RREF, and a rank mod p
+equal to min(rows, cols) is exact with no lift.
 
 Sparse rows (``sparse_rank``) run the same kernel and the same lift
 (``_lift``); only the mod-p step differs.  The rows stream in chunks
@@ -28,13 +33,14 @@ through K, the kernel mod p of the rows before them: a chunk times K is
 row-reduced by the kernel above and updates K.  K ends as the identity
 on the free columns and minus the RREF at the pivots, the same pivots
 and entries as the dense step, so the lift reads its residues off K and
-certifies A K = 0 exactly against every sparse row.  K may start from a
+bounds A K by the rows' largest sum of |vals|.  K may start from a
 seed instead of the identity (``sparse_nullity``, ``sparse_kernel_basis``):
 an integer K0 whose columns span the kernel of some of the rows, the
 identity at its root rows.  K is then K0 times the kernel of the rows
 times K0, which the lift reconstructs at the roots and certifies as
-A K0 K = 0; ``sparse_kernel_basis`` puts any kernel in the canonical
-form of ``Matrix.kernel_basis``.
+A K0 K = 0, a row of A K0 summing at most w times K0's row weight;
+``sparse_kernel_basis`` puts any kernel in the canonical form of
+``Matrix.kernel_basis``.
 """
 
 from __future__ import annotations
@@ -226,18 +232,10 @@ class Matrix:
     @classmethod
     def from_block(cls, field: Field, cols: np.ndarray, vals: np.ndarray,
                    ncols: int) -> "Matrix":
-        """The rows of one (cols, vals) block (see ``_sparse_blocks``), dense.
-
-        Row i adds vals[i, j] at column cols[i, j]; over GF(p) each entry is
-        reduced into the field, over QQ the integers are exact entries.  An
-        entry is at most a row's sum of |vals|, which picks the dtype.
-        """
-        dense = np.zeros((len(cols), ncols), dtype=sum_dtype(row_weight(vals), 1, field.p))
-        np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals.astype(dense.dtype, copy=False))
-        if field.p:
-            dense %= field.p
+        """The rows of one (cols, vals) block (see ``_sparse_blocks``), dense (``dense_block``)."""
         m = cls.__new__(cls)  # the rows are fresh lists of one length: no copy, no check
-        m.field, m.rows, m.cols, m.data = field, len(cols), ncols, dense.tolist()
+        m.field, m.rows, m.cols = field, len(cols), ncols
+        m.data = dense_block(field, cols, vals, ncols).tolist()
         return m
 
     @classmethod
@@ -275,14 +273,10 @@ class Matrix:
         return Matrix(self.field, data, coerce=False), tuple(pivots)
 
     def rank(self) -> int:
-        if not self.field.p and self.rows:
-            # r_p <= r_QQ <= min(rows, cols), so a full rank mod p needs no lift
-            _, pivots = _rref_mod(_integer_rows(self.data), _FIRST_PRIME)
-            if len(pivots) == min(self.rows, self.cols):
-                _log_rational((self.rows, self.cols), len(pivots), 1, lifted=False)
-                return len(pivots)
-        _, pivots = self.rref()
-        return len(pivots)
+        """The rank; over QQ the lift's pivots (``_rational_lift``), with no rational RREF."""
+        if self.field.p or not self.rows:
+            return len(self.rref()[1])
+        return len(_rational_lift(self.data, self.cols, rank_only=True)[0])
 
     def kernel_basis(self) -> List[List]:
         """Basis of the right nullspace, one vector per free column."""
@@ -301,6 +295,20 @@ class Matrix:
                     v[pc] = F.neg(x)
             basis.append(v)
         return basis
+
+
+def dense_block(field: Field, cols: np.ndarray, vals: np.ndarray, ncols: int) -> np.ndarray:
+    """The rows of one (cols, vals) block as an array.
+
+    Row i adds vals[i, j] at column cols[i, j]; over GF(p) each entry is
+    reduced into the field, over QQ the integers are exact entries.  An
+    entry is at most a row's sum of |vals|, which picks the dtype.
+    """
+    dense = np.zeros((len(cols), ncols), dtype=sum_dtype(row_weight(vals), 1, field.p))
+    np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals.astype(dense.dtype, copy=False))
+    if field.p:
+        dense %= field.p
+    return dense
 
 
 def rows_full_rank(field: Field, rows: Sequence[Sequence], expected: int) -> bool:
@@ -322,8 +330,10 @@ def rref_mod_p(m: List[List[int]], p: int) -> List[int]:
     for c in range(ncols):
         if r == nrows:
             break
-        i = next((i for i in range(r, nrows) if m[i][c]), None)
-        if i is None:
+        for i in range(r, nrows):
+            if m[i][c]:
+                break
+        else:
             continue
         m[r], m[i] = m[i], m[r]
         row = m[r]
@@ -340,12 +350,6 @@ def rref_mod_p(m: List[List[int]], p: int) -> List[int]:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def _rref_mod(rows: Sequence[Sequence[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    """RREF mod p of integer rows, which are left unchanged, and its pivots."""
-    m = [[x % p for x in row] for row in rows]
-    return m, rref_mod_p(m, p)
 
 
 # the first prime of the rational engine; further primes are taken below it
@@ -381,17 +385,8 @@ def integer_scale(values: Sequence) -> Tuple[List[int], int]:
     return [int(n) * (lcm // int(d)) for n, d in zip(nums, dens)], lcm
 
 
-def _integer_rows(data: Sequence[Sequence]) -> List[List[int]]:
-    """Each row over its own common denominator, which keeps the RREF."""
-    return [integer_scale(row)[0] for row in data]
-
-
 def _reconstruct(x: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
     """The n/d with n = d x mod modulus, |n|, d <= bound, gcd 1 (Wang), or None."""
-    if x <= bound:
-        return x, 1
-    if modulus - x <= bound:
-        return x - modulus, 1
     r0, r1, t0, t1 = modulus, x, 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -403,21 +398,29 @@ def _reconstruct(x: int, modulus: int, bound: int) -> Optional[Tuple[int, int]]:
     return r1, t1
 
 
-def _integer_kernel(pivots: List[int], free: List[int],
-                    values: List[List[Tuple[int, int]]]) -> List[List[int]]:
-    """K, the kernel vectors read off a candidate RREF, scaled to integers.
+def _integer_kernel(residues: np.ndarray, modulus: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """K, the kernel vectors of the candidate RREF scaled to integers, as its
+    rows at the pivots and its diagonal L at the free columns; or None.
 
-    Row c of K is column c of the system.  Column k, scaled by the lcm L of
-    its denominators, is L at free[k] and -L n/d at pivot i, n/d being the
-    RREF entry (i, free[k]).
+    Entry (pivot i, free column k) of the RREF is the reconstruction n/d of
+    ``residues[i, k]``, read at once as n/1 where the symmetric residue is
+    within the bound and by ``_reconstruct`` elsewhere; None when one fails.
+    Column k of K, scaled by the lcm L[k] of its denominators, is L[k] at
+    free column k, -L[k] n/d at pivot i and 0 elsewhere.
     """
-    lcms = [math.lcm(1, *(row[k][1] for row in values)) for k in range(len(free))]
-    kernel = [[0] * len(free) for _ in range(len(pivots) + len(free))]
-    for k, (f, lcm) in enumerate(zip(free, lcms)):
-        kernel[f][k] = lcm
-    for pc, row in zip(pivots, values):
-        kernel[pc] = [-n * (lcm // d) for (n, d), lcm in zip(row, lcms)]
-    return kernel
+    bound = math.isqrt(modulus // 2)
+    num = np.where(residues > modulus // 2, residues - modulus, residues)
+    den = np.ones_like(num)
+    for i, k in zip(*np.nonzero(abs(num) > bound)):
+        value = _reconstruct(int(residues[i, k]), modulus, bound)
+        if value is None:
+            return None
+        num[i, k], den[i, k] = value
+    lcms = ([math.lcm(1, *col) for col in den.T.tolist()] if (den != 1).any()
+            else [1] * residues.shape[1])
+    dtype = sum_dtype(max(lcms, default=1), bound)
+    lcms = np.array(lcms, dtype=dtype)
+    return -num.astype(dtype) * (lcms // den.astype(dtype)), lcms
 
 
 def row_weight(rows) -> int:
@@ -448,22 +451,17 @@ def sum_dtype(weight: int, top: int, p: int = 0, extra: int = 0):
     return np.int64 if max(weight * top + extra, top, p) < 2 ** 63 else object
 
 
-def _dense_vanishes(ints: List[List[int]], kernel: List[List[int]]) -> bool:
-    """Whether A K = 0 exactly for integer rows A, int64 when ``sum_dtype`` allows."""
-    kmax = max(max(map(abs, row)) for row in kernel)
-    dtype = sum_dtype(max(sum(map(abs, row)) for row in ints), kmax)
-    return not (np.array(ints, dtype=dtype) @ np.array(kernel, dtype=dtype)).any()
+def _lift(modp, weight: int) -> Tuple[List[int], List[int], Tuple[np.ndarray, np.ndarray], int]:
+    """The rational RREF of an integer system A by the multimodular loop (see the module notes).
 
-
-def _lift(modp, vanishes) -> Tuple[List[int], List[int], List[List[Tuple[int, int]]], int]:
-    """The rational RREF of a system by the multimodular loop (see the module notes).
-
-    ``modp(p)`` gives the pivots and the free columns mod p and the RREF
-    entries at the free columns mod p, one row per pivot; ``vanishes(K)``
-    says whether A K = 0 exactly for an integer matrix K with a row per
-    column of A (``_integer_kernel``).  Returns the pivots, the free
-    columns, the RREF entries at the free columns as reduced (n, d) pairs
-    and the number of primes used.
+    ``modp(p)`` gives the pivots, the free columns and the RREF entries at
+    the free columns mod p, an int64 array with a row per pivot;
+    ``weight`` bounds the sum of |entries| of every row of A.  Returns the
+    pivots, the free columns, K (``_integer_kernel``) and the primes used.
+    Column k of K is L (e_f - sum n_i / d_i e_(P_i)), f = free[k], and
+    n_i (L / d_i) = L x_i mod p for the residue x_i at each prime p of the
+    CRT modulus M: K is L times the kernel mod p, so A K = 0 mod M, and
+    weight max|K| < M proves A K = 0 (Cabay's bound).
     """
     pivots: Optional[List[int]] = None
     for primes, p in enumerate(_engine_primes(), 1):
@@ -474,46 +472,58 @@ def _lift(modp, vanishes) -> Tuple[List[int], List[int], List[List[Tuple[int, in
                 continue
             pivots = None
         if pivots is None:
-            pivots, free, modulus = found, found_free, 1
-            residues = [[0] * len(free) for _ in pivots]
+            pivots, free, modulus, residues = found, found_free, 1, 0
+        if modulus * p >= 2 ** 63:
+            residues, reduced = np.asarray(residues, dtype=object), reduced.astype(object)
         # CRT: fold the residues mod p into those mod the running modulus
-        step = pow(modulus, -1, p)
-        for old, row in zip(residues, reduced):
-            for k, x in enumerate(row):
-                old[k] += modulus * ((x - old[k]) * step % p)
+        residues = residues + modulus * ((reduced - residues) % p * pow(modulus, -1, p) % p)
         modulus *= p
-        bound = math.isqrt(modulus // 2)
-        values = [[_reconstruct(x, modulus, bound) for x in row] for row in residues]
-        if all(v is not None for row in values for v in row) and (
-                not free or vanishes(_integer_kernel(pivots, free, values))):
-            return pivots, free, values, primes
+        kernel = _integer_kernel(residues, modulus)
+        if kernel is not None and weight * max(int(abs(part).max(initial=0))
+                                               for part in kernel) < modulus:
+            return pivots, free, kernel, primes
+
+
+def _rational_lift(data: Sequence[Sequence], ncols: int, rank_only: bool = False):
+    """``_lift`` of dense rows over QQ, each over its own common denominator
+    (which keeps the RREF), and one DEBUG record.  With ``rank_only``, a rank
+    mod p equal to min(rows, cols) is exact: no lift, and the kernel is None."""
+    ints = [integer_scale(row)[0] for row in data]
+
+    def modp(p):
+        reduced = [[x % p for x in row] for row in ints]
+        found = rref_mod_p(reduced, p)
+        taken = set(found)
+        free = [c for c in range(ncols) if c not in taken]
+        rows = np.array(reduced[:len(found)], dtype=np.int64).reshape(len(found), ncols)
+        return found, free, rows[:, free]
+
+    first = modp(_FIRST_PRIME)
+    pivots, free, kernel, primes = *first[:2], None, 1
+    if not rank_only or len(pivots) < min(len(ints), ncols):
+        # the lift starts from the elimination already done at the first prime
+        pivots, free, kernel, primes = _lift(lambda p: first if p == _FIRST_PRIME else modp(p),
+                                             max(sum(map(abs, row)) for row in ints))
+    _log_rational((len(ints), ncols), len(pivots), primes,
+                  lifted=kernel is not None and bool(free and pivots))
+    return pivots, free, kernel
 
 
 def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
     """The RREF over QQ by the multimodular engine (see the module notes)."""
-    ints = _integer_rows(data)
-    nrows = len(ints)
-    if not nrows:
+    if not data:
         return [], []
-
-    def modp(p):
-        reduced, found = _rref_mod(ints, p)
-        taken = set(found)
-        free = [c for c in range(ncols) if c not in taken]
-        return found, free, [[row[f] for f in free] for row in reduced[:len(found)]]
-
-    pivots, free, values, primes = _lift(modp, lambda kernel: _dense_vanishes(ints, kernel))
-    zero, one = _rat(0), _rat(1)
+    pivots, free, (rows, lcms) = _rational_lift(data, ncols)
+    zero, one, lcms = _rat(0), _rat(1), lcms.tolist()
     out = []
-    for pc, row in zip(pivots, values):
+    for pc, row in zip(pivots, rows.tolist()):
         full = [zero] * ncols
         full[pc] = one
-        for f, (n, d) in zip(free, row):
-            if n:
-                full[f] = _rat(n, d)
+        for f, x, lcm in zip(free, row, lcms):
+            if x:
+                full[f] = _rat(-x, lcm)
         out.append(full)
-    out.extend([zero] * ncols for _ in range(nrows - len(pivots)))
-    _log_rational((nrows, ncols), len(pivots), primes, lifted=bool(free and pivots))
+    out.extend([zero] * ncols for _ in range(len(data) - len(pivots)))
     return out, pivots
 
 
@@ -646,37 +656,24 @@ def _sparse_kernel(blocks, ncols: int, p: int, seed=None) -> Tuple[np.ndarray, n
     return K, free
 
 
-def _sparse_vanishes(blocks, kernel: List[List[int]]) -> bool:
-    """Whether A K = 0 exactly over every sparse row, in chunks, int64 when safe."""
-    kmax = max(max(map(abs, row)) for row in kernel)
-    for cols, vals in blocks:
-        dtype = sum_dtype(row_weight(vals), kmax)
-        K, vals = np.array(kernel, dtype=dtype), vals.astype(dtype)
-        step = max(1, _SPARSE_CHUNK // K.shape[1])
-        for start in range(0, len(cols), step):
-            if _gather(cols[start:start + step], vals[start:start + step], K).any():
-                return False
-    return True
-
-
-def _seeded(seed, kernel: List[List[int]]) -> List[List[int]]:
+def _seeded(seed, kernel: np.ndarray) -> np.ndarray:
     """Integer kernel vectors given at a seed's roots, K0 times them: exact,
     int64 while K0's row weight times their largest |entry| is below 2^63.
     Unseeded, the vectors themselves."""
     if seed is None:
         return kernel
     K0 = seed[0]
-    dtype = sum_dtype(row_weight(K0), max((abs(x) for row in kernel for x in row), default=0))
-    return (K0.astype(dtype) @ np.array(kernel, dtype=dtype)).tolist()
+    dtype = sum_dtype(row_weight(K0), int(abs(kernel).max(initial=0)))
+    return K0.astype(dtype) @ kernel.astype(dtype)
 
 
 def _sparse_lift(blocks, ncols: int, seed=None):
     """``_lift`` of sparse rows: their kernel mod p by ``_sparse_kernel``.
 
     The system lifted is the rows times the seed's K0, so the pivots, the
-    free columns and the RREF entries are those at its roots, by position
-    (unseeded, every column is a root); the certificate is A K0 K = 0
-    against every row.
+    free columns and the kernel are those at its roots, by position
+    (unseeded, every column is a root).  A row of it sums at most a row's
+    |vals| times K0's row weight, the weight of the certificate.
     """
     roots = np.arange(ncols) if seed is None else seed[1]
 
@@ -686,21 +683,22 @@ def _sparse_lift(blocks, ncols: int, seed=None):
         is_pivot = np.ones(len(roots), dtype=bool)
         is_pivot[at] = False
         pivots = np.flatnonzero(is_pivot)
-        return pivots.tolist(), at.tolist(), (-K[roots[pivots]] % p).tolist()
+        return pivots.tolist(), at.tolist(), -K[roots[pivots]] % p
 
-    pivots, free, values, primes = _lift(
-        modp, lambda kernel: _sparse_vanishes(blocks, _seeded(seed, kernel)))
+    weight = max((row_weight(vals) for _, vals in blocks), default=0)
+    if seed is not None:
+        weight *= row_weight(seed[0])
+    pivots, free, kernel, primes = _lift(modp, weight)
     nrows = sum(len(cols) for cols, _ in blocks)
     _log_rational((nrows, ncols), ncols - len(free), primes, lifted=bool(free and pivots))
-    return pivots, free, values
+    return pivots, free, kernel
 
 
 def sparse_rank(field: Field, rows: Iterable) -> int:
     """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``).
 
     Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
-    the kernel mod p is lifted and certified against every row by
-    ``_lift``.
+    the kernel mod p is lifted and certified by the bound of ``_lift``.
     """
     blocks = _sparse_blocks(rows)
     ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
@@ -715,7 +713,7 @@ def sparse_nullity(field: Field, rows: Iterable, ncols: int, seed) -> int:
 
     It is the number of free columns, read without building the kernel
     vectors: the width of ``_sparse_kernel`` over GF(p), and over QQ that
-    of the lifted kernel, certified against every row (``_sparse_lift``).
+    of the lifted kernel, certified by its bound (``_sparse_lift``).
     """
     blocks = _sparse_blocks(rows)
     if field.p:
@@ -729,7 +727,7 @@ def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> 
 
     A basis of the kernel is read off ``_sparse_kernel``'s columns over
     GF(p), and over QQ off the lifted kernel, each vector scaled to
-    integers and certified against every row (``_sparse_lift``).  The
+    integers and certified by its bound (``_sparse_lift``).  The
     canonical basis is the kernel's RREF with the columns reversed, then
     each vector and their order reversed: the vector of a free column f is
     1 at f and 0 at every other free column, and nonzero only left of f.
@@ -740,8 +738,10 @@ def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> 
     if field.p:
         K = _sparse_kernel(blocks, ncols, field.p, seed)[0]
     else:
-        pivots, free, values = _sparse_lift(blocks, ncols, seed)
-        K = np.array(_seeded(seed, _integer_kernel(pivots, free, values))).reshape(ncols, len(free))
+        pivots, free, (rows, lcms) = _sparse_lift(blocks, ncols, seed)
+        K = np.zeros((len(pivots) + len(free), len(free)), dtype=rows.dtype)
+        K[free, np.arange(len(free))], K[pivots] = lcms, rows
+        K = _seeded(seed, K)
     if not K.shape[1]:
         return []
     R, _ = Matrix(field, [vec[::-1] for vec in K.T.tolist()], coerce=False).rref()

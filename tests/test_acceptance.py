@@ -368,3 +368,16 @@ def test_scale_generator_data_against_closed_forms():
         assert (dim > len(inner)) == pred.outer_nonzero, (n, field, images)
     report(f"SCALE (D512 over GF(2), GF(3); D256 over QQ; {len(SCALE_POINTS)} points "
            "against the closed forms): PASS")
+
+
+def test_scale_rational_dimension_is_order_minus_classes():
+    """Over QQ, |G| is invertible, so every derivation is inner: dim = |G| - r.
+
+    On D512 the dimension is read off the rank of the 1536 x 512 relator
+    system, certified by the lift's bound.
+    """
+    group = dihedral_group(256)
+    sigma = endo_from_images(group, {"a": "a^-1", "b": "b"})
+    dim, basis = derivation_space(QQ, sigma, basis=False)
+    assert basis is None
+    assert dim == group.order - twisted_classes(group, sigma).r

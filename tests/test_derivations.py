@@ -194,6 +194,14 @@ def test_pair_oracle_at_order_64(field):
     assert derivation_space_full(field, sigma, basis=False)[0] == 45
 
 
+def test_pair_oracle_basis_at_order_64_over_qq():
+    d64 = dihedral_group(32)
+    sigma = endo_from_images(d64, {"a": "a^3", "b": "a*b"})
+    dim, basis = derivation_space_full(QQ, sigma, basis=True)
+    assert dim == len(basis) == 45
+    assert all(verify_derivation(D) is None for D in basis)
+
+
 @pytest.mark.parametrize("basis", [False, True])
 def test_pair_oracle_logs_each_solve(caplog, basis):
     d16 = dihedral_group(8)

@@ -259,6 +259,18 @@ def test_rational_elimination_logs_its_primes(caplog):
     assert not caplog.records
 
 
+def test_cabay_bound_can_force_a_second_prime(caplog):
+    # one prime reconstructs 1/30011 and 1/30013, but K = (-30013, -30011,
+    # 30011 * 30013) and a row weight of 30014 put the bound past 2^31 - 1
+    m = Matrix(QQ, [[30011, 0, 1], [0, 30013, 1]])
+    with caplog.at_level(logging.DEBUG, logger="derring.linalg"):
+        reduced, pivots = m.rref()
+    assert (reduced.data, pivots) == gauss_jordan(QQ, m.data)
+    (record,) = [r for r in caplog.records if r.name == "derring.linalg"]
+    assert record.rank == 2 and record.lifted
+    assert record.primes >= 2
+
+
 def test_sparse_rational_rank_logs_one_record(caplog):
     sigma = identity_endomorphism(dihedral_group(4))
     with caplog.at_level(logging.DEBUG, logger="derring.linalg"):
