@@ -1,19 +1,25 @@
 """Twisted conjugacy classes, centralizers, centers and class sums.
 
 The twisted conjugate of x by g is sigma(g) x tau(g)^-1; its orbit
-partitions the group.  Class sums span the twisted center of FG, and the
-non-singleton classes index the inner-derivation basis: dropping one
-representative per class leaves exactly |G| - r independent inner
-derivations.
+partitions the group.  Classes, orbits, centralizers and the center are
+all read off one gather from the multiplication table, C[g, x] =
+sigma(g) x tau(g)^-1 (``_conjugates``): the orbit of x is column x, its
+centralizer the g with C[g, x] = x, the center the fixed columns, and
+each class is the set of columns sharing one minimum.  Class sums span
+the twisted center of FG, and the non-singleton classes index the
+inner-derivation basis: dropping one representative per class leaves
+exactly |G| - r independent inner derivations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .derivations import TwistedDerivation, common_field, generator_rows, inner_block
-from .groups import Endomorphism, FiniteGroup, common_group
+import numpy as np
+
+from .derivations import TwistedDerivation, generator_rows, inner_block
+from .groups import Endomorphism, FiniteGroup, common_field, common_group
 from .groupring import GroupRingElement
 from .linalg import Field, Matrix, dense_block, rows_full_rank, sparse_rank
 
@@ -38,11 +44,21 @@ class ConjugacyPartition:
         raise KeyError(x)
 
 
+def _conjugates(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
+                x: Optional[int] = None) -> np.ndarray:
+    """C[g, x] = sigma(g) x tau(g)^-1 for every g, gathered from ``mul_array``:
+    the column of one x, or the whole |G| x |G| table when x is None."""
+    G = common_group(group, sigma, tau)
+    mul, images = G.mul_array, np.asarray(sigma.images, dtype=np.int64)
+    undo = G.inv_array[np.asarray(tau.images, dtype=np.int64)]
+    if x is None:
+        return mul[mul[images], undo[:, None]]
+    return mul[mul[images, x], undo]
+
+
 def twisted_orbit(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                   x: int) -> Set[int]:
-    mul, inv = group.mul, group.inv
-    simg, timg = sigma.images, tau.images
-    return {mul[mul[simg[g]][x]][inv[timg[g]]] for g in range(group.order)}
+    return set(_conjugates(group, sigma, tau, x).tolist())
 
 
 def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
@@ -50,18 +66,13 @@ def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
     """Orbit partition, singleton classes first, then by representative."""
     if tau is None:
         tau = sigma
-    common_group(group, sigma, tau)
-    seen = [False] * group.order
-    singletons, larger = [], []
-    for x in range(group.order):
-        if seen[x]:
-            continue
-        orbit = twisted_orbit(group, sigma, tau, x)
-        for y in orbit:
-            seen[y] = True
-        cls = tuple(sorted(orbit))
-        (singletons if len(cls) == 1 else larger).append(cls)
-    classes = singletons + larger
+    members: Dict[int, List[int]] = {}
+    for x, rep in enumerate(_conjugates(group, sigma, tau).min(axis=0).tolist()):
+        members.setdefault(rep, []).append(x)
+    # a representative is the least member of its class, so it opens the class:
+    # the classes come out sorted, in order of representative
+    singletons = [tuple(cls) for cls in members.values() if len(cls) == 1]
+    classes = singletons + [tuple(cls) for cls in members.values() if len(cls) > 1]
     return ConjugacyPartition(group, sigma, tau, classes,
                               [cls[0] for cls in classes], len(singletons))
 
@@ -69,22 +80,14 @@ def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
 def twisted_centralizer(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                         x: int) -> Set[int]:
     """{g : x tau(g) = sigma(g) x}; a subgroup for finite groups."""
-    mul = group.mul
-    simg, timg = sigma.images, tau.images
-    return {g for g in range(group.order)
-            if mul[x][timg[g]] == mul[simg[g]][x]}
+    return set(np.flatnonzero(_conjugates(group, sigma, tau, x) == x).tolist())
 
 
 def twisted_center_group(group: FiniteGroup, sigma: Endomorphism,
                          tau: Endomorphism) -> Set[int]:
     """{z : z tau(g) = sigma(g) z for all g}; the union of singleton classes."""
-    mul = group.mul
-    simg, timg = sigma.images, tau.images
-    out = set()
-    for z in range(group.order):
-        if all(mul[z][timg[g]] == mul[simg[g]][z] for g in range(group.order)):
-            out.add(z)
-    return out
+    C = _conjugates(group, sigma, tau)
+    return set(np.flatnonzero((C == np.arange(len(C))).all(axis=0)).tolist())
 
 
 @dataclass

@@ -46,7 +46,8 @@ import numpy as np
 
 from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only,
-                     action_gathers, common_group, first_failing_pair, word_str)
+                     action_gathers, common_field, common_group, first_failing_pair,
+                     word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, Matrix, _rat, debug_record, integer_scale, row_weight,
                      sparse_kernel_basis, sparse_nullity, sum_dtype)
@@ -108,17 +109,6 @@ class AlgebraEndo:
 
 
 EndoLike = Union[Endomorphism, AlgebraEndo]
-
-
-def common_field(field: Field, *items) -> Field:
-    """``field``, or a ValueError when one of ``items`` that carries a field
-    (an ``AlgebraEndo``, whose images are that field's elements, or an
-    element) is over another; a group map acts over every field."""
-    for x in items:
-        other = getattr(x, "field", field)
-        if other != field:
-            raise ValueError(f"maps and elements over different fields: {other} and {field}")
-    return field
 
 
 @functools.lru_cache(maxsize=64)

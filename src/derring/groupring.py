@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, parse_word
+from .groups import FiniteGroup, common_field, common_group, parse_word
 from .linalg import Field, Matrix, integer_scale
 
 
@@ -135,8 +135,10 @@ def apply_endo(sigma, alpha: GroupRingElement) -> GroupRingElement:
 
     Reads sigma's ``Action``, for group and verified algebra endomorphisms
     alike: sigma(g) is the sum of coeffs[g, j] / scale times back[g, j]^-1.
+    sigma and alpha share one group and, for an algebra map, one field.
     """
-    F, G, action = alpha.field, alpha.group, sigma.action
+    G, F = common_group(sigma, alpha), common_field(alpha.field, sigma)
+    action = sigma.action
     units, coeffs = G.inv_array[action.back].tolist(), action.coeffs.tolist()
     out = [F.zero()] * G.order
     for g in alpha.support():

@@ -9,23 +9,27 @@ for the empty word); a factor names a generator or an element.
 Every group carries a presentation: the built-in families give their
 relators, and a group given by its table derives them from its normal
 forms.  Endomorphisms are checked on the generator pairs, by the one
-rule of ``first_failing_pair``.  The table and an endomorphism's action
-on FG are also kept as read-only int64 index arrays, built on first use,
-for the checks that run as numpy gathers.
+rule of ``first_failing_pair``.  A group is built and checked on its
+table as a read-only int64 array, ``mul_array``: the family tables come
+from index arithmetic, and the identity, the inverses and Light's
+associativity test are array operations on it.  ``mul`` and ``inv`` are
+list views of the arrays for the word walks.  An endomorphism's action
+on FG is kept as read-only int64 index arrays, built on first use, for
+the checks that run as numpy gathers.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import HomomorphismRejected
-from .linalg import row_weight, sum_dtype
+from .linalg import Field, row_weight, sum_dtype
 
 # a word is a sequence of (generator name, +1 | -1) letters
 Word = Tuple[Tuple[str, int], ...]
@@ -68,12 +72,13 @@ def word_str(word: Word) -> str:
     return "*".join(parts)
 
 
-def _identity_of(mul: Sequence[Sequence[int]]) -> int:
-    n = len(mul)
-    for e in range(n):
-        if all(mul[e][g] == g and mul[g][e] == g for g in range(n)):
-            return e
-    raise ValueError("multiplication table has no identity")
+def _identity_of(mul: np.ndarray) -> int:
+    """The first e with e g = g e = g for every g of an int64 table."""
+    elems = np.arange(len(mul))
+    found = np.flatnonzero((mul == elems).all(axis=1) & (mul.T == elems).all(axis=1))
+    if not found.size:
+        raise ValueError("multiplication table has no identity")
+    return int(found[0])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -82,13 +87,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(data) -> np.ndarray:
-    """An int64 array of ``data`` that refuses writes."""
-    return _read_only(np.array(data, dtype=np.int64))
-
-
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its full multiplication table, a list of rows
+    or an int64 array, which the group keeps, set read-only, as ``mul_array``.
 
     ``relators`` present the group on its generators.  Given relators are
     checked against the table; when none are given (None or an empty list)
@@ -104,12 +105,17 @@ class FiniteGroup:
                  family_params=None):
         self.order = len(names)
         self.names = list(names)
-        self.mul = [list(row) for row in mul]
+        self.mul_array = _read_only(np.asarray(mul, dtype=np.int64))
         self.family = family
         self.family_params = family_params
         self.generators = list(generators)
-        self.identity = _identity_of(self.mul)
-        self.inv = self._build_inverses()
+        self.identity = _identity_of(self.mul_array)
+        self.inv_array = self._inverses()
+        # list views, for the word walks and for callers that read rows as
+        # lists; their rows share one int object per element, where a plain
+        # tolist() would make |G|^2 of them
+        elems = np.array(range(self.order), dtype=object)
+        self.mul, self.inv = elems[self.mul_array].tolist(), elems[self.inv_array].tolist()
         self.normal_forms = self.words_over(self.generators)
         self._check_associativity()
         self._index_of_name = {name: i for i, name in enumerate(self.names)}
@@ -127,42 +133,42 @@ class FiniteGroup:
             self.relators = self._tree_relators()
         else:
             self.relators = [tuple(w) for w in relators]
+            gens = dict(self.generators)
             for rel in self.relators:
+                stray = next((name for name, _ in rel if name not in gens), None)
+                if stray is not None:
+                    raise ValueError(f"relator letter {stray!r} is not a generator name")
                 if self.eval_word(rel) != self.identity:
                     raise ValueError(f"relator {word_str(rel)} does not hold in the table")
 
     # -- construction checks ----------------------------------------------
 
-    def _build_inverses(self) -> List[int]:
-        n = self.order
-        inv = [-1] * n
-        for g in range(n):
-            for h in range(n):
-                if self.mul[g][h] == self.identity and self.mul[h][g] == self.identity:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
-                raise ValueError(f"element {self.names[g]} has no inverse")
-        return inv
+    def _inverses(self) -> np.ndarray:
+        """inv[g], the first h with g h = h g = 1, as a read-only array."""
+        mul, e = self.mul_array, self.identity
+        both = (mul == e) & (mul.T == e)
+        missing = np.flatnonzero(~both.any(axis=1))
+        if missing.size:
+            raise ValueError(f"element {self.names[missing[0]]} has no inverse")
+        return _read_only(both.argmax(axis=1))
 
     def _check_associativity(self):
         """Light's test: (x s) y = x (s y) for every generator and inverse s.
 
         The elements s that pass are closed under products, and the
         generators with their inverses generate the group (``words_over``
-        confirmed it), so the test is exact at O(|G|^2 |S|) cost.
+        confirmed it), so the test is exact at O(|G|^2 |S|) cost.  A
+        failure names the first (x, s, y), s ascending, then x, then y.
         """
-        mul = self.mul
+        mul = self.mul_array
         gens = {g for _, g in self.generators}
         for s in sorted(gens | {self.inv[g] for g in gens}):
-            row_s = mul[s]
-            for x, row_x in enumerate(mul):
-                lhs, rhs = mul[row_x[s]], [row_x[k] for k in row_s]
-                if lhs != rhs:
-                    y = next(y for y in range(self.order) if lhs[y] != rhs[y])
-                    raise ValueError(
-                        f"table not associative at "
-                        f"({self.names[x]}, {self.names[s]}, {self.names[y]})")
+            bad = mul[mul[:, s]] != mul[:, mul[s]]
+            if bad.any():
+                x, y = divmod(int(bad.argmax()), self.order)
+                raise ValueError(
+                    f"table not associative at "
+                    f"({self.names[x]}, {self.names[s]}, {self.names[y]})")
 
     def _tree_relators(self) -> List[Word]:
         """Relators presenting the group, read off the normal forms w_g.
@@ -185,16 +191,6 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
-    @cached_property
-    def mul_array(self) -> np.ndarray:
-        """``mul`` as a read-only int64 array, built on first use."""
-        return _frozen(self.mul)
-
-    @cached_property
-    def inv_array(self) -> np.ndarray:
-        """``inv`` as a read-only int64 array, built on first use."""
-        return _frozen(self.inv)
-
     def inverse(self, a: int) -> int:
         return self.inv[a]
 
@@ -209,20 +205,16 @@ class FiniteGroup:
 
     def eval_word(self, word: Word) -> int:
         """Evaluate a word whose letters name generators or elements."""
-        g = self.identity
-        for name, sign in word:
-            try:
-                x = self._letters[name]
-            except KeyError:
-                raise KeyError(f"unknown generator or element {name!r}") from None
-            g = self.mul[g][x if sign > 0 else self.inv[x]]
-        return g
+        return self.eval_word_of(word, self._letters)
 
     def eval_word_of(self, word: Word, elems: Dict[str, int]) -> int:
         """Evaluate a word with each letter name bound to a given element."""
         g = self.identity
         for name, sign in word:
-            x = elems[name]
+            try:
+                x = elems[name]
+            except KeyError:
+                raise KeyError(f"unknown generator or element {name!r}") from None
             g = self.mul[g][x if sign > 0 else self.inv[x]]
         return g
 
@@ -264,8 +256,7 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.mul[a][b] == self.mul[b][a] for a in range(n) for b in range(n))
+        return bool((self.mul_array == self.mul_array.T).all())
 
     def describe(self) -> str:
         if self.family == "cyclic":
@@ -286,7 +277,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
     names = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
-    mul = [[(i + j) % n for j in range(n)] for i in range(n)]
+    powers = np.arange(n)
+    mul = (powers[:, None] + powers) % n
     return FiniteGroup(names, mul, [("x", 1 % n)], "cyclic",
                        relators=[parse_word(f"x^{n}")], family_params=n)
 
@@ -295,10 +287,6 @@ def dihedral_group(n: int) -> FiniteGroup:
     """Order-2n dihedral group listed 1, a, ..., a^(n-1), b, ab, ..."""
     if n < 3:
         raise ValueError("dihedral group needs rotation order n >= 3")
-
-    def idx(i: int, j: int) -> int:
-        return (j % 2) * n + (i % n)
-
     names = []
     for j in (0, 1):
         for i in range(n):
@@ -306,10 +294,11 @@ def dihedral_group(n: int) -> FiniteGroup:
             ref = "b" if j else ""
             names.append("1" if not rot and not ref else
                          rot if not ref else ref if not rot else f"{rot}*{ref}")
-    mul = [[0] * (2 * n) for _ in range(2 * n)]
-    for i1, j1, i2, j2 in product(range(n), (0, 1), range(n), (0, 1)):
-        i = i1 + (i2 if j1 == 0 else -i2)
-        mul[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 ^ j2)
+    # a^i b^j sits at index j n + i: a^i1 a^i2 (b) = a^(i1 + i2) (b),
+    # a^i1 b a^i2 = a^(i1 - i2) b and a^i1 b a^i2 b = a^(i1 - i2)
+    rot = np.arange(n)
+    plus, minus = (rot[:, None] + rot) % n, (rot[:, None] - rot) % n
+    mul = np.block([[plus, plus + n], [minus + n, minus]])
     relators = [parse_word(f"a^{n}"), parse_word("b^2"), parse_word("a*b*a*b")]
     return FiniteGroup(names, mul, [("a", 1), ("b", n)], "dihedral",
                        relators=relators, family_params=n)
@@ -322,7 +311,8 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
         raise ValueError("abelian factors must be positive")
     k = len(factors)
     tuples = list(product(*[range(f) for f in factors]))
-    index = {t: i for i, t in enumerate(tuples)}
+    # the element (c_1, ..., c_k) sits at index sum c_i stride_i, as in ``tuples``
+    strides = [math.prod(factors[i + 1:]) for i in range(k)]
 
     def name_of(t):
         parts = [f"x{i+1}" if c == 1 else f"x{i+1}^{c}"
@@ -330,12 +320,9 @@ def abelian_group(factors: Sequence[int]) -> FiniteGroup:
         return "*".join(parts) if parts else "1"
 
     names = [name_of(t) for t in tuples]
-    mul = [[index[tuple((a + b) % f for a, b, f in zip(t1, t2, factors))]
-            for t2 in tuples] for t1 in tuples]
-    gens = []
-    for i in range(k):
-        t = tuple(1 if j == i else 0 for j in range(k))
-        gens.append((f"x{i+1}", index[tuple(c % f for c, f in zip(t, factors))]))
+    coords = np.indices(factors).reshape(k, -1)
+    mul = sum(((c[:, None] + c) % f) * stride for c, f, stride in zip(coords, factors, strides))
+    gens = [(f"x{i+1}", (1 % factors[i]) * strides[i]) for i in range(k)]
     relators = [parse_word(f"x{i+1}^{factors[i]}") for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -372,7 +359,8 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
             or not all(isinstance(name, str) for name in names)):
         raise ValueError(f"a table of {n} elements needs a list of {n} string names")
     _refuse_repeats("element names", names)
-    identity = _identity_of(mul)
+    table = np.array(mul, dtype=np.int64)
+    identity = _identity_of(table)
     if any(name in ("1", "e") for g, name in enumerate(names) if g != identity):
         raise ValueError("only the identity may be named '1' or 'e', "
                          "which words read as the identity")
@@ -383,7 +371,7 @@ def table_group(mul: Sequence[Sequence[int]], names: Optional[Sequence[str]] = N
     else:
         _refuse_repeats("generators", generators)
         gens = [(name, names.index(name)) for name in generators]
-    return FiniteGroup(names, mul, gens, "table")
+    return FiniteGroup(names, table, gens, "table")
 
 
 def _refuse_repeats(what: str, items: Sequence[str]) -> None:
@@ -447,6 +435,17 @@ def common_group(*items) -> FiniteGroup:
             raise ValueError("maps and elements from different groups: " + ", ".join(
                 getattr(y, "group", y).describe() for y in items))
     return group
+
+
+def common_field(field: Field, *items) -> Field:
+    """``field``, or a ValueError when one of ``items`` that carries a field
+    (an ``AlgebraEndo``, whose images are that field's elements, or an
+    element) is over another; a group map acts over every field."""
+    for x in items:
+        other = getattr(x, "field", field)
+        if other != field:
+            raise ValueError(f"maps and elements over different fields: {other} and {field}")
+    return field
 
 
 def first_failing_pair(group: FiniteGroup,

@@ -16,7 +16,8 @@ from derring.groups import (FiniteGroup, abelian_group, brute_force_endomorphism
                             cyclic_group, dihedral_group, endo_from_images,
                             enumerate_endomorphisms, identity_endomorphism, parse_word,
                             table_group)
-from derring.conjugacy import inner_basis, twisted_center_dimension, twisted_classes
+from derring.conjugacy import (inner_basis, twisted_center_dimension, twisted_center_group,
+                               twisted_centralizer, twisted_classes, twisted_orbit)
 from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
 from derring.linalg import GF, QQ, integer_scale
@@ -625,6 +626,12 @@ MIXED_GROUPS = {
     "inner_block": lambda F: inner_block(ID_D6, POWER_C6, range(6)),
     "_pair_constraint_rows": lambda F: next(_pair_constraint_rows(ID_D6, POWER_C6)),
     "twisted_classes": lambda F: twisted_classes(D6, POWER_C6, POWER_C6),
+    # this one once returned {0, 4, 5}, read off D6's table
+    "twisted_centralizer": lambda F: twisted_centralizer(D6, POWER_C6, POWER_C6, 1),
+    "twisted_orbit": lambda F: twisted_orbit(D6, POWER_C6, POWER_C6, 1),
+    "twisted_center_group": lambda F: twisted_center_group(D6, POWER_C6, POWER_C6),
+    # and this one 1 + x^4
+    "apply_endo": lambda F: apply_endo(ID_D6, parse_element(C6, F, "1 + x")),
     "TwistedDerivation": lambda F: TwistedDerivation(
         D6, F, ID_D6, POWER_C6, images={"a": [0] * 6, "b": [0] * 6}),
     "TwistedDerivation witness": lambda F: TwistedDerivation(
@@ -666,6 +673,8 @@ MIXED_FIELDS = {
     "twisted_center_dimension": lambda sigma: twisted_center_dimension(D6, sigma, sigma, QQ),
     "extend_from_generators": lambda sigma: extend_from_generators(
         {"a": GroupRingElement.zero(D6, GF(3)), "b": GroupRingElement.zero(D6, QQ)}, ID_D6),
+    # once a + 2 b + 2 a*b + 2 a^2*b over QQ
+    "apply_endo": lambda sigma: apply_endo(sigma, parse_element(D6, QQ, "a")),
 }
 
 

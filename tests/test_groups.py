@@ -247,6 +247,24 @@ def test_words_over_custom_elements():
         g.words_over([("h", 2)])  # x^2 alone only reaches the even powers
 
 
+def test_word_walks_name_an_unbound_letter():
+    g = cyclic_group(18)
+    with pytest.raises(KeyError, match="unknown generator or element 'y'"):
+        g.eval_word(parse_word("x*y"))
+    # eval_word_of binds only the names it is given, not the element names
+    with pytest.raises(KeyError, match="unknown generator or element 'x'"):
+        g.eval_word_of(parse_word("k*x"), {"k": 9})
+
+
+def test_relators_must_be_words_over_the_generators():
+    d6 = dihedral_group(3)
+    # a^2 names an element, and a^2 * a = 1 holds, but a relator is a word in
+    # the generators: the solvers read its letters as generator names
+    relators = [*d6.relators, (("a^2", 1), ("a", 1))]
+    with pytest.raises(ValueError, match="relator letter 'a\\^2' is not a generator name"):
+        FiniteGroup(d6.names, d6.mul, d6.generators, "table", relators=relators)
+
+
 def test_cached_table_and_action_arrays_refuse_writes():
     g = dihedral_group(4)
     sigma = endo_from_images(g, {"a": "a^3", "b": "a*b"})
