@@ -2,24 +2,23 @@
 
 A (sigma, tau)-derivation D of FG satisfies
 ``D(gh) = D(g) tau(h) + sigma(g) D(h)`` and is stored as its generator
-images, which fix it; the table of all group images is built only when
-read.  Every group carries relators (given, or derived from its normal
-forms), and generator images extend to a derivation exactly when the
-induced free-word evaluation kills every relator; that criterion is
-linear in the images, one (cols, vals) block read off the table
-(``relator_block``), which ``derivation_space`` solves and
-``extend_from_generators`` gathers the images through: the one extension
-path.  The pair solver ``derivation_space_full`` treats all group images
-as unknowns constrained by every product pair, eliminating the pairs
-along a spanning tree of G in closed form (``_tree_seed``), and is kept
-only as an oracle against it.  Like the inner, pair and commutator
-systems, every system here is one such block over maps of one group
-(``common_group``), and over one field (``common_field``).  The blocks
-fixed by (sigma, tau) and the inner system's elimination, fixed by
-(sigma, tau, field), are built once and kept in one bounded cache
-(``_cached``), so ``is_inner`` solves by an integer product.  A
-derivation's table is computed in integers from its generator images,
-never in field arithmetic.
+images, which fix it.  Every group carries relators (given, or derived
+from its normal forms), and generator images extend to a derivation
+exactly when the induced free-word evaluation kills every relator; that
+criterion is linear in the images, one (cols, vals) block read off the
+table (``relator_block``), which ``derivation_space`` solves and
+``extend_from_generators`` gathers the images through.  Values at 1 and
+the generators extend to all of G along one spanning tree, by one walk
+(``_tree_plan``, ``_tree_extend``): a derivation's table, computed in
+integers when first read, never in field arithmetic, and the seed of the
+pair solver ``derivation_space_full``, which treats all group images as
+unknowns constrained by every product pair and is kept only as an
+oracle.  Like the inner, pair and commutator systems, every system here
+is one such block over maps of one group (``common_group``), and over
+one field (``common_field``).  The blocks and the tree fixed by (sigma,
+tau) and the inner system's elimination, fixed by (sigma, tau, field),
+are built once and kept in one bounded cache (``_cached``), so
+``is_inner`` solves by an integer product.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike: the product rule, the inner
@@ -116,10 +115,10 @@ def _cached(build, *key):
     """``build(*key)``, built once while the key stays among the 64 latest.
 
     The one cache of the systems fixed by (sigma, tau) or (sigma, tau,
-    field): the relator block, the inner system's generator rows and its
-    elimination.  Keys compare an ``Endomorphism`` by its group object and
-    images, an ``AlgebraEndo`` by identity and a field by p, so no entry
-    crosses groups or fields.  Every array in an entry is read-only.
+    field): the relator block, the tree plan, the inner system's generator
+    rows and its elimination.  Keys compare an ``Endomorphism`` by its group
+    object and images, an ``AlgebraEndo`` by identity and a field by p, so
+    no entry crosses groups or fields.  Every array in an entry is read-only.
     """
     return build(*key)
 
@@ -132,13 +131,14 @@ def _shared(build):
     return cached
 
 
-def _lowest_terms(field: Field, ints: Sequence[int], den: int) -> Tuple[List[int], int]:
-    """Integers over den as ``integer_scale`` puts their values: residues over 1
-    over GF(p), where den is 1, and over QQ divided by gcd(den, entries)."""
+def _lowest_terms(field: Field, ints: np.ndarray, den: int) -> Tuple[List[int], int]:
+    """An integer array over den as ``integer_scale`` puts its values: residues over
+    1 over GF(p), where den is 1, and over QQ divided by gcd(den, entries)."""
     if field.p:
-        return [x % field.p for x in ints], 1
+        return (ints % field.p).tolist(), 1
+    ints = ints.tolist()
     g = math.gcd(den, *ints)
-    return ([x // g for x in ints], den // g) if g > 1 else (list(ints), den)
+    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
 
 
 def _values(field: Field, ints: Sequence[int], den: int) -> List:
@@ -152,17 +152,17 @@ def _values(field: Field, ints: Sequence[int], den: int) -> List:
 class TwistedDerivation:
     """A (sigma, tau)-derivation, defined by its generator images.
 
-    ``images`` maps each generator name to the coefficient list of its
-    image; by the extension theorem these fix the derivation.  The table
-    of all group images is computed on first read, in integers
+    ``images`` maps each generator name, and nothing else, to its image's
+    |G| coefficients; by the extension theorem these fix the derivation.
+    The table of all group images is computed on first read, in integers
     (``integer_table``): beta tau(g) - sigma(g) beta for an inner
     derivation (its ``witness`` beta, ``_witness_ints``), otherwise the
-    extension of ``images`` along the normal forms (``_extension_ints``),
-    which needs sigma and tau to be group endomorphisms; ``table`` is read
-    off it.  A derivation constructed from a table keeps it as given.
-    Over QQ an integral coefficient may be an int.  The group, sigma, tau
-    and the witness must share one group, and the field must be that of
-    the witness and of any algebra endomorphism (``common_field``).
+    extension of ``images`` along the tree of ``_tree_plan``, which needs
+    sigma and tau to be group endomorphisms; ``table`` is read off it.  A
+    derivation constructed from a table keeps it as given.  Over QQ an
+    integral coefficient may be an int.  The group, sigma, tau and the
+    witness must share one group, and the field must be that of the
+    witness and of any algebra endomorphism (``common_field``).
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
@@ -183,6 +183,8 @@ class TwistedDerivation:
             raise ValueError("a derivation needs its table or its generator images")
         elif witness is None and not all(isinstance(e, Endomorphism) for e in (sigma, tau)):
             raise ValueError("generator images alone extend only along group endomorphisms")
+        else:
+            _check_images(group, images)
         self.group, self.field, self.sigma, self.tau = group, field, sigma, tau
         self.images, self.provenance, self.witness = images, provenance, witness
         self._table = table
@@ -219,23 +221,27 @@ class TwistedDerivation:
 
         A table given is scaled.  Otherwise it is computed in integers from
         the generator images, never from field elements: the gather of the
-        witness (``_witness_ints``) or the extension (``_extension_ints``) of
-        the images over their common denominator, in lowest terms
-        (``_lowest_terms``).
+        witness (``_witness_ints``) or the walk (``_tree_extend``) of the
+        images over their common denominator, a generator named twice by its
+        first name, in lowest terms (``_lowest_terms``).  A walked entry sums
+        at most |G| image entries: int64 while |G| max |image| and p < 2^63.
         """
         if self._integers is None:
-            G, F = self.group, self.field
+            G, F, n = self.group, self.field, self.group.order
             if self._table is not None:
                 self._integers = integer_scale(self.flat())
             elif self.witness is not None:
                 self._integers = _witness_ints(self.witness, self.sigma, self.tau,
-                                               inner_block(self.sigma, self.tau, range(G.order)))
+                                               inner_block(self.sigma, self.tau, range(n)))
             else:
                 ints, den = integer_scale(self.generator_flat())
-                n = G.order
-                images = {name: ints[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)}
-                self._integers = _lowest_terms(F, _extension_ints(
-                    self.sigma, self.tau, images, dict(G.generators), G.normal_forms), den)
+                dtype = sum_dtype(n, max(map(abs, ints), default=0), F.p)
+                first = {s: k for k, (_, s) in reversed(list(enumerate(G.generators)))
+                         if s != G.identity}
+                T = np.zeros((n, n), dtype=dtype)
+                T[list(first)] = np.array(ints, dtype=dtype).reshape(-1, n)[list(first.values())]
+                plan = _tree_plan(self.sigma, self.tau, tuple(s for _, s in G.generators))
+                self._integers = _lowest_terms(F, _tree_extend(plan, T.ravel()), den)
         return self._integers
 
     def generator_flat(self) -> List:
@@ -286,7 +292,8 @@ def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
     Letters may be inverses; each contributes one term, sandwiched between
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
     The empty word evaluates to 0.  Kept as the object-algebra reference
-    for the index arithmetic of ``relator_block`` and ``_extension_ints``.
+    for the index arithmetic of ``relator_block`` and of the tables that
+    ``_tree_extend`` walks.
     """
     G = sigma.group
     out = GroupRingElement.zero(G, next(iter(images.values())).field)
@@ -313,16 +320,10 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     if tau is None:
         tau = sigma
     G = common_group(sigma, tau, *images.values())
-    names = [name for name, _ in G.generators]
-    missing = set(names) - set(images)
-    if missing:
-        raise ValueError(f"missing images for {sorted(missing)}")
-    extra = set(images) - set(names)
-    if extra:
-        raise ValueError(f"unknown generators in image map: {sorted(extra)}")
-    F = common_field(images[names[0]].field, *images.values())
-    D = TwistedDerivation(G, F, sigma, tau, provenance="extended",
-                          images={name: images[name].coeffs for name in names})
+    coeffs = {name: image.coeffs for name, image in images.items()}
+    _check_images(G, coeffs)
+    F = common_field(images[G.generators[0][0]].field, *images.values())
+    D = TwistedDerivation(G, F, sigma, tau, provenance="extended", images=coeffs)
     cols, vals = relator_block(sigma, tau)
     ints, lf = integer_scale(D.generator_flat())
     flat = _inner_gather(cols, vals, ints, sum_dtype(row_weight(vals), max(map(abs, ints)), F.p))
@@ -335,39 +336,63 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     return D
 
 
-def _extension_ints(sigma: Endomorphism, tau: Endomorphism, images: Dict[str, Sequence[int]],
-                    support: Dict[str, int], words: Sequence[Word]) -> List[int]:
-    """The product-rule extension of integer generator images, as one flat list.
+def _check_images(G: FiniteGroup, images: Dict[str, Sequence]):
+    """A ValueError naming the entries of ``images`` missing, unknown or not |G| long."""
+    names = [name for name, _ in G.generators]
+    missing = set(names) - set(images)
+    if missing:
+        raise ValueError(f"missing images for {sorted(missing)}")
+    extra = set(images) - set(names)
+    if extra:
+        raise ValueError(f"unknown generators in image map: {sorted(extra)}")
+    for name in names:
+        if len(images[name]) != G.order:
+            raise ValueError(f"image of {name!r} has {len(images[name])} coefficients, "
+                             f"not |G| = {G.order}")
 
-    ``images`` maps each name of ``support`` to a list of ints, and
-    ``words`` gives every element a word over ``support``, closed under
-    prefixes as ``FiniteGroup.words_over`` builds them.  D(g) is the
-    free-word evaluation of g's word (see ``_word_letters``), computed from
-    its prefix w and last letter x as D(w) tau(x) plus the term of x:
-    sigma(w) f(x), or -sigma(w x) f(x) tau(x) for an inverse letter.  It
-    is index arithmetic on the table with Python int adds, so exact;
-    relators are not checked.
+
+# -- the spanning-tree walk ------------------------------------------------------
+
+@_shared
+def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
+    """A BFS spanning tree of G over right multiplication by ``gens``, as the
+    gathers that extend a table from its roots: (roots, edges, levels).
+
+    The roots are 1 and the distinct gens other than 1 (X'), in increasing
+    order; each other element y is reached once, as y = g x with x in X',
+    the edge (y, g, x), and the product rule at (g, x) gives D(y)[t] =
+    D(g)[t tau(x)^-1] + D(x)[sigma(g)^-1 t].  A BFS level is one triple
+    (dst, a, b) of flat indices g |G| + t into a table's rows, reading only
+    the level above and the roots.  About 3 |G|^2 indices; cached,
+    read-only.  No relator or word is read (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, ch. 5).
     """
-    G = sigma.group
-    mul, inv = G.mul, G.inv
-    table: List[List[int]] = [[0] * G.order] * G.order
-    # parents first; the identity, whose word is empty, keeps its zero row
-    for g in sorted(range(G.order), key=lambda g: len(words[g]))[1:]:
-        name, sign = words[g][-1]
-        x = support[name] if sign > 0 else inv[support[name]]
-        w, tx = mul[g][inv[x]], tau.images[x]
-        prev, back = table[w], inv[tx]
-        out = [prev[row[back]] for row in mul]
-        if sign > 0:
-            for k, c in zip(mul[sigma.images[w]], images[name]):
-                if c:
-                    out[k] += c
-        else:
-            for e, c in zip(mul[sigma.images[g]], images[name]):
-                if c:
-                    out[mul[e][tx]] -= c
-        table[g] = out
-    return [c for row in table for c in row]
+    G = common_group(sigma, tau)
+    n, mul, inv, t = G.order, G.mul_array, G.inv_array, np.arange(G.order)
+    gens = list(dict.fromkeys(s for s in gens if s != G.identity))
+    order, depth, edges = [G.identity] + gens, {G.identity: 0, **dict.fromkeys(gens, 1)}, []
+    for g in order:  # BFS: the list grows as it is read
+        for x in gens:
+            y = G.mul[g][x]
+            if y not in depth:
+                depth[y] = depth[g] + 1
+                order.append(y)
+                edges.append((y, g, x))
+    y, g, x = np.array(edges, dtype=np.int64).reshape(-1, 3).T[..., None]
+    flat = (y * n + t, g * n + mul[t, inv[np.asarray(tau.images)[x]]],
+            x * n + mul[inv[np.asarray(sigma.images)[g]], t])
+    cuts = np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1
+    levels = tuple(tuple(_read_only(part.ravel()) for part in parts)
+                   for parts in zip(*(np.split(f, cuts) for f in flat)))
+    return tuple(sorted([G.identity] + gens)), tuple(edges), levels
+
+
+def _tree_extend(plan, table: np.ndarray) -> np.ndarray:
+    """``table``, |G|^2 rows of any trailing width, extended in place from its
+    root rows along the tree of ``plan`` (``_tree_plan``), level by level."""
+    for dst, a, b in plan[2]:
+        table[dst] = table[a] + table[b]
+    return table
 
 
 def _actions(sigma: EndoLike, tau: EndoLike) -> Tuple[Action, Action, int, int]:
@@ -463,7 +488,7 @@ def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
     cols, vals, scale, weight = rows
     ints, lb = integer_scale(beta.coeffs)
     flat = _inner_gather(cols, vals, ints, sum_dtype(weight, max(map(abs, ints)), F.p))
-    return _lowest_terms(F, flat.tolist(), scale * lb)
+    return _lowest_terms(F, flat, scale * lb)
 
 
 class _InnerSystem:
@@ -641,41 +666,21 @@ def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
     """The pair rows along a spanning tree of G, eliminated in closed form: the
     seed (K0, roots) of ``linalg._sparse_kernel``, and the tree edges (y, g, x).
 
-    The roots are 1 and the distinct generators other than 1 (X'), taken
-    from ``G.generators`` alone, never from the relators or normal forms.
-    A BFS from them over right multiplication by X' reaches each other
-    element y once, as y = g x; the pair (g, x) gives the |G| rows
-    D(y)[t] = D(g)[t tau(x)^-1] + D(x)[sigma(g)^-1 t].  Each has
-    coefficient 1 at a column of y, and y is met after g, so these rows
-    are unit-triangular on the columns of the elements other than the
-    roots.  Their kernel, over every field, is therefore parametrized by
-    the values at the roots: K0, |G|^2 x (|X'| + 1)|G|, is the identity at
-    the root columns (in increasing order) and fills the rows of y by one
-    gather-add per edge.  K0 vanishes on the tree rows and has full column
-    rank, so it spans their kernel and the seeded rank is exact.  Its
-    entries are at most the depth of the tree, so int64.
+    The |G| rows of an edge y = g x of ``_tree_plan`` over ``G.generators``
+    have coefficient 1 at a column of y, and y is met after g, so these
+    rows are unit-triangular off the root columns.  Their kernel, over
+    every field, is parametrized by the values at the roots: K0, the
+    identity at the (|X'| + 1)|G| root columns extended by
+    ``_tree_extend``, has full column rank and vanishes on them, so it
+    spans it and the seeded rank is exact.  K0's entries are at most the
+    depth of the tree, so int64.
     """
     G = common_group(sigma, tau)
-    n, mul, inv, tau_of, sigma_of = G.order, G.mul_array, G.inv_array, tau.images, sigma.images
-    gens = list(dict.fromkeys(s for _, s in G.generators if s != G.identity))
-    order = [G.identity] + gens
-    seen = set(order)
-    edges = []
-    for g in order:  # BFS: the list grows as it is read
-        for x in gens:
-            y = G.mul[g][x]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-                edges.append((y, g, x))
-    roots = sorted([G.identity] + gens)
-    t = np.arange(n)
-    K0 = np.zeros((n * n, len(roots) * n), dtype=np.int64)
-    for k, r in enumerate(roots):
-        K0[r * n + t, k * n + t] = 1
-    for y, g, x in edges:
-        K0[y * n + t] = K0[g * n + mul[t, inv[tau_of[x]]]] + K0[x * n + mul[inv[sigma_of[g]], t]]
-    return (K0, (np.array(roots)[:, None] * n + t).ravel()), edges
+    n, plan = G.order, _tree_plan(sigma, tau, tuple(s for _, s in G.generators))
+    free = (np.array(plan[0])[:, None] * n + np.arange(n)).ravel()
+    K0 = np.zeros((n * n, len(free)), dtype=np.int64)
+    K0[free, np.arange(len(free))] = 1
+    return (_tree_extend(plan, K0), free), plan[1]
 
 
 def derivation_space_full(field: Field, sigma: Endomorphism,
@@ -721,26 +726,24 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
 # -- commutative constructions -------------------------------------------------
 
 def _abelian_char_parts(group: FiniteGroup, p: int):
-    """Split each cyclic factor into its p-part and p-regular part."""
+    """Split each cyclic factor into its p-part and p-regular part: their generators."""
     if group.family == "cyclic":
         factors = [group.family_params]
     elif group.family == "abelian":
         factors = list(group.family_params)
     else:
         raise ValueError("p-part decomposition needs a built-in commutative family")
-    p_gens: List[Tuple[str, int]] = []
-    reg_gens: List[Tuple[str, int]] = []
-    for i, (name, idx) in enumerate(group.generators):
-        size = factors[i]
+    p_gens, reg_gens = [], []
+    for size, (_, idx) in zip(factors, group.generators):
         v = 1
         while size % p == 0:
             size //= p
             v *= p
         # generator^size has order v (the p-part), generator^v the rest
         if v > 1:
-            p_gens.append((f"k{len(p_gens) + 1}", _power(group, idx, size)))
+            p_gens.append(_power(group, idx, size))
         if size > 1:
-            reg_gens.append((f"h{len(reg_gens) + 1}", _power(group, idx, v)))
+            reg_gens.append(_power(group, idx, v))
     return p_gens, reg_gens
 
 
@@ -759,15 +762,14 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     p_gens, reg_gens = _abelian_char_parts(group, field.p)
     if not p_gens:
         return []
-    support = dict(p_gens + reg_gens)
-    words = group.words_over(p_gens + reg_gens)
-    n, zero, one = group.order, GroupRingElement.zero(group, field), GroupRingElement.one(group, field)
+    n, r = group.order, len(p_gens)
+    # column i walks D_i from D_i(k_i) = 1 and 0 at the other roots
+    T = np.zeros((n * n, r), dtype=np.int64)
+    T[np.array(p_gens) * n + group.identity, np.arange(r)] = 1
+    T = _tree_extend(_tree_plan(sigma, sigma, tuple(p_gens + reg_gens)), T) % field.p
     seeds = []
-    for iname, _ in p_gens:
-        images = {name: (one if name == iname else zero).coeffs for name in support}
-        flat = _extension_ints(sigma, sigma, images, support, words)
-        table = [GroupRingElement(group, field, [c % field.p for c in flat[i:i + n]], coerce=False)
-                 for i in range(0, n * n, n)]
+    for rows in T.reshape(n, n, r).transpose(2, 0, 1).tolist():
+        table = [GroupRingElement(group, field, row, coerce=False) for row in rows]
         D = TwistedDerivation(group, field, sigma, sigma, table, provenance="extended")
         bad = product_rule_violation(D)
         if bad is not None:
@@ -775,13 +777,9 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
                 f"basis construction fails the product rule at pair {bad} "
                 f"for this endomorphism", pair=bad)
         seeds.append(D)
-    out = []
-    for g in range(group.order):
-        for D in seeds:
-            table = [D.table[h].left_mul_elem(g) for h in range(group.order)]
-            out.append(TwistedDerivation(group, field, sigma, sigma, table,
-                                         provenance="extended"))
-    return out
+    return [TwistedDerivation(group, field, sigma, sigma, provenance="extended",
+                              table=[e.left_mul_elem(g) for e in D.table])
+            for g in range(n) for D in seeds]
 
 
 def cyclic_power_derivation(group: FiniteGroup, sigma: Endomorphism,

@@ -621,6 +621,29 @@ def test_extension_requires_exactly_the_generator_images():
 
 D6, C6 = dihedral_group(3), cyclic_group(6)
 ID_D6, POWER_C6 = identity_endomorphism(D6), endo_from_images(C6, {"x": "x^5"})
+# D6 has the generators a and b
+BAD_IMAGES = {
+    # zip once cut it short, and verify_derivation then named a pair of made-up data
+    "short": ({"a": [0] * 6, "b": [0, 1]}, r"image of 'b' has 2 coefficients, not \|G\| = 6"),
+    # once accepted as the zero derivation
+    "long": ({"a": [0] * 6, "b": [0] * 7}, r"image of 'b' has 7 coefficients, not \|G\| = 6"),
+    # once ignored
+    "unknown": ({"a": [0] * 6, "b": [0] * 6, "c": [0] * 6},
+                r"unknown generators in image map: \['c'\]"),
+    # once a bare KeyError on the first read of the table
+    "missing": ({"a": [0] * 6}, r"missing images for \['b'\]"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_IMAGES)
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_bad_generator_images_are_refused_at_construction(case, field):
+    images, message = BAD_IMAGES[case]
+    with pytest.raises(ValueError, match=message):
+        TwistedDerivation(D6, field, ID_D6, ID_D6, images=images)
+    with pytest.raises(ValueError, match=message):
+        TwistedDerivation(D6, field, ID_D6, ID_D6, images=images,
+                          witness=GroupRingElement.zero(D6, field))
 MIXED_GROUPS = {
     "relator_block": lambda F: relator_block(ID_D6, POWER_C6),
     "inner_block": lambda F: inner_block(ID_D6, POWER_C6, range(6)),
@@ -725,11 +748,38 @@ def _assert_integer_table_matches(D, table):
     assert E.table == table
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+def q16_table_group():
+    """Q16 given only by its table, as the CI's spec gives it: a^i b^j at index
+    8j + i is r{i}s{j}, b a = a^-1 b and b^2 = a^4."""
+    def ix(i, j):
+        return 8 * j + i % 8
+
+    mul = [[ix(i + (k if j == 0 else -k) + (4 if j and l else 0), j ^ l)
+            for l in (0, 1) for k in range(8)] for j in (0, 1) for i in range(8)]
+    names = [f"r{i}s{j}" if i or j else "e" for j in (0, 1) for i in range(8)]
+    return table_group(mul, names, ["r1s0", "r0s1"])
+
+
+# trees whose roots are not the normal-form letters of a dihedral group: a
+# repeated generator, a generator naming the identity, no edges at all, and Q16
+OTHER_TREES = {**SEED_GROUPS, "Q16 table": q16_table_group()}
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), *OTHER_TREES])
 def test_integer_table_matches_free_eval(n):
-    G = dihedral_group(n)
-    pairs = [(identity_endomorphism(G), endo_from_images(G, {"a": f"a^{n - 1}", "b": "a*b"})),
-             (endo_from_images(G, {"a": "a", "b": "b"}), identity_endomorphism(G))]
+    if n in OTHER_TREES:
+        G = OTHER_TREES[n]
+        # Q16 under the CI's sigma, past the reach of brute force
+        endos = (brute_force_endomorphisms(G) if G.order <= 12 else
+                 [endo_from_images(G, {"r1s0": "r3s0", "r0s1": "r1s1"}), identity_endomorphism(G)])
+        pairs = [(endos[-1], endos[0]), (endos[0], endos[-1])]
+        texts = ("1/2", f"1/2*{G.names[1]} + 1/5*{G.names[-1]}") if G.order > 1 else ("1/2",)
+    else:
+        G = dihedral_group(n)
+        pairs = [(identity_endomorphism(G),
+                  endo_from_images(G, {"a": f"a^{n - 1}", "b": "a*b"})),
+                 (endo_from_images(G, {"a": "a", "b": "b"}), identity_endomorphism(G))]
+        texts = ("1/2", "1/2*a + 1/5*b")
     rng = random.Random(n)
     for F in (GF(3), QQ):
         for sigma, tau in pairs:
@@ -743,7 +793,7 @@ def test_integer_table_matches_free_eval(n):
                 _assert_integer_table_matches(D, _reference_table(D))
             # inner derivations: their gathers over a denominator, in lowest terms; for
             # sigma = tau the central 1/2 gives D = 0, whose table is over 1
-            for text in ("1/2", "1/2*a + 1/5*b"):
+            for text in texts:
                 beta = parse_element(G, F, text)
                 D = inner_derivation(beta, sigma, tau)
                 table = [beta * GroupRingElement.basis(G, F, tau.images[g])
@@ -754,9 +804,17 @@ def test_integer_table_matches_free_eval(n):
                 _assert_integer_table_matches(D, table)
 
 
-@pytest.mark.parametrize("order, field", [(12, GF(2)), (12, GF(3)), (18, GF(3))])
+# the abelian basis walks its own generators k_i, h_j: over GF(3) C3 x C6 has
+# k_2 = x2^2 and h_1 = x2^3, not x2
+@pytest.mark.parametrize("order, field", [(12, GF(2)), (12, GF(3)), (18, GF(3)),
+                                          ([4, 2], GF(2)), ([3, 6], GF(3))])
 def test_integer_table_matches_abelian_basis(order, field):
-    G = cyclic_group(order)
-    for sigma in (identity_endomorphism(G), endo_from_images(G, {"x": "x^5"})):
+    if isinstance(order, int):
+        G = cyclic_group(order)
+        power = endo_from_images(G, {"x": "x^5"})
+    else:
+        G = abelian_group(order)
+        power = endo_from_images(G, {name: f"{name}^-1" for name, _ in G.generators})
+    for sigma in (identity_endomorphism(G), power):
         for D in abelian_basis(G, sigma, field):
             _assert_integer_table_matches(D, D.table)

@@ -603,6 +603,61 @@ def test_seeded_pair_oracle_matches_the_identity_start(group, field, data):
     assert rank == n * n - derivation_space(field, sigma, tau, basis=False)[0]
 
 
+# -- the spanning-tree walk past int64 ----------------------------------------------
+
+def free_eval_table(group, field, sigma, tau, images):
+    """The table of generator images (coefficient lists) by free-word evaluation
+    of each normal form."""
+    ring = {name: GroupRingElement(group, field, images[name]) for name, _ in group.generators}
+    return [free_eval(ring, sigma, tau, word) for word in group.normal_forms]
+
+
+def walk_bound(group, images):
+    """|G| max |image|, the images over their common denominator: with p, the
+    bound that puts the walk in Python ints once it reaches 2^63."""
+    ints, _ = linalg.integer_scale([c for name, _ in group.generators for c in images[name]])
+    return group.order * max(map(abs, ints), default=0)
+
+
+@PROPERTY
+@given(st.sampled_from(GROUPS), st.sampled_from(EDGE_PRIMES + (QQ,)), st.data())
+def test_walked_tables_past_int64_match_free_eval(group, field, data):
+    sigma = data.draw(st.sampled_from(endomorphisms(group)))
+    tau = data.draw(st.sampled_from(endomorphisms(group)))
+    _, basis = derivation_space(field, sigma, tau)
+    # residues near p, or denominators whose lcm passes 2^63
+    scale = (st.integers(0, field.p - 1) if field.p else
+             st.builds(Fraction, st.integers(-3, 3), st.sampled_from(BIG_DENOMINATORS)))
+    scales = data.draw(st.lists(scale, min_size=len(basis), max_size=len(basis)))
+    images = {name: [field.coerce(sum(c * D.images[name][t] for c, D in zip(scales, basis)))
+                     for t in range(group.order)] for name, _ in group.generators}
+    D = TwistedDerivation(group, field, sigma, tau, images=images)
+    with chosen_dtypes() as chosen:
+        table = D.integer_table()
+    reference = free_eval_table(group, field, sigma, tau, images)
+    assert table == linalg.integer_scale([c for e in reference for c in e.coeffs])
+    assert D.table == reference
+    bound = max(walk_bound(group, images), field.p)
+    assert chosen == [object if bound >= 2 ** 63 else np.int64]
+
+
+# (2^63 - 1) // 8 is the largest max |image| that D8's walk keeps in int64
+@pytest.mark.parametrize("top, dtype", [((2 ** 63 - 1) // 8, np.int64),
+                                        ((2 ** 63 - 1) // 8 + 1, object)], ids=["int64", "object"])
+def test_walked_table_leaves_int64_at_its_bound(top, dtype):
+    d8 = dihedral_group(4)
+    sigma = endo_from_images(d8, {"a": "a^3", "b": "a*b"})
+    member = derivation_space(QQ, sigma)[1][0]
+    images = {name: [top * c for c in member.images[name]] for name, _ in d8.generators}
+    assert walk_bound(d8, images) == 8 * top
+    D = TwistedDerivation(d8, QQ, sigma, sigma, images=images)
+    with chosen_dtypes() as chosen:
+        table = D.integer_table()
+    assert chosen == [dtype]
+    reference = free_eval_table(d8, QQ, sigma, sigma, images)
+    assert table == linalg.integer_scale([c for e in reference for c in e.coeffs])
+
+
 # -- generator data and lazy tables ------------------------------------------------
 
 def ring_elements(D):
