@@ -21,7 +21,7 @@ import numpy as np
 from .derivations import TwistedDerivation, generator_rows, inner_block
 from .groups import Endomorphism, FiniteGroup, common_field, common_group
 from .groupring import GroupRingElement
-from .linalg import Field, Matrix, dense_block, rows_full_rank, sparse_rank
+from .linalg import Field, dense_block, rows_full_rank, sparse_kernel_basis, sparse_rank
 
 
 @dataclass
@@ -116,11 +116,11 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     """Kernel-computed basis of the twisted center of FG (class-sum oracle).
 
     The twisted center is the kernel of the inner-derivation map
-    z -> z tau(g) - sigma(g) z, the rows of ``inner_block``.
+    z -> z tau(g) - sigma(g) z, the rows of ``inner_block``, on the sparse engine.
     """
     n = common_group(group, sigma, tau).order
     cols, vals, _, _ = inner_block(sigma, tau, range(n))
-    kernel = Matrix.from_block(common_field(field, sigma, tau), cols, vals, n).kernel_basis()
+    kernel = sparse_kernel_basis(common_field(field, sigma, tau), [(cols, vals)], n)
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 

@@ -7,18 +7,16 @@ from its normal forms), and generator images extend to a derivation
 exactly when the induced free-word evaluation kills every relator; that
 criterion is linear in the images, one (cols, vals) block read off the
 table (``relator_block``), which ``derivation_space`` solves and
-``extend_from_generators`` gathers the images through.  Values at 1 and
-the generators extend to all of G along one spanning tree, by one walk
-(``_tree_plan``, ``_tree_extend``): a derivation's table, computed in
-integers when first read, never in field arithmetic, and the seed of the
-pair solver ``derivation_space_full``, which treats all group images as
-unknowns constrained by every product pair and is kept only as an
-oracle.  Like the inner, pair and commutator systems, every system here
-is one such block over maps of one group (``common_group``), and over
-one field (``common_field``).  The blocks and the tree fixed by (sigma,
-tau) and the inner system's elimination, fixed by (sigma, tau, field),
-are built once and kept in one bounded cache (``_cached``), so
-``is_inner`` solves by an integer product.
+``extend_from_generators`` gathers the images through.  The product rule
+at any pairs is one block too (``pair_block``): ``product_rule_violation``
+gathers D's table through it, the pair oracle ``derivation_space_full``
+solves it over all pairs, and along a spanning tree it is the walk
+(``_tree_plan``, ``_tree_extend``) that extends values at 1 and the
+generators to a derivation's table, in integers, and to the oracle's seed.
+Every system is one block over maps of one group (``common_group``) and
+one field (``common_field``).  Those fixed by (sigma, tau), the tree and
+the inner system's elimination are built once and kept in one bounded
+cache (``_cached``), so ``is_inner`` solves by an integer product.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike: the product rule, the inner
@@ -114,11 +112,11 @@ EndoLike = Union[Endomorphism, AlgebraEndo]
 def _cached(build, *key):
     """``build(*key)``, built once while the key stays among the 64 latest.
 
-    The one cache of the systems fixed by (sigma, tau) or (sigma, tau,
-    field): the relator block, the tree plan, the inner system's generator
-    rows and its elimination.  Keys compare an ``Endomorphism`` by its group
-    object and images, an ``AlgebraEndo`` by identity and a field by p, so
-    no entry crosses groups or fields.  Every array in an entry is read-only.
+    The one cache of what (sigma, tau) or (sigma, tau, field) fix: the
+    relator block, the tree plan, the decisive pair rows, the inner
+    generator rows and their elimination.  Keys compare an ``Endomorphism``
+    by its group object and images, an ``AlgebraEndo`` by identity and a
+    field by p, so no entry crosses groups or fields; its arrays are read-only.
     """
     return build(*key)
 
@@ -322,6 +320,9 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     G = common_group(sigma, tau, *images.values())
     coeffs = {name: image.coeffs for name, image in images.items()}
     _check_images(G, coeffs)
+    if not G.generators:
+        raise ValueError("the group has no generator image to take the field from; "
+                         "its only derivation is 0 (TwistedDerivation.zero)")
     F = common_field(images[G.generators[0][0]].field, *images.values())
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended", images=coeffs)
     cols, vals = relator_block(sigma, tau)
@@ -360,15 +361,14 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
 
     The roots are 1 and the distinct gens other than 1 (X'), in increasing
     order; each other element y is reached once, as y = g x with x in X',
-    the edge (y, g, x), and the product rule at (g, x) gives D(y)[t] =
-    D(g)[t tau(x)^-1] + D(x)[sigma(g)^-1 t].  A BFS level is one triple
-    (dst, a, b) of flat indices g |G| + t into a table's rows, reading only
-    the level above and the roots.  About 3 |G|^2 indices; cached,
-    read-only.  No relator or word is read (Holt, Eick & O'Brien,
+    the edge (y, g, x), whose rows of ``pair_block``, +1 at dst and -1 at
+    a and b, give D(y) = D(g) tau(x) + sigma(g) D(x).  A BFS level is one
+    triple (dst, a, b) of flat indices into a table's rows over its edges,
+    reading only the level above and the roots.  About 3 |G|^2 indices;
+    cached, read-only.  No relator or word is read (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, ch. 5).
     """
     G = common_group(sigma, tau)
-    n, mul, inv, t = G.order, G.mul_array, G.inv_array, np.arange(G.order)
     gens = list(dict.fromkeys(s for s in gens if s != G.identity))
     order, depth, edges = [G.identity] + gens, {G.identity: 0, **dict.fromkeys(gens, 1)}, []
     for g in order:  # BFS: the list grows as it is read
@@ -378,12 +378,9 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
                 depth[y] = depth[g] + 1
                 order.append(y)
                 edges.append((y, g, x))
-    y, g, x = np.array(edges, dtype=np.int64).reshape(-1, 3).T[..., None]
-    flat = (y * n + t, g * n + mul[t, inv[np.asarray(tau.images)[x]]],
-            x * n + mul[inv[np.asarray(sigma.images)[g]], t])
-    cuts = np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1
-    levels = tuple(tuple(_read_only(part.ravel()) for part in parts)
-                   for parts in zip(*(np.split(f, cuts) for f in flat)))
+    cols = pair_block(sigma, tau, *np.array(edges, dtype=np.int64).reshape(-1, 3).T[1:])[0]
+    cuts = (np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1) * G.order
+    levels = tuple(map(tuple, np.split(_read_only(np.ascontiguousarray(cols.T)), cuts, axis=1)))
     return tuple(sorted([G.identity] + gens)), tuple(edges), levels
 
 
@@ -403,29 +400,51 @@ def _actions(sigma: EndoLike, tau: EndoLike) -> Tuple[Action, Action, int, int]:
     return s, t, scale, s.weight + t.weight
 
 
+def pair_block(sigma: EndoLike, tau: EndoLike, gs: Sequence[int],
+               hs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The product rule at the pairs (gs[i], hs[i]), as one read-only (cols, vals) block.
+
+    Row i |G| + t is M times coefficient t of D(g h) - D(g) tau(h) -
+    sigma(g) D(h), g = gs[i] and h = hs[i], over the unknowns x |G| + s,
+    coefficient s of D(x): M at g h |G| + t, then minus tau(h)'s and
+    sigma(g)'s coefficients at g |G| + t u^-1 and h |G| + v^-1 t for their
+    terms u and v (their right and left action indices); +1, -1, -1 for
+    group maps.  Also returns M plus the actions' weight, a row's |vals| bound.
+    """
+    G = common_group(sigma, tau)
+    n, gs, hs = G.order, np.asarray(gs, dtype=np.int64), np.asarray(hs, dtype=np.int64)
+    sig, tau, scale, weight = _actions(sigma, tau)
+    cols = np.concatenate([(G.mul_array[gs, hs][:, None] * n + np.arange(n))[..., None],
+                           gs[:, None, None] * n + tau.right[hs].transpose(0, 2, 1),
+                           hs[:, None, None] * n + sig.left[gs].transpose(0, 2, 1)], axis=2)
+    vals = np.concatenate([np.full((len(gs), 1), scale), -tau.coeffs[hs], -sig.coeffs[gs]], axis=1)
+    return (_read_only(cols.reshape(-1, vals.shape[1])), _read_only(np.repeat(vals, n, axis=0)),
+            scale + weight)
+
+
+def _pairs_block(sigma: EndoLike, tau: EndoLike, gs: Sequence[int], hs: Sequence[int]):
+    """``pair_block`` at the pairs of gs x hs, g-major."""
+    return pair_block(sigma, tau, np.repeat(gs, len(hs)), np.tile(hs, len(gs)))
+
+
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """First pair (g, h) violating the twisted product rule, or None.
 
-    Decided on the generator pairs by ``first_failing_pair``, in one gather
-    over D's integer table T (see the module notes): for every pair,
-    sum_j ct[h, j] T[g, right[h, j]] + sum_j cs[g, j] T[h, left[g, j]]
-    against M T[g h].  int64 holds while (M + the actions' weight) max |T|
-    < 2^63 and p < 2^63 (``sum_dtype``).
+    The rows of ``pair_block`` at the pairs that ``first_failing_pair`` asks
+    for, gathered over D's integer table T (``_inner_gather``), vanish (mod
+    p) exactly where the rule holds; the decisive rows, all of G against the
+    generators, are cached.  int64 holds while (M + the actions' weight)
+    max |T| < 2^63 and p < 2^63 (``sum_dtype``).
     """
-    G, F = D.group, D.field
-    n, p, mul = G.order, F.p, G.mul_array
-    sig, tau, scale, weight = _actions(D.sigma, D.tau)
-    cs, ct = sig.coeffs, tau.coeffs
+    G, p, n = D.group, D.field.p, D.group.order
     ints, _ = D.integer_table()
-    T = np.array(ints, dtype=sum_dtype(scale + weight, max(map(abs, ints)), p)).reshape(n, n)
+    top = max(map(abs, ints))
 
     def fails(gs, hs):
-        gs, hs = np.asarray(gs), np.asarray(hs)
-        diff = ((T[gs[:, None, None, None], tau.right[hs]] * ct[hs][:, :, None]).sum(axis=2)
-                + (T[hs[:, None, None], sig.left[gs][:, None]]
-                   * cs[gs][:, None, :, None]).sum(axis=2)
-                - scale * T[mul[gs[:, None], hs]])
-        return ((diff % p if p else diff) != 0).any(axis=2).ravel()
+        key = (D.sigma, D.tau, tuple(gs), tuple(hs))
+        cols, vals, weight = _cached(_pairs_block, *key) if len(gs) == n else _pairs_block(*key)
+        diff = _inner_gather(cols, vals, ints, sum_dtype(weight, top, p)).reshape(-1, n)
+        return ((diff % p if p else diff) != 0).any(axis=1)
 
     return first_failing_pair(G, fails)
 
@@ -446,7 +465,7 @@ def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> 
 
 def inner_block(sigma: EndoLike, tau: EndoLike,
                 gs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """beta -> beta tau(g) - sigma(g) beta for each g of gs, as one (cols, vals) block.
+    """beta -> beta tau(g) - sigma(g) beta for each g of gs, as one read-only (cols, vals) block.
 
     Row i |G| + t is M times coefficient t of the image of gs[i]: tau(g)'s
     coefficients at the columns t u^-1 of its terms u and minus sigma(g)'s
@@ -458,21 +477,20 @@ def inner_block(sigma: EndoLike, tau: EndoLike,
     sig, tau, scale, weight = _actions(sigma, tau)
     vals = np.concatenate([tau.coeffs[gs], -sig.coeffs[gs]], axis=1)
     cols = np.concatenate([tau.right[gs], sig.left[gs]], axis=1).transpose(0, 2, 1)
-    return cols.reshape(-1, vals.shape[1]), np.repeat(vals, n, axis=0), scale, weight
+    return (_read_only(cols.reshape(-1, vals.shape[1])), _read_only(np.repeat(vals, n, axis=0)),
+            scale, weight)
 
 
-@_shared
 def generator_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """``inner_block`` at the generators, the system ``is_inner`` solves; cached, read-only."""
-    cols, vals, scale, weight = inner_block(
-        sigma, tau, [s for _, s in common_group(sigma, tau).generators])
-    return _read_only(cols), _read_only(vals), scale, weight
+    """``inner_block`` at the generators, the system ``is_inner`` solves; cached."""
+    gens = tuple(s for _, s in common_group(sigma, tau).generators)
+    return _cached(inner_block, sigma, tau, gens)
 
 
 def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: Sequence[int], dtype) -> np.ndarray:
-    """A block's rows times the integers beta, in ``dtype``: for ``inner_block``,
-    M Lb D_beta(g)[t] for beta over Lb."""
-    return (vals.astype(dtype, copy=False) * np.array(beta, dtype=dtype)[cols]).sum(axis=1)
+    """A block's rows times the integers beta, in ``dtype``: for ``inner_block``, M Lb
+    D_beta(g)[t] for beta over Lb; for ``pair_block``, M times the rule's defect."""
+    return np.einsum("ij,ij->i", vals.astype(dtype, copy=False), np.array(beta, dtype=dtype)[cols])
 
 
 def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
@@ -644,36 +662,23 @@ def derivation_space(field: Field, sigma: Endomorphism,
 
 
 def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
-    """The full product-rule system, yielded as one (cols, vals) block.
-
-    Unknown x |G| + t is coefficient t of D(x).  Row (g |G| + h) |G| + t is
-    coefficient t of D(gh) - D(g) tau(h) - sigma(g) D(h): the signs +1, -1,
-    -1 at the columns gh |G| + t, g |G| + t tau(h)^-1 and h |G| +
-    sigma(g)^-1 t, built by index arithmetic on the table.
-    """
-    G = common_group(sigma, tau)
-    n = G.order
-    mul, inv = G.mul_array, G.inv_array
-    g, h, t = np.ix_(range(n), range(n), range(n))
-    cols = np.stack(np.broadcast_arrays(
-        mul[g, h] * n + t,
-        g * n + mul[t, inv[np.array(tau.images)[h]]],
-        h * n + mul[inv[np.array(sigma.images)[g]], t]), axis=-1).reshape(-1, 3)
-    yield cols, np.broadcast_to(np.array([1, -1, -1]), cols.shape)
+    """The full product-rule system, yielded as one (cols, vals) block: ``pair_block``
+    at every pair, g-major, so row (g |G| + h) |G| + t is that of (g, h) at t."""
+    n = common_group(sigma, tau).order
+    yield _pairs_block(sigma, tau, range(n), range(n))[:2]
 
 
 def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
     """The pair rows along a spanning tree of G, eliminated in closed form: the
     seed (K0, roots) of ``linalg._sparse_kernel``, and the tree edges (y, g, x).
 
-    The |G| rows of an edge y = g x of ``_tree_plan`` over ``G.generators``
-    have coefficient 1 at a column of y, and y is met after g, so these
-    rows are unit-triangular off the root columns.  Their kernel, over
-    every field, is parametrized by the values at the roots: K0, the
-    identity at the (|X'| + 1)|G| root columns extended by
-    ``_tree_extend``, has full column rank and vanishes on them, so it
-    spans it and the seeded rank is exact.  K0's entries are at most the
-    depth of the tree, so int64.
+    The |G| rows of ``pair_block`` at an edge y = g x of ``_tree_plan`` over
+    ``G.generators`` have coefficient 1 at a column of y, met after g, so
+    these rows are unit-triangular off the root columns.  Their kernel, over every field,
+    is parametrized by the values at the roots: K0, the identity at the
+    (|X'| + 1)|G| root columns extended by ``_tree_extend``, has full
+    column rank and vanishes on them, so it spans it and the seeded rank is
+    exact.  K0's entries are at most the depth of the tree, so int64.
     """
     G = common_group(sigma, tau)
     n, plan = G.order, _tree_plan(sigma, tau, tuple(s for _, s in G.generators))
@@ -752,8 +757,9 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
 
     Over GF(p) the group splits into a p-part with generators k_1..k_r and
     a p-regular part; D_i sends k_j to delta_ij and the p-regular
-    generators to 0.  Every returned derivation is verified; the list has
-    r*|G| members.
+    generators to 0, all walked at once; each g D_i is given by its
+    generator images, read off D_i's through g^-1.  Each D_i is verified, and
+    FG being commutative, so is each g D_i; the list has r*|G| members.
     """
     if not field.p:
         raise ValueError("the commutative basis construction is stated over GF(p)")
@@ -767,19 +773,18 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     T = np.zeros((n * n, r), dtype=np.int64)
     T[np.array(p_gens) * n + group.identity, np.arange(r)] = 1
     T = _tree_extend(_tree_plan(sigma, sigma, tuple(p_gens + reg_gens)), T) % field.p
-    seeds = []
-    for rows in T.reshape(n, n, r).transpose(2, 0, 1).tolist():
-        table = [GroupRingElement(group, field, row, coerce=False) for row in rows]
-        D = TwistedDerivation(group, field, sigma, sigma, table, provenance="extended")
+    # (g D_i)(s)[t] = D_i(s)[g^-1 t]: every member's generator images in one gather
+    names, gens = zip(*group.generators)
+    images = T.reshape(n, n, r)[list(gens)][:, group.mul_array[group.inv_array]]
+    out = [TwistedDerivation(group, field, sigma, sigma, provenance="extended",
+                             images=dict(zip(names, member)))
+           for members in images.transpose(1, 3, 0, 2).tolist() for member in members]
+    for D in out[group.identity * r:(group.identity + 1) * r]:  # the seeds 1 D_i
         bad = product_rule_violation(D)
         if bad is not None:
-            raise DerivationRejected(
-                f"basis construction fails the product rule at pair {bad} "
-                f"for this endomorphism", pair=bad)
-        seeds.append(D)
-    return [TwistedDerivation(group, field, sigma, sigma, provenance="extended",
-                              table=[e.left_mul_elem(g) for e in D.table])
-            for g in range(n) for D in seeds]
+            raise DerivationRejected(f"basis construction fails the product rule at pair "
+                                     f"{bad} for this endomorphism", pair=bad)
+    return out
 
 
 def cyclic_power_derivation(group: FiniteGroup, sigma: Endomorphism,

@@ -695,21 +695,16 @@ def _sparse_lift(blocks, ncols: int, seed=None):
 
 
 def sparse_rank(field: Field, rows: Iterable) -> int:
-    """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``).
-
-    Over GF(p) it is ncols minus the width of ``_sparse_kernel``; over QQ
-    the kernel mod p is lifted and certified by the bound of ``_lift``.
-    """
+    """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``):
+    ncols, one past their largest column, minus their ``sparse_nullity``."""
     blocks = _sparse_blocks(rows)
     ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
-    if field.p:
-        return ncols - len(_sparse_kernel(blocks, ncols, field.p)[1])
-    return len(_sparse_lift(blocks, ncols)[0])
+    return ncols - sparse_nullity(field, blocks, ncols)
 
 
-def sparse_nullity(field: Field, rows: Iterable, ncols: int, seed) -> int:
+def sparse_nullity(field: Field, rows: Iterable, ncols: int, seed=None) -> int:
     """Dimension over ``field`` of the kernel of sparse rows over ncols columns,
-    seeded by (K0, roots), which must meet ``_sparse_kernel``'s precondition.
+    optionally seeded by (K0, roots), meeting ``_sparse_kernel``'s precondition.
 
     It is the number of free columns, read without building the kernel
     vectors: the width of ``_sparse_kernel`` over GF(p), and over QQ that

@@ -249,6 +249,15 @@ def test_derive_refuses_unknown_generator_exits_2(tmp_path, capsys):
     assert "unknown generators in image map: ['c']" in capsys.readouterr().err
 
 
+def test_derive_on_a_group_without_generators_exits_2(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"group": {"family": "table", "table": [[0]]},
+                                 "derivation": {"images": {}}})
+    assert main(["derive", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "no generator image" in err
+    assert "TwistedDerivation.zero" in err
+
+
 def test_reproduce_table(tmp_path, capsys):
     rc, payload = run_json(capsys, ["reproduce", "c18-a", "--format", "json"])
     assert rc == 0

@@ -619,6 +619,16 @@ def test_extension_requires_exactly_the_generator_images():
         extend_from_generators({"a": zero, "b": zero, "c": zero}, sigma)
 
 
+def test_extension_on_a_group_without_generators_is_refused():
+    trivial = table_group([[0]])
+    assert trivial.generators == []
+    sigma = identity_endomorphism(trivial)
+    with pytest.raises(ValueError, match="no generator image to take the field from") as err:
+        extend_from_generators({}, sigma)
+    assert "TwistedDerivation.zero" in str(err.value)
+    assert verify_derivation(TwistedDerivation.zero(trivial, GF(3), sigma, sigma)) is None
+
+
 D6, C6 = dihedral_group(3), cyclic_group(6)
 ID_D6, POWER_C6 = identity_endomorphism(D6), endo_from_images(C6, {"x": "x^5"})
 # D6 has the generators a and b

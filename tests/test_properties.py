@@ -23,7 +23,7 @@ from derring.derivations import (AlgebraEndo, TwistedDerivation, _inner_gather,
                                  _pair_constraint_rows, averaging_witness,
                                  derivation_space, derivation_space_full,
                                  extend_from_generators, free_eval, generator_rows,
-                                 inner_block, inner_derivation, is_inner,
+                                 inner_block, inner_derivation, is_inner, pair_block,
                                  product_rule_violation, relator_block, verify_derivation)
 from derring.errors import DerivationRejected, HomomorphismRejected
 from derring.groupring import (GroupRingElement, anticentralizer_basis, apply_endo,
@@ -891,6 +891,46 @@ def test_pair_rows_match_the_per_row_reference(group):
                     row[c] = row.get(c, 0) + v
                 rows.append(row)
             assert _row_multiset(rows) == _row_multiset(pair_rows_reference(sigma, tau))
+
+
+def pair_rows_by_convolution(sigma, tau, field, g, h):
+    """Rows t of M (D(gh) - D(g) tau(h) - sigma(g) D(h)) at (g, h), as dicts: the
+    coefficient of unknown x |G| + s is read off the value at D(x) = s, D = 0 elsewhere,
+    by convolution products."""
+    G = sigma.group
+    n, gh = G.order, G.mul[g][h]
+    M = field.coerce(math.lcm(sigma.action.scale, tau.action.scale))
+    rs, rt = ring_images(sigma, field), ring_images(tau, field)
+    zero, rows = GroupRingElement.zero(G, field), [{} for _ in range(n)]
+    for x in {gh, g, h}:
+        for s in range(n):
+            D = [zero] * n
+            D[x] = GroupRingElement.basis(G, field, s)
+            value = D[gh] - D[g] * rt[h] - rs[g] * D[h]
+            for t, c in enumerate(value.coeffs):
+                if c != 0:
+                    rows[t][x * n + s] = field.mul(M, c)
+    return rows
+
+
+@PROPERTY
+@given(st.sampled_from((GF(3), GF(4294967311), QQ)), st.data())
+def test_pair_block_rows_of_algebra_maps_match_convolution(field, data):
+    group, maps = data.draw(st.sampled_from(algebra_endos(field)))
+    sigma, tau = data.draw(st.sampled_from(maps)), data.draw(st.sampled_from(maps))
+    element = st.integers(0, group.order - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=6))
+    gs, hs = zip(*pairs)
+    cols, vals, _ = pair_block(sigma, tau, gs, hs)
+    n = group.order
+    for i, (g, h) in enumerate(pairs):
+        rows = []
+        for cs, vs in zip(cols[i * n:(i + 1) * n].tolist(), vals[i * n:(i + 1) * n].tolist()):
+            row = {}
+            for c, v in zip(cs, vs):
+                row[c] = field.add(row.get(c, field.zero()), field.coerce(v))
+            rows.append({c: v for c, v in row.items() if v != 0})
+        assert rows == pair_rows_by_convolution(sigma, tau, field, g, h)
 
 
 def _prime_at_or_below(n: int) -> int:
