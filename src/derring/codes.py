@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .derivations import TwistedDerivation
+from .derivations import TwistedDerivation, _values
 from .errors import DependentSubset, EnumerationTooLarge
 from .linalg import Field, Matrix, debug_record, rref_mod_p, sum_dtype
 
@@ -38,9 +38,10 @@ ENUMERATION_CAP = 3 ** 16
 
 
 def derivation_matrix(D: TwistedDerivation) -> Matrix:
-    """The |G| x |G| matrix whose row i is the coefficient vector of D(g_i)."""
-    return Matrix(D.field, [list(D.table[g].coeffs) for g in range(D.group.order)],
-                  coerce=False)
+    """The |G| x |G| matrix whose row i is the coefficient vector of D(g_i), read
+    off D's integer table."""
+    n, flat = D.group.order, _values(D.field, *D.integer_table())
+    return Matrix(D.field, [flat[i:i + n] for i in range(0, n * n, n)], coerce=False)
 
 
 @dataclass
@@ -74,8 +75,8 @@ def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
         raise ValueError("subset must be nonempty")
     if len(subset) >= G.order:
         raise ValueError("subset must be a proper subset of the group")
-    rows = [list(D.table[g].coeffs) for g in subset]
-    gen = Matrix(F, rows, coerce=False)
+    # rows of D's integer table: residues, over the denominator 1
+    gen = Matrix(F, D.integer_table()[0].reshape(G.order, -1)[subset].tolist(), coerce=False)
     if gen.rank() != len(subset):
         witness = gen.transpose().kernel_basis()[0]
         names = [G.names[g] for g in subset]
@@ -195,10 +196,6 @@ def _transform_counts(dual_counts: List[int], n: int, q: int, dual_size: int) ->
     return out
 
 
-def _int_rows(rows: Sequence[Sequence]) -> List[List[int]]:
-    return [[int(x) for x in row] for row in rows]
-
-
 def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
     """Exact weight distributions of the code and of its dual.
 
@@ -223,7 +220,7 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
                  side, q, small_k, q ** small_k, side=side, q=q, k=small_k,
                  codewords=q ** small_k)
     if k <= n - k:
-        counts = _weight_counts(_int_rows(code.generator.data), q)
+        counts = _weight_counts(code.generator.data, q)
         # the zero codeword is counted q^(k - rank) times
         if counts[0] != 1:
             raise ValueError(f"generator rank is not k = {k}")
@@ -231,7 +228,7 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
     kernel = code.generator.kernel_basis()
     if len(kernel) != n - k:
         raise ValueError(f"generator rank is not k = {k}")
-    dual_counts = _weight_counts(_int_rows(kernel), q) if kernel else [1] + [0] * n
+    dual_counts = _weight_counts(kernel, q) if kernel else [1] + [0] * n
     return _transform_counts(dual_counts, n, q, q ** (n - k)), dual_counts
 
 
@@ -342,7 +339,7 @@ def subset_sweep(D: TwistedDerivation, k: int,
     sample of max_candidates subsets; ranking is by descending distance
     with the subset itself as the tiebreak, so output is deterministic.
     """
-    pool = [g for g in range(D.group.order) if not D.table[g].is_zero()]
+    pool = np.flatnonzero(D.integer_table()[0].reshape(D.group.order, -1).any(axis=1)).tolist()
     if k < 1 or k > len(pool):
         return []
     total = math.comb(len(pool), k)

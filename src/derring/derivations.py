@@ -19,18 +19,20 @@ the inner system's elimination are built once and kept in one bounded
 cache (``_cached``), so ``is_inner`` solves by an integer product.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
-group and algebra endomorphisms alike: the product rule, the inner
-images and tables, the certificate of ``is_inner`` and the averaging
-witness are integer-array gathers.  D's table is put over one common
-denominator (1 over GF(p)) and the actions' coefficients over another,
-M; the rule is then M D(g h) = D(g) tau(h) + sigma(g) D(h) in integers,
-reduced mod p over GF(p).  Each gather runs in int64 while its largest
-partial sum, at most the sum of its |coefficients| (summed exactly by
-``linalg.row_weight``, since an int64 sum of a few coefficients near p
-wraps once p passes 2^62) times the largest |entry|, stays below 2^63,
-and in Python ints (numpy ``object``) past that (``linalg.sum_dtype``).
-Past the bound are actions with coefficients near p over a prime above
-2^32, every table over a prime above 2^63, and large denominators over QQ.
+group and algebra endomorphisms alike, with coefficients over one
+denominator M.  D's table is one read-only integer array over another (1
+over GF(p)), int64 or, past it, Python ints (``integer_table``), which the
+product rule, the inner images and tables, the certificate of ``is_inner``
+and the averaging witness all gather as it is; field elements are read off
+it only at the edge (``_values``).  The rule is M D(g h) = D(g) tau(h) +
+sigma(g) D(h) in integers, reduced mod p over GF(p).  Each gather runs in
+int64 while its largest partial sum, at most the sum of its
+|coefficients| (summed exactly by ``linalg.row_weight``, since an int64
+sum of a few coefficients near p wraps once p passes 2^62) times the
+largest |entry|, stays below 2^63, and in Python ints (numpy ``object``)
+past that (``linalg.sum_dtype``).  Past the bound are actions with
+coefficients near p over a prime above 2^32, every table over a prime
+above 2^63, and large denominators over QQ.
 """
 
 from __future__ import annotations
@@ -66,9 +68,7 @@ class AlgebraEndo:
                  ring_images: Sequence[GroupRingElement], check: bool = True):
         if len(ring_images) != group.order:
             raise ValueError("need one image per group element")
-        self.group = group
-        self.field = field
-        self.ring_images = list(ring_images)
+        self.group, self.field, self.ring_images = group, field, list(ring_images)
         if check:
             if not self.ring_images[group.identity] == GroupRingElement.one(group, field):
                 raise ValueError("algebra endomorphism must fix the identity")
@@ -76,10 +76,8 @@ class AlgebraEndo:
             bad = first_failing_pair(group, lambda gs, hs: (
                 images[mul[g][h]] != images[g] * images[h] for g in gs for h in hs))
             if bad is not None:
-                g, h = bad
-                raise ValueError(
-                    f"images are not multiplicative at "
-                    f"({group.names[g]}, {group.names[h]})")
+                raise ValueError(f"images are not multiplicative at "
+                                 f"({group.names[bad[0]]}, {group.names[bad[1]]})")
         self._action: Optional[Action] = None
 
     @property
@@ -129,22 +127,43 @@ def _shared(build):
     return cached
 
 
-def _lowest_terms(field: Field, ints: np.ndarray, den: int) -> Tuple[List[int], int]:
-    """An integer array over den as ``integer_scale`` puts its values: residues over
-    1 over GF(p), where den is 1, and over QQ divided by gcd(den, entries)."""
+def _int_array(ints: np.ndarray) -> np.ndarray:
+    """An integer array, read-only, in int64 while every |entry| < 2^63 and in
+    Python ints (numpy ``object``) past that."""
+    if ints.dtype == object and _top(ints) < 2 ** 63:
+        ints = ints.astype(np.int64)
+    return _read_only(ints)
+
+
+def _top(ints: np.ndarray) -> int:
+    """The largest |entry| of an integer array, 0 when it is empty; exact (no int64 abs)."""
+    return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
+
+
+def _scaled(values: Sequence) -> Tuple[np.ndarray, int, int]:
+    """Field values as ``integer_scale`` puts them, in one array as ``_int_array``
+    keeps it, L and the largest |entry|."""
+    ints, den = integer_scale(values)
+    top = max(map(abs, ints), default=0)
+    return _read_only(np.array(ints, dtype=np.int64 if top < 2 ** 63 else object)), den, top
+
+
+def _lowest_terms(field: Field, ints: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
+    """An integer array over den as ``integer_scale`` puts its values (``_int_array``):
+    residues over 1 over GF(p), where den is 1, and over QQ divided by gcd(den, entries)."""
     if field.p:
-        return (ints % field.p).tolist(), 1
-    ints = ints.tolist()
-    g = math.gcd(den, *ints)
-    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
+        return _int_array(ints % field.p), 1
+    e = int(np.gcd.reduce(ints, initial=0))
+    g = math.gcd(den, e)  # den when every entry is 0 (e = 0): nothing to divide
+    return _int_array(ints // g if 1 < g <= e else ints), den // g
 
 
-def _values(field: Field, ints: Sequence[int], den: int) -> List:
-    """The field elements x / den of integers x; the ints themselves when den is 1."""
+def _values(field: Field, ints: np.ndarray, den: int) -> List:
+    """The field elements x / den of an integer array; its ints themselves when den is 1."""
     if den == 1:
-        return list(ints)
+        return ints.tolist()
     inv = field.inv(field.coerce(den))
-    return [field.mul(inv, x) for x in ints]
+    return [field.mul(inv, x) for x in ints.tolist()]
 
 
 class TwistedDerivation:
@@ -152,15 +171,13 @@ class TwistedDerivation:
 
     ``images`` maps each generator name, and nothing else, to its image's
     |G| coefficients; by the extension theorem these fix the derivation.
-    The table of all group images is computed on first read, in integers
-    (``integer_table``): beta tau(g) - sigma(g) beta for an inner
-    derivation (its ``witness`` beta, ``_witness_ints``), otherwise the
-    extension of ``images`` along the tree of ``_tree_plan``, which needs
-    sigma and tau to be group endomorphisms; ``table`` is read off it.  A
-    derivation constructed from a table keeps it as given.  Over QQ an
-    integral coefficient may be an int.  The group, sigma, tau and the
-    witness must share one group, and the field must be that of the
-    witness and of any algebra endomorphism (``common_field``).
+    The table of all group images is computed in integers on first read
+    (``integer_table``: from the ``witness`` of an inner derivation, or from
+    ``images`` along group endomorphisms only), and ``table`` is read off
+    it.  A derivation constructed from a table keeps it as given.  Over QQ
+    an integral coefficient may be an int.  The group, sigma, tau, the
+    witness and a table's elements share one group, and the field is that
+    of the witness, the table and any algebra endomorphism (``common_field``).
     """
 
     __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
@@ -170,12 +187,13 @@ class TwistedDerivation:
                  table: Optional[Sequence[GroupRingElement]] = None,
                  provenance: str = "table", witness: Optional[GroupRingElement] = None,
                  images: Optional[Dict[str, List]] = None):
-        common_group(group, sigma, tau, group if witness is None else witness)
-        common_field(field, sigma, tau, witness)
+        table = None if table is None else list(table)
+        given = [sigma, tau, *([] if witness is None else [witness]), *(table or [])]
+        common_group(group, *given)
+        common_field(field, *given)
         if table is not None:
             if len(table) != group.order:
                 raise ValueError("derivation table must cover every group element")
-            table = list(table)
             images = {name: table[s].coeffs for name, s in group.generators}
         elif images is None:
             raise ValueError("a derivation needs its table or its generator images")
@@ -186,7 +204,7 @@ class TwistedDerivation:
         self.group, self.field, self.sigma, self.tau = group, field, sigma, tau
         self.images, self.provenance, self.witness = images, provenance, witness
         self._table = table
-        self._integers: Optional[Tuple[List[int], int]] = None
+        self._integers: Optional[Tuple[np.ndarray, int]] = None
 
     @classmethod
     def zero(cls, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike):
@@ -203,41 +221,39 @@ class TwistedDerivation:
         return self._table
 
     def __call__(self, alpha: GroupRingElement) -> GroupRingElement:
-        out = GroupRingElement.zero(self.group, self.field)
-        for g, a in enumerate(alpha.coeffs):
-            if a != 0:
-                out = out + self.table[g].scale(a)
-        return out
+        return sum((self.table[g].scale(a) for g, a in enumerate(alpha.coeffs) if a != 0),
+                   GroupRingElement.zero(self.group, self.field))
 
     def flat(self) -> List:
         return [c for elem in self.table for c in elem.coeffs]
 
-    def integer_table(self) -> Tuple[List[int], int]:
-        """The table as integers over one denominator L, and L: exactly
-        ``integer_scale(flat())``, L the lcm of the reduced denominators (1
-        over GF(p)).  Cached, for the integer checks.
+    def integer_table(self) -> Tuple[np.ndarray, int]:
+        """The table as one read-only array of |G|^2 integers over one
+        denominator L, and L: entry for entry ``integer_scale(flat())``, L the
+        lcm of the reduced denominators (1 over GF(p)), so equal tables have
+        equal arrays; int64, or Python ints past it (``_int_array``).  Cached.
 
         A table given is scaled.  Otherwise it is computed in integers from
         the generator images, never from field elements: the gather of the
         witness (``_witness_ints``) or the walk (``_tree_extend``) of the
         images over their common denominator, a generator named twice by its
-        first name, in lowest terms (``_lowest_terms``).  A walked entry sums
-        at most |G| image entries: int64 while |G| max |image| and p < 2^63.
+        first name, in lowest terms (``_lowest_terms``); a walked entry sums
+        at most |G| image entries (``sum_dtype``).
         """
         if self._integers is None:
             G, F, n = self.group, self.field, self.group.order
             if self._table is not None:
-                self._integers = integer_scale(self.flat())
+                self._integers = _scaled(self.flat())[:2]
             elif self.witness is not None:
                 self._integers = _witness_ints(self.witness, self.sigma, self.tau,
                                                inner_block(self.sigma, self.tau, range(n)))
             else:
-                ints, den = integer_scale(self.generator_flat())
-                dtype = sum_dtype(n, max(map(abs, ints), default=0), F.p)
+                ints, den, top = _scaled(self.generator_flat())
+                dtype = sum_dtype(n, top, F.p)
                 first = {s: k for k, (_, s) in reversed(list(enumerate(G.generators)))
                          if s != G.identity}
                 T = np.zeros((n, n), dtype=dtype)
-                T[list(first)] = np.array(ints, dtype=dtype).reshape(-1, n)[list(first.values())]
+                T[list(first)] = ints.astype(dtype).reshape(-1, n)[list(first.values())]
                 plan = _tree_plan(self.sigma, self.tau, tuple(s for _, s in G.generators))
                 self._integers = _lowest_terms(F, _tree_extend(plan, T.ravel()), den)
         return self._integers
@@ -247,12 +263,13 @@ class TwistedDerivation:
         return [c for name, _ in self.group.generators for c in self.images[name]]
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.table)
+        return not self.integer_table()[0].any()
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # integer tables are canonical (integer_table)
         return (isinstance(other, TwistedDerivation) and other.group is self.group
                 and other.field == self.field
-                and all(a == b for a, b in zip(other.table, self.table)))
+                and other.integer_table()[1] == self.integer_table()[1]
+                and np.array_equal(other.integer_table()[0], self.integer_table()[0]))
 
     def __repr__(self):
         return f"TwistedDerivation({self.group.describe()}, {self.field}, {self.provenance})"
@@ -315,8 +332,7 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     DerivationRejected carrying the first relator whose image is not 0,
     and that image.
     """
-    if tau is None:
-        tau = sigma
+    tau = sigma if tau is None else tau
     G = common_group(sigma, tau, *images.values())
     coeffs = {name: image.coeffs for name, image in images.items()}
     _check_images(G, coeffs)
@@ -326,8 +342,8 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
     F = common_field(images[G.generators[0][0]].field, *images.values())
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended", images=coeffs)
     cols, vals = relator_block(sigma, tau)
-    ints, lf = integer_scale(D.generator_flat())
-    flat = _inner_gather(cols, vals, ints, sum_dtype(row_weight(vals), max(map(abs, ints)), F.p))
+    ints, lf, top = _scaled(D.generator_flat())
+    flat = _inner_gather(cols, vals, ints, sum_dtype(row_weight(vals), top, F.p))
     values = (flat % F.p if F.p else flat).reshape(-1, G.order)
     bad = np.flatnonzero(values.any(axis=1))
     if len(bad):
@@ -364,7 +380,9 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
     the edge (y, g, x), whose rows of ``pair_block``, +1 at dst and -1 at
     a and b, give D(y) = D(g) tau(x) + sigma(g) D(x).  A BFS level is one
     triple (dst, a, b) of flat indices into a table's rows over its edges,
-    reading only the level above and the roots.  About 3 |G|^2 indices;
+    reading only the level above and the roots.  About 3 |G|^2 int64
+    indices (int32 ones would cost a cast at every gather), read off
+    ``pair_block`` a level at a time, so no temporary spans all the edges;
     cached, read-only.  No relator or word is read (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, ch. 5).
     """
@@ -378,9 +396,9 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
                 depth[y] = depth[g] + 1
                 order.append(y)
                 edges.append((y, g, x))
-    cols = pair_block(sigma, tau, *np.array(edges, dtype=np.int64).reshape(-1, 3).T[1:])[0]
-    cuts = (np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1) * G.order
-    levels = tuple(map(tuple, np.split(_read_only(np.ascontiguousarray(cols.T)), cuts, axis=1)))
+    cuts = np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1
+    levels = tuple(tuple(_read_only(np.ascontiguousarray(pair_block(sigma, tau, *lv.T[1:])[0].T)))
+                   for lv in np.split(np.array(edges, dtype=np.int64).reshape(-1, 3), cuts))
     return tuple(sorted([G.identity] + gens)), tuple(edges), levels
 
 
@@ -438,7 +456,7 @@ def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """
     G, p, n = D.group, D.field.p, D.group.order
     ints, _ = D.integer_table()
-    top = max(map(abs, ints))
+    top = _top(ints)
 
     def fails(gs, hs):
         key = (D.sigma, D.tau, tuple(gs), tuple(hs))
@@ -487,14 +505,15 @@ def generator_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarr
     return _cached(inner_block, sigma, tau, gens)
 
 
-def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: Sequence[int], dtype) -> np.ndarray:
-    """A block's rows times the integers beta, in ``dtype``: for ``inner_block``, M Lb
+def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: np.ndarray, dtype) -> np.ndarray:
+    """A block's rows times the integer array beta, in ``dtype``: for ``inner_block``, M Lb
     D_beta(g)[t] for beta over Lb; for ``pair_block``, M times the rule's defect."""
-    return np.einsum("ij,ij->i", vals.astype(dtype, copy=False), np.array(beta, dtype=dtype)[cols])
+    return np.einsum("ij,ij->i", vals.astype(dtype, copy=False),
+                     np.asarray(beta, dtype=dtype)[cols])
 
 
 def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
-                  rows: Tuple[np.ndarray, np.ndarray, int, int]) -> Tuple[List[int], int]:
+                  rows: Tuple[np.ndarray, np.ndarray, int, int]) -> Tuple[np.ndarray, int]:
     """beta tau(g) - sigma(g) beta at the g of ``rows``, a block of ``inner_block``,
     as integers over one denominator, and it (``_lowest_terms``).
 
@@ -504,8 +523,8 @@ def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
     F = common_field(beta.field, sigma, tau)
     common_group(beta, sigma, tau)
     cols, vals, scale, weight = rows
-    ints, lb = integer_scale(beta.coeffs)
-    flat = _inner_gather(cols, vals, ints, sum_dtype(weight, max(map(abs, ints)), F.p))
+    ints, lb, top = _scaled(beta.coeffs)
+    flat = _inner_gather(cols, vals, ints, sum_dtype(weight, top, F.p))
     return _lowest_terms(F, flat, scale * lb)
 
 
@@ -533,8 +552,7 @@ class _InnerSystem:
         rows = [integer_scale(row[n:]) for row in R.data]
         T = np.array([t for t, _ in rows], dtype=object).reshape(m, m)
         self.order, self.pivots, self.dens = n, [c for c in pivots if c < n], [d for _, d in rows]
-        self.weight = row_weight(T)
-        self.T = _read_only(T.astype(sum_dtype(0, max(map(abs, T.ravel()), default=0))))
+        self.weight, self.T = row_weight(T), _int_array(T)
         debug_record("derring.derivations", "inner system %dx%d over %s: rank %d",
                      m, n, field, len(self.pivots), shape=(m, n), rank=len(self.pivots))
 
@@ -543,9 +561,9 @@ class _InnerSystem:
         ``rhs``, or None when there is none; T b is exact in int64 while T's
         row weight times max |b| and p stay below 2^63."""
         F, r = self.field, len(self.pivots)
-        ints, lb = integer_scale(rhs)
-        dtype = sum_dtype(self.weight, max(map(abs, ints), default=0), F.p)
-        Tb = self.T.astype(dtype, copy=False) @ np.array(ints, dtype=dtype)
+        ints, lb, top = _scaled(rhs)
+        dtype = sum_dtype(self.weight, top, F.p)
+        Tb = self.T.astype(dtype, copy=False) @ ints.astype(dtype, copy=False)
         Tb = (Tb % F.p if F.p else Tb).tolist()
         if any(Tb[r:]):
             return None
@@ -572,21 +590,17 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     table T (over Ld), exact in int64 while Ld w max |beta| + M Lb max |T|
     < 2^63, w the actions' weight on scale M.
     """
-    G, F = D.group, D.field
-    n, p = G.order, F.p
+    G, F, p = D.group, D.field, D.field.p
     solution = _cached(_InnerSystem, D.sigma, D.tau, F).solve(D.generator_flat())
     if solution is None:
         return None
-    beta, lb = integer_scale(solution)
+    beta, lb, top = _scaled(solution)
     table, ld = D.integer_table()
-    cols, vals, scale, weight = inner_block(D.sigma, D.tau, range(n))
-    dtype = sum_dtype(ld * weight, max(map(abs, beta)), p, scale * lb * max(map(abs, table)))
+    cols, vals, scale, weight = inner_block(D.sigma, D.tau, range(G.order))
+    dtype = sum_dtype(ld * weight, top, p, scale * lb * _top(table))
     image = _inner_gather(cols, vals, beta, dtype)
-    table = np.array(table, dtype=dtype)
-    if p:
-        same = not ((image - table) % p != 0).any()
-    else:
-        same = np.array_equal(ld * image, scale * lb * table)
+    diff = ld * image - scale * lb * table.astype(dtype, copy=False)  # Ld = M = Lb = 1 over GF(p)
+    same = not (diff % p if p else diff).any()
     return GroupRingElement(G, F, solution, coerce=False) if same else None
 
 
@@ -598,14 +612,13 @@ def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
     gather of D's integer table T (over L) through tau's right action:
     the sum over g and j of ct[g, j] T[g^-1, right[g, j]], of weight |G| w_tau.
     """
-    G, F = D.group, D.field
-    n = G.order
+    G, F, n = D.group, D.field, D.group.order
     if F.p and n % F.p == 0:
         raise DerivationRejected(
             f"averaging needs |G| = {n} invertible, but the characteristic "
             f"{F.p} divides it")
     tau, (ints, ld) = D.tau.action, D.integer_table()
-    T = np.array(ints, dtype=sum_dtype(n * tau.weight, max(map(abs, ints)), F.p)).reshape(n, n)
+    T = ints.astype(sum_dtype(n * tau.weight, _top(ints), F.p), copy=False).reshape(n, n)
     acc = (T[G.inv_array[:, None, None], tau.right] * tau.coeffs[:, :, None]).sum(axis=(0, 1))
     inv = F.inv(F.coerce(n * tau.scale * ld))
     return GroupRingElement(G, F, [F.mul(inv, x) for x in acc.tolist()], coerce=False)
@@ -647,10 +660,8 @@ def derivation_space(field: Field, sigma: Endomorphism,
     Unknowns are the generator images; each relator contributes |G|
     linear constraints, the coefficients of its image (``relator_block``).
     """
-    if tau is None:
-        tau = sigma
-    G = sigma.group
-    n = G.order
+    tau = sigma if tau is None else tau
+    G, n = sigma.group, sigma.group.order
     cols, vals = relator_block(sigma, tau)
     system = Matrix.from_block(field, cols, vals, len(G.generators) * n)
     if not basis:
@@ -703,11 +714,9 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     ``Matrix.kernel_basis`` (``sparse_kernel_basis``).  Each solve writes
     one DEBUG record on ``derring.derivations``.
     """
-    if tau is None:
-        tau = sigma
+    tau = sigma if tau is None else tau
     G = common_group(sigma, tau)
-    n = G.order
-    seed, edges = _tree_seed(sigma, tau)
+    n, (seed, edges) = G.order, _tree_seed(sigma, tau)
     rows = _pair_constraint_rows(sigma, tau)
     if basis:
         kernel = sparse_kernel_basis(field, rows, n * n, seed)
@@ -720,12 +729,9 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
                  order=n, edges=len(edges), width=seed[0].shape[1], rank=n * n - dim)
     if not basis:
         return dim, None
-    out = []
-    for vec in kernel:
-        table = [GroupRingElement(G, field, vec[g * n:(g + 1) * n], coerce=False)
-                 for g in range(n)]
-        out.append(TwistedDerivation(G, field, sigma, tau, table, provenance="solver"))
-    return dim, out
+    return dim, [TwistedDerivation(G, field, sigma, tau, [
+        GroupRingElement(G, field, vec[g * n:(g + 1) * n], coerce=False) for g in range(n)],
+        provenance="solver") for vec in kernel]
 
 
 # -- commutative constructions -------------------------------------------------

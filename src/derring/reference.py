@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .codes import CodeReport, LinearCode, code_report, linear_code_report
+from .codes import CodeReport, LinearCode, code_report, derivation_matrix, linear_code_report
 from .derivations import (TwistedDerivation, cyclic_power_derivation,
                           derivation_space, extend_from_generators)
 from .dihedral import predict
@@ -353,14 +353,9 @@ def _fmt(k, d, lcd, dual_k, dual_d, self_orth=None) -> str:
 
 def _report_with_replaced_row(derivation: TwistedDerivation, indices: List[int],
                               replace_index: int, replacement: List[int]) -> CodeReport:
-    field = derivation.field
-    rows = []
-    for g in indices:
-        row = list(derivation.table[g].coeffs)
-        if g == replace_index:
-            row = [field.coerce(v) for v in replacement]
-        rows.append(row)
-    gen = Matrix(field, rows, coerce=False)
+    field, rows = derivation.field, derivation_matrix(derivation).data
+    gen = Matrix(field, [[field.coerce(v) for v in replacement] if g == replace_index else rows[g]
+                         for g in indices], coerce=False)
     code = LinearCode(field, derivation.group.order, len(indices), gen,
                       {"subset_indices": indices})
     return linear_code_report(code)
@@ -429,7 +424,8 @@ def computed_matrix(table_id: str) -> List[List[int]]:
     spec = REFERENCE_TABLES[table_id]
     group, field, sigma, derivation = build_context(table_id)
     indices = _subset_indices(group, spec, spec["matrix_subset"])
-    return [[int(c) for c in derivation.table[g].coeffs] for g in indices]
+    rows = derivation_matrix(derivation).data
+    return [rows[g] for g in indices]
 
 
 def matrix_diff(table_id: str) -> List[Tuple[int, int, int, int]]:

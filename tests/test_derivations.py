@@ -16,6 +16,7 @@ from derring.groups import (FiniteGroup, abelian_group, brute_force_endomorphism
                             cyclic_group, dihedral_group, endo_from_images,
                             enumerate_endomorphisms, identity_endomorphism, parse_word,
                             table_group)
+from derring.codes import code_report, derivation_matrix, subset_sweep
 from derring.conjugacy import (inner_basis, twisted_center_dimension, twisted_center_group,
                                twisted_centralizer, twisted_classes, twisted_orbit)
 from derring.dihedral import predict
@@ -725,6 +726,19 @@ def test_maps_and_elements_of_different_fields_are_refused(entry):
     assert inner_derivation(is_inner(D), sigma, sigma) == D
 
 
+def test_table_elements_of_another_field_or_group_are_refused():
+    c3 = cyclic_group(3)
+    ident = identity_endomorphism(c3)
+    # once accepted: the GF(5) entry 4 stayed unreduced and verify_derivation answered (0, 0)
+    over_gf5 = [GroupRingElement(c3, GF(5), [4, 0, 0])] + [GroupRingElement.zero(c3, GF(5))] * 2
+    with pytest.raises(ValueError, match="different fields"):
+        TwistedDerivation(c3, GF(3), ident, ident, over_gf5)
+    # an equal C3 that is another group object
+    other = [GroupRingElement.zero(cyclic_group(3), GF(3))] * 3
+    with pytest.raises(ValueError, match="different groups"):
+        TwistedDerivation(c3, GF(3), ident, ident, other)
+
+
 def test_inner_system_is_eliminated_once(caplog):
     # a fresh group, so no elimination of its pair is cached yet
     d16 = dihedral_group(8)
@@ -754,7 +768,8 @@ def _reference_table(D):
 def _assert_integer_table_matches(D, table):
     """A copy of D from its generator images computes ``table`` in integers."""
     E = TwistedDerivation(D.group, D.field, D.sigma, D.tau, images=D.images)
-    assert E.integer_table() == integer_scale([c for e in table for c in e.coeffs])
+    ints, den = E.integer_table()
+    assert (ints.tolist(), den) == integer_scale([c for e in table for c in e.coeffs])
     assert E.table == table
 
 
@@ -809,7 +824,8 @@ def test_integer_table_matches_free_eval(n):
                 table = [beta * GroupRingElement.basis(G, F, tau.images[g])
                          - GroupRingElement.basis(G, F, sigma.images[g]) * beta
                          for g in range(G.order)]
-                assert D.integer_table() == integer_scale([c for e in table for c in e.coeffs])
+                ints, den = D.integer_table()
+                assert (ints.tolist(), den) == integer_scale([c for e in table for c in e.coeffs])
                 assert D.table == table
                 _assert_integer_table_matches(D, table)
 
@@ -828,3 +844,59 @@ def test_integer_table_matches_abelian_basis(order, field):
     for sigma in (identity_endomorphism(G), power):
         for D in abelian_basis(G, sigma, field):
             _assert_integer_table_matches(D, D.table)
+
+
+D16_SIGMA = endo_from_images(dihedral_group(8), {"a": "a^3", "b": "a*b"})
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_checks_read_the_integer_table_and_build_no_element_table(field):
+    G, sigma = D16_SIGMA.group, D16_SIGMA
+    D, E = derivation_space(field, sigma)[1][:2]
+    assert verify_derivation(D) is None and is_inner(D) is not None
+    assert not D.is_zero() and D != E and D == D
+    averaging_witness(D)
+    derivation_matrix(D)
+    if field.p:
+        best = subset_sweep(D, 2, max_candidates=8)[0]
+        code_report(D, best.source["subset_indices"])
+    assert D._table is None and E._table is None
+
+
+def test_integer_table_is_int64_until_an_entry_passes_it():
+    d8 = dihedral_group(4)
+    sigma = endo_from_images(d8, {"a": "a^3", "b": "a*b"})
+    for p, dtype in ((2 ** 61 - 1, np.int64), (2 ** 63 + 29, object)):
+        F = GF(p)
+        member = derivation_space(F, sigma)[1][0]
+        # images near p: the walk sums past int64 both times, its residues only past 2^63
+        D = TwistedDerivation(d8, F, sigma, sigma, images={
+            name: [F.mul(p - 1, c) for c in image] for name, image in member.images.items()})
+        ints, den = D.integer_table()
+        assert ints.dtype == dtype and not ints.flags.writeable and den == 1
+        assert D == TwistedDerivation(d8, F, sigma, sigma, list(D.table))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_walked_inner_oracle_and_given_copies_compare_equal(field):
+    G, sigma = D16_SIGMA.group, D16_SIGMA
+    half = field.coerce(Fraction(1, 2))
+    for S in derivation_space_full(field, sigma)[1][:3]:
+        # |G| = 16 is invertible, so every derivation is inner
+        beta = is_inner(S)
+        images = {name: [field.mul(half, c) for c in S.images[name]] for name, _ in G.generators}
+        copies = [S, TwistedDerivation(G, field, sigma, sigma, images=S.images),
+                  inner_derivation(beta, sigma, sigma),
+                  TwistedDerivation(G, field, sigma, sigma,
+                                    [GroupRingElement(G, field, e.coeffs) for e in S.table])]
+        halves = [TwistedDerivation(G, field, sigma, sigma, images=images),
+                  inner_derivation(beta.scale(half), sigma, sigma)]
+        assert all(a == b for a in copies for b in copies)
+        assert halves[0] == halves[1] and all(h != c for h in halves for c in copies)
+        table = list(S.table)
+        table[5] = table[5] + GroupRingElement.basis(G, field, 3)
+        name = G.generators[1][0]
+        changed = [TwistedDerivation(G, field, sigma, sigma, table),
+                   TwistedDerivation(G, field, sigma, sigma, images={
+                       **S.images, name: [field.add(S.images[name][0], 1)] + S.images[name][1:]})]
+        assert all(c != d and d != c for c in changed for d in copies)
