@@ -29,9 +29,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .derivations import TwistedDerivation, _values
+from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
-from .linalg import Field, Matrix, debug_record, rref_mod_p, sum_dtype
+from .linalg import Field, Matrix, _values, debug_record, rref_mod_p, sum_dtype
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16

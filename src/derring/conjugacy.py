@@ -136,24 +136,19 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
     """The inner-derivation basis D_g, g over non-singleton classes minus reps.
 
     Exactly |G| - r derivations.  D_g's generator images are column g of
-    the system that ``is_inner`` solves, ``generator_rows`` (group maps act
-    over the scale 1), rank-checked for independence, which is exact
-    because a derivation vanishing on the generators vanishes everywhere.
+    the system that ``is_inner`` solves, ``generator_rows``, handed over as
+    integers over 1 (group maps act over the scale 1), rank-checked for
+    independence, which is exact because a derivation vanishing on the
+    generators vanishes everywhere.
     """
     partition = twisted_classes(group, sigma, tau)
-    members = []
-    for cls in partition.classes[partition.singleton_count:]:
-        rep = cls[0]
-        members.extend(g for g in cls if g != rep)
+    members = [g for cls in partition.classes[partition.singleton_count:] for g in cls[1:]]
     if len(members) != group.order - partition.r:
         raise AssertionError("class bookkeeping lost derivations")
-    n = group.order
-    spans = [(name, slice(k * n, (k + 1) * n)) for k, (name, _) in enumerate(group.generators)]
     cols, vals, _, _ = generator_rows(sigma, tau)
-    columns = dense_block(common_field(field, sigma, tau), cols, vals, n)[:, members].T.tolist()
-    if columns and not rows_full_rank(field, columns, len(members)):
+    columns = dense_block(common_field(field, sigma, tau), cols, vals, group.order)[:, members].T
+    if members and not rows_full_rank(field, columns.tolist(), len(members)):
         raise AssertionError("inner derivation basis is not independent")
     return [TwistedDerivation(group, field, sigma, tau, provenance="inner",
-                              witness=GroupRingElement.basis(group, field, g),
-                              images={name: col[span] for name, span in spans})
+                              witness=GroupRingElement.basis(group, field, g), images=(col, 1))
             for g, col in zip(members, columns)]

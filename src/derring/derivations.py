@@ -20,11 +20,13 @@ cache (``_cached``), so ``is_inner`` solves by an integer product.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike, with coefficients over one
-denominator M.  D's table is one read-only integer array over another (1
-over GF(p)), int64 or, past it, Python ints (``integer_table``), which the
-product rule, the inner images and tables, the certificate of ``is_inner``
-and the averaging witness all gather as it is; field elements are read off
-it only at the edge (``_values``).  The rule is M D(g h) = D(g) tau(h) +
+denominator M.  D's generator images and its table are each one read-only
+integer array over one denominator (1 over GF(p)), int64 or, past it,
+Python ints (``integer_images``, ``integer_table``), which the walk, the
+relator gather, the inner solve, the product rule, the inner images and
+tables and the averaging witness all gather as they are; field elements are
+read off them only at the edge (``_values``), and caller values enter
+through one scaling (``_scaled``).  The rule is M D(g h) = D(g) tau(h) +
 sigma(g) D(h) in integers, reduced mod p over GF(p).  Each gather runs in
 int64 while its largest partial sum, at most the sum of its
 |coefficients| (summed exactly by ``linalg.row_weight``, since an int64
@@ -48,8 +50,8 @@ from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only
                      action_gathers, common_field, common_group, first_failing_pair,
                      word_str)
 from .groupring import GroupRingElement
-from .linalg import (Field, Matrix, _rat, debug_record, integer_scale, row_weight,
-                     sparse_kernel_basis, sparse_nullity, sum_dtype)
+from .linalg import (Field, Matrix, _values, debug_record, dense_block, integer_kernel,
+                     integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype)
 
 
 class AlgebraEndo:
@@ -140,12 +142,11 @@ def _top(ints: np.ndarray) -> int:
     return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
 
 
-def _scaled(values: Sequence) -> Tuple[np.ndarray, int, int]:
+def _scaled(values: Sequence) -> Tuple[np.ndarray, int]:
     """Field values as ``integer_scale`` puts them, in one array as ``_int_array``
-    keeps it, L and the largest |entry|."""
+    keeps it, and L."""
     ints, den = integer_scale(values)
-    top = max(map(abs, ints), default=0)
-    return _read_only(np.array(ints, dtype=np.int64 if top < 2 ** 63 else object)), den, top
+    return _int_array(np.array(ints, dtype=object)), den
 
 
 def _lowest_terms(field: Field, ints: np.ndarray, den: int) -> Tuple[np.ndarray, int]:
@@ -158,35 +159,30 @@ def _lowest_terms(field: Field, ints: np.ndarray, den: int) -> Tuple[np.ndarray,
     return _int_array(ints // g if 1 < g <= e else ints), den // g
 
 
-def _values(field: Field, ints: np.ndarray, den: int) -> List:
-    """The field elements x / den of an integer array; its ints themselves when den is 1."""
-    if den == 1:
-        return ints.tolist()
-    inv = field.inv(field.coerce(den))
-    return [field.mul(inv, x) for x in ints.tolist()]
-
-
 class TwistedDerivation:
     """A (sigma, tau)-derivation, defined by its generator images.
 
-    ``images`` maps each generator name, and nothing else, to its image's
-    |G| coefficients; by the extension theorem these fix the derivation.
+    By the extension theorem these fix it.  ``integer_images`` holds them, a
+    read-only integer array of a row per generator name, in order, over one
+    L, as ``integer_scale`` puts them (over 1 over GF(p)).  ``images`` maps
+    each name to its |G| field elements read off it (``_values``); given,
+    it is such a map, coerced (``_scaled``), or (ints, L) in that form.
     The table of all group images is computed in integers on first read
     (``integer_table``: from the ``witness`` of an inner derivation, or from
-    ``images`` along group endomorphisms only), and ``table`` is read off
+    the images along group endomorphisms only), and ``table`` is read off
     it.  A derivation constructed from a table keeps it as given.  Over QQ
     an integral coefficient may be an int.  The group, sigma, tau, the
     witness and a table's elements share one group, and the field is that
     of the witness, the table and any algebra endomorphism (``common_field``).
     """
 
-    __slots__ = ("group", "field", "sigma", "tau", "images", "provenance", "witness",
+    __slots__ = ("group", "field", "sigma", "tau", "integer_images", "provenance", "witness",
                  "_table", "_integers")
 
     def __init__(self, group: FiniteGroup, field: Field, sigma: EndoLike, tau: EndoLike,
                  table: Optional[Sequence[GroupRingElement]] = None,
                  provenance: str = "table", witness: Optional[GroupRingElement] = None,
-                 images: Optional[Dict[str, List]] = None):
+                 images: Union[None, Dict[str, Sequence], Tuple[np.ndarray, int]] = None):
         table = None if table is None else list(table)
         given = [sigma, tau, *([] if witness is None else [witness]), *(table or [])]
         common_group(group, *given)
@@ -199,11 +195,12 @@ class TwistedDerivation:
             raise ValueError("a derivation needs its table or its generator images")
         elif witness is None and not all(isinstance(e, Endomorphism) for e in (sigma, tau)):
             raise ValueError("generator images alone extend only along group endomorphisms")
-        else:
+        if isinstance(images, dict):
             _check_images(group, images)
+            images = _scaled([field.coerce(c) for n, _ in group.generators for c in images[n]])
+        self.integer_images = (_int_array(images[0].reshape(-1, group.order)), int(images[1]))
         self.group, self.field, self.sigma, self.tau = group, field, sigma, tau
-        self.images, self.provenance, self.witness = images, provenance, witness
-        self._table = table
+        self.provenance, self.witness, self._table = provenance, witness, table
         self._integers: Optional[Tuple[np.ndarray, int]] = None
 
     @classmethod
@@ -233,34 +230,38 @@ class TwistedDerivation:
         lcm of the reduced denominators (1 over GF(p)), so equal tables have
         equal arrays; int64, or Python ints past it (``_int_array``).  Cached.
 
-        A table given is scaled.  Otherwise it is computed in integers from
-        the generator images, never from field elements: the gather of the
-        witness (``_witness_ints``) or the walk (``_tree_extend``) of the
-        images over their common denominator, a generator named twice by its
-        first name, in lowest terms (``_lowest_terms``); a walked entry sums
-        at most |G| image entries (``sum_dtype``).
+        A table given is scaled.  Otherwise it is computed in integers, never
+        from field elements: the gather of the witness (``_witness_ints``), or
+        the walk (``_tree_extend``) of ``integer_images`` as they are, seeded
+        with the rows that the cached plan names (a generator named twice by
+        its first name), in lowest terms (``_lowest_terms``); a walked entry
+        sums at most |G| image entries (``sum_dtype``).
         """
         if self._integers is None:
             G, F, n = self.group, self.field, self.group.order
             if self._table is not None:
-                self._integers = _scaled(self.flat())[:2]
+                self._integers = _scaled(self.flat())
             elif self.witness is not None:
                 self._integers = _witness_ints(self.witness, self.sigma, self.tau,
                                                inner_block(self.sigma, self.tau, range(n)))
             else:
-                ints, den, top = _scaled(self.generator_flat())
-                dtype = sum_dtype(n, top, F.p)
-                first = {s: k for k, (_, s) in reversed(list(enumerate(G.generators)))
-                         if s != G.identity}
-                T = np.zeros((n, n), dtype=dtype)
-                T[list(first)] = ints.astype(dtype).reshape(-1, n)[list(first.values())]
-                plan = _tree_plan(self.sigma, self.tau, tuple(s for _, s in G.generators))
+                (ints, den), plan = self.integer_images, _tree_plan(
+                    self.sigma, self.tau, tuple(s for _, s in G.generators))
+                T = np.zeros((n, n), dtype=sum_dtype(n, _top(ints), F.p))
+                T[plan[3][0]] = ints[plan[3][1]]
                 self._integers = _lowest_terms(F, _tree_extend(plan, T.ravel()), den)
         return self._integers
 
+    @property
+    def images(self) -> Dict[str, List]:
+        """Each generator name's image, its field elements read off ``integer_images``."""
+        ints, den = self.integer_images
+        return {name: _values(self.field, row, den)
+                for (name, _), row in zip(self.group.generators, ints)}
+
     def generator_flat(self) -> List:
         """The generator images, concatenated in generator order."""
-        return [c for name, _ in self.group.generators for c in self.images[name]]
+        return _values(self.field, self.integer_images[0].ravel(), self.integer_images[1])
 
     def is_zero(self) -> bool:
         return not self.integer_table()[0].any()
@@ -341,9 +342,8 @@ def extend_from_generators(images: Dict[str, GroupRingElement], sigma: Endomorph
                          "its only derivation is 0 (TwistedDerivation.zero)")
     F = common_field(images[G.generators[0][0]].field, *images.values())
     D = TwistedDerivation(G, F, sigma, tau, provenance="extended", images=coeffs)
-    cols, vals = relator_block(sigma, tau)
-    ints, lf, top = _scaled(D.generator_flat())
-    flat = _inner_gather(cols, vals, ints, sum_dtype(row_weight(vals), top, F.p))
+    (cols, vals), (ints, lf) = relator_block(sigma, tau), D.integer_images
+    flat = _inner_gather(cols, vals, ints.ravel(), sum_dtype(row_weight(vals), _top(ints), F.p))
     values = (flat % F.p if F.p else flat).reshape(-1, G.order)
     bad = np.flatnonzero(values.any(axis=1))
     if len(bad):
@@ -373,10 +373,11 @@ def _check_images(G: FiniteGroup, images: Dict[str, Sequence]):
 @_shared
 def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
     """A BFS spanning tree of G over right multiplication by ``gens``, as the
-    gathers that extend a table from its roots: (roots, edges, levels).
+    gathers that extend a table from its roots: (roots, edges, levels, seeds).
 
     The roots are 1 and the distinct gens other than 1 (X'), in increasing
-    order; each other element y is reached once, as y = g x with x in X',
+    order, and seeds (X', the first index of each in ``gens``).  Each other
+    element y is reached once, as y = g x with x in X',
     the edge (y, g, x), whose rows of ``pair_block``, +1 at dst and -1 at
     a and b, give D(y) = D(g) tau(x) + sigma(g) D(x).  A BFS level is one
     triple (dst, a, b) of flat indices into a table's rows over its edges,
@@ -386,8 +387,10 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
     cached, read-only.  No relator or word is read (Holt, Eick & O'Brien,
     Handbook of Computational Group Theory, ch. 5).
     """
-    G = common_group(sigma, tau)
+    G, given = common_group(sigma, tau), gens
     gens = list(dict.fromkeys(s for s in gens if s != G.identity))
+    seeds = tuple(_read_only(np.array(v, dtype=np.int64))
+                  for v in (gens, [given.index(s) for s in gens]))
     order, depth, edges = [G.identity] + gens, {G.identity: 0, **dict.fromkeys(gens, 1)}, []
     for g in order:  # BFS: the list grows as it is read
         for x in gens:
@@ -399,7 +402,7 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
     cuts = np.flatnonzero(np.diff([depth[e] for e, _, _ in edges])) + 1
     levels = tuple(tuple(_read_only(np.ascontiguousarray(pair_block(sigma, tau, *lv.T[1:])[0].T)))
                    for lv in np.split(np.array(edges, dtype=np.int64).reshape(-1, 3), cuts))
-    return tuple(sorted([G.identity] + gens)), tuple(edges), levels
+    return tuple(sorted([G.identity] + gens)), tuple(edges), levels, seeds
 
 
 def _tree_extend(plan, table: np.ndarray) -> np.ndarray:
@@ -474,11 +477,10 @@ verify_derivation = product_rule_violation
 # -- inner derivations -------------------------------------------------------
 
 def inner_derivation(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike) -> TwistedDerivation:
-    """The derivation g -> beta tau(g) - sigma(g) beta, from its generator images."""
-    G, F, n = beta.group, beta.field, beta.group.order
-    flat = _values(F, *_witness_ints(beta, sigma, tau, generator_rows(sigma, tau)))
-    return TwistedDerivation(G, F, sigma, tau, provenance="inner", witness=beta, images={
-        name: flat[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)})
+    """The derivation g -> beta tau(g) - sigma(g) beta, from its generator images,
+    gathered in integers (``_witness_ints``)."""
+    return TwistedDerivation(beta.group, beta.field, sigma, tau, provenance="inner", witness=beta,
+                             images=_witness_ints(beta, sigma, tau, generator_rows(sigma, tau)))
 
 
 def inner_block(sigma: EndoLike, tau: EndoLike,
@@ -523,8 +525,8 @@ def _witness_ints(beta: GroupRingElement, sigma: EndoLike, tau: EndoLike,
     F = common_field(beta.field, sigma, tau)
     common_group(beta, sigma, tau)
     cols, vals, scale, weight = rows
-    ints, lb, top = _scaled(beta.coeffs)
-    flat = _inner_gather(cols, vals, ints, sum_dtype(weight, top, F.p))
+    ints, lb = _scaled(beta.coeffs)
+    flat = _inner_gather(cols, vals, ints, sum_dtype(weight, _top(ints), F.p))
     return _lowest_terms(F, flat, scale * lb)
 
 
@@ -535,42 +537,42 @@ class _InnerSystem:
     A x = b is solvable exactly when T b vanishes past the rank r, and then
     x, zero off the pivots and (T b)[i] at pivot i, is the solution read
     off the RREF of [A | b]: that RREF is [R | T b], since it is unique.
-    T is kept in integers, residues over GF(p) and over QQ each row over
-    its own denominator, so a solve is one integer product.  Each
-    elimination writes one DEBUG record on ``derring.derivations``.
+    T is kept in integers, times M and over one denominator L (residues
+    over 1 over GF(p), where M = 1), so a solve reads x over L Lb off one
+    integer product T b, for b over Lb.  Each elimination writes one DEBUG
+    record on ``derring.derivations``.
     """
 
-    __slots__ = ("field", "order", "scale", "pivots", "T", "dens", "weight")
+    __slots__ = ("field", "order", "pivots", "T", "den", "weight")
 
     def __init__(self, sigma: EndoLike, tau: EndoLike, field: Field):
         self.field, n = common_field(field, sigma, tau), common_group(sigma, tau).order
-        cols, vals, self.scale, _ = generator_rows(sigma, tau)
-        A = Matrix.from_block(field, cols, vals, n).data
+        cols, vals, scale, _ = generator_rows(sigma, tau)
+        A = dense_block(field, cols, vals, n).tolist()
         m = len(A)
         R, pivots = Matrix(field, [row + [0] * i + [1] + [0] * (m - 1 - i)
                                    for i, row in enumerate(A)], coerce=False).rref()
-        rows = [integer_scale(row[n:]) for row in R.data]
-        T = np.array([t for t, _ in rows], dtype=object).reshape(m, m)
-        self.order, self.pivots, self.dens = n, [c for c in pivots if c < n], [d for _, d in rows]
+        T, self.den = integer_scale([x for row in R.data for x in row[n:]])
+        T = scale * np.array(T, dtype=object).reshape(m, m)
+        self.order, self.pivots = n, [c for c in pivots if c < n]
         self.weight, self.T = row_weight(T), _int_array(T)
         debug_record("derring.derivations", "inner system %dx%d over %s: rank %d",
                      m, n, field, len(self.pivots), shape=(m, n), rank=len(self.pivots))
 
-    def solve(self, rhs: Sequence) -> Optional[List]:
-        """The solution of A x = M b read off the RREF, b the generator images
-        ``rhs``, or None when there is none; T b is exact in int64 while T's
-        row weight times max |b| and p stay below 2^63."""
+    def solve(self, ints: np.ndarray, lb: int) -> Optional[Tuple[np.ndarray, int]]:
+        """The solution of A x = M b read off the RREF, b the generator images as
+        ``ints`` over Lb, as integers over one denominator (``_lowest_terms``), or
+        None when there is none; exact in int64 while T's row weight times max |b|
+        and p stay below 2^63."""
         F, r = self.field, len(self.pivots)
-        ints, lb, top = _scaled(rhs)
-        dtype = sum_dtype(self.weight, top, F.p)
+        dtype = sum_dtype(self.weight, _top(ints), F.p)
         Tb = self.T.astype(dtype, copy=False) @ ints.astype(dtype, copy=False)
-        Tb = (Tb % F.p if F.p else Tb).tolist()
-        if any(Tb[r:]):
+        Tb = Tb % F.p if F.p else Tb
+        if Tb[r:].any():
             return None
-        x = [F.zero()] * self.order
-        for c, v, d in zip(self.pivots, Tb, self.dens):
-            x[c] = v if F.p else _rat(self.scale * v, d * lb)
-        return x
+        x = np.zeros(self.order, dtype=dtype)
+        x[self.pivots] = Tb[:r]
+        return _lowest_terms(F, x, self.den * lb)
 
 
 def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
@@ -590,18 +592,17 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     table T (over Ld), exact in int64 while Ld w max |beta| + M Lb max |T|
     < 2^63, w the actions' weight on scale M.
     """
-    G, F, p = D.group, D.field, D.field.p
-    solution = _cached(_InnerSystem, D.sigma, D.tau, F).solve(D.generator_flat())
+    G, F, p, (ints, lgen) = D.group, D.field, D.field.p, D.integer_images
+    solution = _cached(_InnerSystem, D.sigma, D.tau, F).solve(ints.ravel(), lgen)
     if solution is None:
         return None
-    beta, lb, top = _scaled(solution)
-    table, ld = D.integer_table()
+    (beta, lb), (table, ld) = solution, D.integer_table()
     cols, vals, scale, weight = inner_block(D.sigma, D.tau, range(G.order))
-    dtype = sum_dtype(ld * weight, top, p, scale * lb * _top(table))
+    dtype = sum_dtype(ld * weight, _top(beta), p, scale * lb * _top(table))
     image = _inner_gather(cols, vals, beta, dtype)
     diff = ld * image - scale * lb * table.astype(dtype, copy=False)  # Ld = M = Lb = 1 over GF(p)
     same = not (diff % p if p else diff).any()
-    return GroupRingElement(G, F, solution, coerce=False) if same else None
+    return GroupRingElement(G, F, _values(F, beta, lb), coerce=False) if same else None
 
 
 def averaging_witness(D: TwistedDerivation) -> GroupRingElement:
@@ -659,17 +660,15 @@ def derivation_space(field: Field, sigma: Endomorphism,
 
     Unknowns are the generator images; each relator contributes |G|
     linear constraints, the coefficients of its image (``relator_block``).
+    Member k is column k of the system's ``integer_kernel`` K over lcms[k].
     """
-    tau = sigma if tau is None else tau
-    G, n = sigma.group, sigma.group.order
-    cols, vals = relator_block(sigma, tau)
-    system = Matrix.from_block(field, cols, vals, len(G.generators) * n)
+    tau, G = sigma if tau is None else tau, sigma.group
+    K, lcms = integer_kernel(field, dense_block(field, *relator_block(sigma, tau),
+                                                len(G.generators) * G.order))
     if not basis:
-        return system.cols - system.rank(), None
-    kernel = system.kernel_basis()
-    return len(kernel), [TwistedDerivation(G, field, sigma, tau, provenance="extended", images={
-        name: vec[k * n:(k + 1) * n] for k, (name, _) in enumerate(G.generators)})
-                 for vec in kernel]
+        return len(lcms), None
+    return len(lcms), [TwistedDerivation(G, field, sigma, tau, provenance="extended",
+                                         images=(col, lcm)) for col, lcm in zip(K.T, lcms.tolist())]
 
 
 def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
@@ -780,11 +779,10 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     T[np.array(p_gens) * n + group.identity, np.arange(r)] = 1
     T = _tree_extend(_tree_plan(sigma, sigma, tuple(p_gens + reg_gens)), T) % field.p
     # (g D_i)(s)[t] = D_i(s)[g^-1 t]: every member's generator images in one gather
-    names, gens = zip(*group.generators)
-    images = T.reshape(n, n, r)[list(gens)][:, group.mul_array[group.inv_array]]
-    out = [TwistedDerivation(group, field, sigma, sigma, provenance="extended",
-                             images=dict(zip(names, member)))
-           for members in images.transpose(1, 3, 0, 2).tolist() for member in members]
+    gens = [s for _, s in group.generators]
+    images = T.reshape(n, n, r)[gens][:, group.mul_array[group.inv_array]]
+    out = [TwistedDerivation(group, field, sigma, sigma, provenance="extended", images=(member, 1))
+           for members in images.transpose(1, 3, 0, 2) for member in members]
     for D in out[group.identity * r:(group.identity + 1) * r]:  # the seeds 1 D_i
         bad = product_rule_violation(D)
         if bad is not None:

@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, common_field, common_group, parse_word
-from .linalg import Field, Matrix, integer_scale
+from .linalg import Field, Matrix, dense_block, integer_scale
 
 
 class GroupRingElement:
@@ -166,7 +166,7 @@ def _commutator_map(beta: GroupRingElement, sign: int) -> Matrix:
     inv = G.inv_array[np.array(hs, dtype=np.int64)]
     cols = np.concatenate([G.mul_array[:, inv], G.mul_array[inv].T], axis=1)
     vals = np.tile(np.concatenate([b, -sign * b]), (G.order, 1))
-    return Matrix.from_block(beta.field, cols, vals, G.order)
+    return Matrix(beta.field, dense_block(beta.field, cols, vals, G.order).tolist(), coerce=False)
 
 
 def centralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:

@@ -25,7 +25,8 @@ and the pivots and the RREF are the rational ones.  The loop has no
 cap: unlucky primes divide some nonzero minor, so there are finitely
 many, and M grows until every entry reconstructs and the bound holds.
 ``Matrix.rank`` reads the pivots with no rational RREF, and a rank mod p
-equal to min(rows, cols) is exact with no lift.
+equal to min(rows, cols) is exact with no lift.  ``integer_kernel`` reads
+the kernel off in integers, each column over its lcm, for either field.
 
 Sparse rows (``sparse_rank``) run the same kernel and the same lift
 (``_lift``); only the mod-p step differs.  The rows stream in chunks
@@ -117,7 +118,7 @@ class Field:
         """Normalize ints, rationals or 'a/b' strings into this field.
 
         A literal whose denominator is 0 in this field is refused with a
-        ValueError that names it.
+        ValueError that names it; a float, in every field, with a TypeError.
         """
         if isinstance(x, str):
             num, slash, den = x.strip().partition("/")
@@ -138,6 +139,8 @@ class Field:
             if num is None or den is None:
                 raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
             return (int(num) % self.p) * pow(int(den), -1, self.p) % self.p
+        if isinstance(x, float):  # no floats: 0.1 is not 1/10
+            raise TypeError(f"cannot coerce {x!r} into QQ")
         return _rat(x)
 
     def add(self, a, b):
@@ -230,15 +233,6 @@ class Matrix:
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], coerce=False)
 
     @classmethod
-    def from_block(cls, field: Field, cols: np.ndarray, vals: np.ndarray,
-                   ncols: int) -> "Matrix":
-        """The rows of one (cols, vals) block (see ``_sparse_blocks``), dense (``dense_block``)."""
-        m = cls.__new__(cls)  # the rows are fresh lists of one length: no copy, no check
-        m.field, m.rows, m.cols = field, len(cols), ncols
-        m.data = dense_block(field, cols, vals, ncols).tolist()
-        return m
-
-    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         zero = field.zero()
         m = cls(field, [[zero] * cols for _ in range(rows)], coerce=False)
@@ -269,32 +263,32 @@ class Matrix:
             data = [list(row) for row in self.data]
             pivots = rref_mod_p(data, p)
         else:
-            data, pivots = _rref_rational(self.data, self.cols)
+            data, pivots = _rref_rational(self._integers())
         return Matrix(self.field, data, coerce=False), tuple(pivots)
 
     def rank(self) -> int:
         """The rank; over QQ the lift's pivots (``_rational_lift``), with no rational RREF."""
         if self.field.p or not self.rows:
             return len(self.rref()[1])
-        return len(_rational_lift(self.data, self.cols, rank_only=True)[0])
+        return len(_rational_lift(self._integers(), rank_only=True)[0])
 
     def kernel_basis(self) -> List[List]:
-        """Basis of the right nullspace, one vector per free column."""
-        F = self.field
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = F.zero(), F.one()
-        basis = []
-        for f in free:
-            v = [zero] * self.cols
-            v[f] = one
-            for r_idx, pc in enumerate(pivots):
-                x = R.data[r_idx][f]
-                if x:
-                    v[pc] = F.neg(x)
-            basis.append(v)
-        return basis
+        """One vector per free column: a column of ``integer_kernel`` over its lcm."""
+        K, lcms = integer_kernel(self.field, self._integers())
+        return [_values(self.field, col, lcm) for col, lcm in zip(K.T, lcms.tolist())]
+
+    def _integers(self) -> np.ndarray:
+        """The rows in one ``object`` array, over QQ each over its own denominator."""
+        rows = self.data if self.field.p else [integer_scale(row)[0] for row in self.data]
+        return np.array(rows, dtype=object).reshape(self.rows, self.cols)
+
+
+def _values(field: Field, ints: np.ndarray, den: int) -> List:
+    """The field elements x / den of an integer array; its ints themselves when den is 1."""
+    if den == 1:
+        return ints.tolist()
+    inv = field.inv(field.coerce(den))
+    return [field.mul(inv, x) for x in ints.tolist()]
 
 
 def dense_block(field: Field, cols: np.ndarray, vals: np.ndarray, ncols: int) -> np.ndarray:
@@ -436,7 +430,7 @@ def row_weight(rows) -> int:
         top = max(int(rows.max()), -int(rows.min()))
         if top * rows.shape[1] < 2 ** 63:
             return int(np.abs(rows).sum(axis=1).max())
-    return max(sum(abs(int(c)) for c in row) for row in rows.tolist())
+    return max(sum(map(abs, map(int, row))) for row in rows.tolist())
 
 
 def sum_dtype(weight: int, top: int, p: int = 0, extra: int = 0):
@@ -484,47 +478,63 @@ def _lift(modp, weight: int) -> Tuple[List[int], List[int], Tuple[np.ndarray, np
             return pivots, free, kernel, primes
 
 
-def _rational_lift(data: Sequence[Sequence], ncols: int, rank_only: bool = False):
-    """``_lift`` of dense rows over QQ, each over its own common denominator
-    (which keeps the RREF), and one DEBUG record.  With ``rank_only``, a rank
-    mod p equal to min(rows, cols) is exact: no lift, and the kernel is None."""
-    ints = [integer_scale(row)[0] for row in data]
-
-    def modp(p):
-        reduced = [[x % p for x in row] for row in ints]
-        found = rref_mod_p(reduced, p)
-        taken = set(found)
-        free = [c for c in range(ncols) if c not in taken]
-        rows = np.array(reduced[:len(found)], dtype=np.int64).reshape(len(found), ncols)
-        return found, free, rows[:, free]
-
-    first = modp(_FIRST_PRIME)
+def _rational_lift(ints: np.ndarray, rank_only: bool = False):
+    """``_lift`` of dense integer rows, one array, and one DEBUG record.  With
+    ``rank_only``, a rank mod p equal to min(rows, cols) is exact: no lift, and
+    the kernel is None."""
+    first = _rref_residues(ints, _FIRST_PRIME)
     pivots, free, kernel, primes = *first[:2], None, 1
-    if not rank_only or len(pivots) < min(len(ints), ncols):
+    if not rank_only or len(pivots) < min(ints.shape):
         # the lift starts from the elimination already done at the first prime
-        pivots, free, kernel, primes = _lift(lambda p: first if p == _FIRST_PRIME else modp(p),
-                                             max(sum(map(abs, row)) for row in ints))
-    _log_rational((len(ints), ncols), len(pivots), primes,
+        pivots, free, kernel, primes = _lift(
+            lambda p: first if p == _FIRST_PRIME else _rref_residues(ints, p), row_weight(ints))
+    _log_rational(ints.shape, len(pivots), primes,
                   lifted=kernel is not None and bool(free and pivots))
     return pivots, free, kernel
 
 
-def _rref_rational(data: Sequence[Sequence], ncols: int) -> Tuple[List[List], List[int]]:
-    """The RREF over QQ by the multimodular engine (see the module notes)."""
-    if not data:
+def _rref_rational(ints: np.ndarray) -> Tuple[List[List], List[int]]:
+    """The RREF over QQ of integer rows by the multimodular engine (see the module notes)."""
+    if not len(ints):
         return [], []
-    pivots, free, (rows, lcms) = _rational_lift(data, ncols)
-    zero, one, lcms = _rat(0), _rat(1), lcms.tolist()
-    out = []
-    for pc, row in zip(pivots, rows.tolist()):
-        full = [zero] * ncols
-        full[pc] = one
+    pivots, free, (rows, lcms) = _rational_lift(ints)
+    zero, lcms = _rat(0), lcms.tolist()
+    out = [[zero] * ints.shape[1] for _ in range(len(ints))]
+    for full, pc, row in zip(out, pivots, rows.tolist()):
+        full[pc] = _rat(1)
         for f, x, lcm in zip(free, row, lcms):
             if x:
                 full[f] = _rat(-x, lcm)
-        out.append(full)
-    out.extend([zero] * ncols for _ in range(len(data) - len(pivots)))
     return out, pivots
+
+
+def _rref_residues(ints: np.ndarray, p: int) -> Tuple[List[int], List[int], np.ndarray]:
+    """The pivots, free columns and residues there of ``rref_mod_p`` of integer rows."""
+    reduced, ncols = (ints % p).tolist(), ints.shape[1]
+    pivots = rref_mod_p(reduced, p)
+    free = sorted(set(range(ncols)) - set(pivots))
+    rows = np.array(reduced[:len(pivots)], dtype=sum_dtype(0, p)).reshape(len(pivots), ncols)
+    return pivots, free, rows[:, free]
+
+
+def integer_kernel(field: Field, ints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel of integer rows, one array, as K and lcms: column k of K over
+    lcms[k] is the ``Matrix.kernel_basis`` vector of free column k, in lowest
+    terms; over GF(p) residues over 1, over QQ the lift's ``_integer_kernel``."""
+    if not field.p:
+        return _kernel_columns(*_rational_lift(ints))
+    pivots, free, rows = _rref_residues(ints, field.p)
+    return _kernel_columns(pivots, free, (-rows % field.p, np.ones(len(free), dtype=rows.dtype)))
+
+
+def _kernel_columns(pivots: Sequence[int], free: Sequence[int],
+                    kernel: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """(K, lcms) of a kernel (rows, lcms) as ``_lift`` gives it: K is rows at the
+    pivots and lcms at the free columns, one each."""
+    rows, lcms = kernel
+    K = np.zeros((len(pivots) + len(free), len(free)), dtype=rows.dtype)
+    K[free, np.arange(len(free))], K[pivots] = lcms, rows
+    return K, lcms
 
 
 def debug_record(logger: str, message: str, *args, **fields) -> None:
@@ -733,10 +743,7 @@ def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> 
     if field.p:
         K = _sparse_kernel(blocks, ncols, field.p, seed)[0]
     else:
-        pivots, free, (rows, lcms) = _sparse_lift(blocks, ncols, seed)
-        K = np.zeros((len(pivots) + len(free), len(free)), dtype=rows.dtype)
-        K[free, np.arange(len(free))], K[pivots] = lcms, rows
-        K = _seeded(seed, K)
+        K = _seeded(seed, _kernel_columns(*_sparse_lift(blocks, ncols, seed))[0])
     if not K.shape[1]:
         return []
     R, _ = Matrix(field, [vec[::-1] for vec in K.T.tolist()], coerce=False).rref()

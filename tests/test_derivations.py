@@ -1,12 +1,14 @@
 import logging
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from derring import derivations, groupring, linalg
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
-                                 _tree_seed, abelian_basis, averaging_witness,
+                                 _tree_plan, _tree_seed, abelian_basis, averaging_witness,
                                  cyclic_power_derivation, derivation_space,
                                  derivation_space_full, extend_from_generators,
                                  free_eval, inner_block, inner_derivation, is_inner,
@@ -900,3 +902,79 @@ def test_walked_inner_oracle_and_given_copies_compare_equal(field):
                    TwistedDerivation(G, field, sigma, sigma, images={
                        **S.images, name: [field.add(S.images[name][0], 1)] + S.images[name][1:]})]
         assert all(c != d and d != c for c in changed for d in copies)
+
+
+# -- the one integer form of generator images ---------------------------------
+
+def test_images_given_are_coerced_into_the_field():
+    c3 = cyclic_group(3)
+    ident = identity_endomorphism(c3)
+    F = GF(3)
+    # 1/2 is 2 in GF(3): the table once read D(x) = 1, and equal to that derivation
+    D = TwistedDerivation(c3, F, ident, ident, images={"x": [Fraction(1, 2), 0, 0]})
+    assert D.images == {"x": [2, 0, 0]} and D.integer_images[1] == 1
+    assert D.integer_table()[0].tolist() == [0, 0, 0, 2, 0, 0, 0, 1, 0]
+    assert D == TwistedDerivation(c3, F, ident, ident, images={"x": [2, 0, 0]})
+    assert D != TwistedDerivation(c3, F, ident, ident, images={"x": [1, 0, 0]})
+    # once kept unreduced
+    four = TwistedDerivation(c3, F, ident, ident, images={"x": [4, 0, 0]})
+    assert four.images == {"x": [1, 0, 0]} and four.generator_flat() == [1, 0, 0]
+    with pytest.raises(TypeError, match="cannot coerce"):
+        TwistedDerivation(c3, QQ, ident, ident, images={"x": [0.5, 0, 0]})
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_members_are_built_and_checked_with_no_integer_scale(field, monkeypatch):
+    # the kernel hands its integers to the members, and the walk, the product
+    # rule and the inner solve read them as they are
+    is_inner(derivation_space(field, D16_SIGMA)[1][0])  # the inner system, eliminated once
+    original, calls = linalg.integer_scale, []
+
+    def spy(values):
+        calls.append(len(values))
+        return original(values)
+
+    patched = [module for name, module in sys.modules.items()
+               if name.startswith("derring") and getattr(module, "integer_scale", None) is original]
+    assert {linalg, derivations, groupring} <= set(patched)
+    for module in patched:
+        monkeypatch.setattr(module, "integer_scale", spy)
+    dim, basis = derivation_space(field, D16_SIGMA)
+    for D in basis:
+        D.integer_table()
+        assert verify_derivation(D) is None and is_inner(D) is not None
+    assert dim == len(basis) == 9 and calls == []
+
+
+def test_qq_images_have_one_integer_form_whatever_their_type():
+    G, sigma = D16_SIGMA.group, D16_SIGMA
+    for member in derivation_space(QQ, sigma)[1]:
+        ints, den = member.integer_images
+        assert (ints.ravel().tolist(), den) == integer_scale(member.generator_flat())
+        # every value a Fraction, written over six times its denominator
+        over_six = {name: [Fraction(6 * Fraction(c).numerator, 6 * Fraction(c).denominator)
+                           for c in image] for name, image in member.images.items()}
+        for D in (TwistedDerivation(G, QQ, sigma, sigma, images=member.images),
+                  TwistedDerivation(G, QQ, sigma, sigma, images=over_six)):
+            given, given_den = D.integer_images
+            assert np.array_equal(given, ints) and given_den == den
+            assert given.dtype == np.int64 and not given.flags.writeable
+            assert D == member and member == D
+        # a third of it, as Fractions and as "c/3" strings: the same integers over 3
+        thirds = [TwistedDerivation(G, QQ, sigma, sigma, images={
+            name: [wrap(c) for c in image] for name, image in member.images.items()})
+                  for wrap in (lambda c: Fraction(c, 3), lambda c: f"{c}/3")]
+        for D in thirds:
+            assert np.array_equal(D.integer_images[0], ints) and D.integer_images[1] == 3
+        assert thirds[0] == thirds[1] != member
+
+
+def test_tree_plan_seeds_each_root_with_its_first_generator_row():
+    G = dihedral_group(6)
+    sigma = endo_from_images(G, {"a": "a^5", "b": "b"})
+    (_, a), (_, b) = G.generators
+    roots, edges, levels, (dst, src) = _tree_plan(sigma, sigma, (a, G.identity, a, b))
+    assert dst.tolist() == [a, b] and src.tolist() == [0, 3]
+    assert not dst.flags.writeable and not src.flags.writeable
+    # the identity and a repeated generator change neither the roots nor the tree
+    assert (roots, edges) == _tree_plan(sigma, sigma, (a, b))[:2]

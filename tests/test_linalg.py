@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from derring.derivations import derivation_space, derivation_space_full
-from derring.groups import dihedral_group, identity_endomorphism
-from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, is_prime, parse_field,
-                            row_weight, rows_full_rank, rref_mod_p, sparse_rank)
+from derring.groupring import GroupRingElement
+from derring.groups import cyclic_group, dihedral_group, identity_endomorphism
+from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, dense_block, is_prime,
+                            parse_field, row_weight, rows_full_rank, rref_mod_p, sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import dot, gauss_jordan, matmul, same_row_space, solve
 
@@ -65,6 +66,19 @@ def test_rational_arithmetic_exact():
 def test_gf_coerces_fractions():
     F = GF(3)
     assert F.coerce("1/2") == F.div(F.one(), F.coerce(2))
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_floats_are_refused_in_every_field(field):
+    # QQ once read 0.1 as 3602879701896397/36028797018963968
+    for x in (0.1, 0.5, np.float64(0.5)):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            field.coerce(x)
+    with pytest.raises(TypeError, match="cannot coerce"):
+        GroupRingElement(cyclic_group(3), field, [0.5, 0, 0])
+    assert field.coerce("1/2") == field.div(field.one(), field.coerce(2))
+    half = GroupRingElement(cyclic_group(3), field, ["1/2", 0, 0])
+    assert half.coeffs == [field.coerce("1/2"), 0, 0]
 
 
 def test_rank_identity_and_zero():
@@ -195,7 +209,7 @@ def test_sparse_rank_matches_dense(field):
         assert sparse_rank(field, [block]) == expected
 
 
-def test_row_weight_and_from_block_are_exact_past_int64():
+def test_row_weight_and_dense_block_are_exact_past_int64():
     big = 2 ** 62
     vals = np.array([[big, big, -big], [1, -2, 0]], dtype=np.int64)
     # each entry fits int64, the first row's |vals| sum does not
@@ -203,9 +217,9 @@ def test_row_weight_and_from_block_are_exact_past_int64():
     assert row_weight(vals.astype(object)) == 3 * big
     assert row_weight(np.zeros((0, 3), dtype=np.int64)) == 0
     cols = np.array([[0, 0, 1], [0, 1, 2]])
-    assert Matrix.from_block(QQ, cols, vals, 3).data == [[2 * big, -big, 0], [1, -2, 0]]
+    assert dense_block(QQ, cols, vals, 3).tolist() == [[2 * big, -big, 0], [1, -2, 0]]
     p = 2 ** 63 - 25
-    assert Matrix.from_block(GF(p), cols, vals, 3).data == [
+    assert dense_block(GF(p), cols, vals, 3).tolist() == [
         [2 * big % p, -big % p, 0], [1, p - 2, 0]]
 
 

@@ -33,8 +33,8 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word, table_group)
 from derring import derivations, linalg
-from derring.linalg import (GF, QQ, Matrix, is_prime, rref_mod_p, sparse_kernel_basis,
-                            sparse_rank)
+from derring.linalg import (GF, QQ, Matrix, dense_block, is_prime, rref_mod_p,
+                            sparse_kernel_basis, sparse_rank)
 from gauss_jordan import dot, gauss_jordan, rows_rank, solve
 
 PROPERTY = settings(max_examples=12, deadline=None)
@@ -129,7 +129,7 @@ def test_relator_matrix_matches_free_eval(point, data):
               for k, (name, _) in enumerate(group.generators)}
     expected = [c for rel in group.relators for c in free_eval(images, sigma, tau, rel).coeffs]
     cols, vals = relator_block(sigma, tau)
-    got = [dot(field, row, vec) for row in Matrix.from_block(field, cols, vals, len(vec)).data]
+    got = [dot(field, row, vec) for row in dense_block(field, cols, vals, len(vec)).tolist()]
     assert got == expected
     # extend_from_generators gathers the integer images through the same block
     assert [field.coerce(x) for x in _inner_gather(cols, vals, vec, object).tolist()] == expected
@@ -365,7 +365,7 @@ def fresh_witness(D):
     ``inner_block`` against M times the generator images, certified on all of D."""
     G, F = D.group, D.field
     cols, vals, scale, _ = inner_block(D.sigma, D.tau, [s for _, s in G.generators])
-    x = solve(F, Matrix.from_block(F, cols, vals, G.order).data,
+    x = solve(F, dense_block(F, cols, vals, G.order).tolist(),
               [scale * c for c in D.generator_flat()])
     if x is None or inner_derivation(GroupRingElement(G, F, x), D.sigma, D.tau) != D:
         return None
