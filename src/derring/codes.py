@@ -11,10 +11,17 @@ middle on bit planes: the codewords of one half of the rows are held as
 b = bit_length(q - 1) planes of ceil(n/64) uint64 words, for any n, and
 every codeword's weight is a popcount of XORs against the other half's,
 in blocks of at most ``_BLOCK_WORDS`` (2^16) words, with exact int64
-counts up to the cap.  The other side's weight distribution follows by the
-MacWilliams identity, computed exactly as integer Kravchuk sums; both
-distributions are checked to have the right number of codewords.  A
-code whose smaller side exceeds ``ENUMERATION_CAP`` is refused.
+counts up to the cap.  It visits one codeword per line, since c and
+lambda c (lambda in GF(q)*) have the same weight: one half's messages
+are 0 and one message per line of the others, each such row counted
+q - 1 times, so the counts stay exact and the work falls from q^k pairs
+to (1 + (q^h - 1)/(q - 1)) q^(k - h), h = ceil(k/2).  The other side's
+weight distribution follows by the MacWilliams identity, computed
+exactly as integer Kravchuk sums; both distributions are checked to have
+the right number of codewords.  A code whose smaller side exceeds
+``ENUMERATION_CAP`` is refused.  A code eliminates its generator once
+(``LinearCode.echelon``): ``idd_code``'s refusal of dependent images and
+the dual's basis read the same elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
@@ -31,7 +38,8 @@ import numpy as np
 
 from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
-from .linalg import Field, Matrix, _values, debug_record, rref_mod_p, sum_dtype
+from .linalg import (Field, Matrix, _values, debug_record, echelon_kernel, echelon_residues,
+                     rref_mod_p, sum_dtype)
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
@@ -51,6 +59,13 @@ class LinearCode:
     k: int
     generator: Matrix
     source: Dict = dataclass_field(default_factory=dict)
+
+    @cached_property
+    def echelon(self) -> Tuple[List[List[int]], List[int]]:
+        """A copy of the generator's rows as ``rref_mod_p`` reduces them, and its
+        pivots: one elimination for the rank check and the dual."""
+        reduced = [list(row) for row in self.generator.data]
+        return reduced, rref_mod_p(reduced, self.field.p)
 
     def codeword(self, message: Sequence) -> List:
         return encode(self, message)
@@ -77,11 +92,6 @@ def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
         raise ValueError("subset must be a proper subset of the group")
     # rows of D's integer table: residues, over the denominator 1
     gen = Matrix(F, D.integer_table()[0].reshape(G.order, -1)[subset].tolist(), coerce=False)
-    if gen.rank() != len(subset):
-        witness = gen.transpose().kernel_basis()[0]
-        names = [G.names[g] for g in subset]
-        raise DependentSubset(
-            f"images of {names} are linearly dependent", witness=witness)
     source = {
         "group": G.describe(),
         "sigma": D.sigma.describe(),
@@ -89,7 +99,13 @@ def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
         "subset": [G.names[g] for g in subset],
         "subset_indices": list(subset),
     }
-    return LinearCode(F, G.order, len(subset), gen, source)
+    code = LinearCode(F, G.order, len(subset), gen, source)
+    if len(code.echelon[1]) != len(subset):
+        witness = gen.transpose().kernel_basis()[0]
+        names = [G.names[g] for g in subset]
+        raise DependentSubset(
+            f"images of {names} are linearly dependent", witness=witness)
+    return code
 
 
 def encode(code: LinearCode, message: Sequence) -> List:
@@ -114,60 +130,112 @@ def encode(code: LinearCode, message: Sequence) -> List:
 _BLOCK_WORDS = 2 ** 16
 
 
-def _span_planes(gen: np.ndarray, start: int, stop: int, q: int) -> np.ndarray:
-    """Bit planes of the codewords of messages start..stop-1 over the rows of gen.
+@lru_cache(maxsize=64)
+def _line_messages(q: int, h: int) -> np.ndarray:
+    """Message 0, then one message of every line of nonzero messages in GF(q)^h.
+
+    The representative of a line is its message whose most significant
+    nonzero base-q digit is 1: the ranges [q^j, 2 q^j) for j < h, so
+    1 + (q^h - 1)/(q - 1) messages, and for q = 2 every message below 2^h.
+    """
+    messages = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        np.arange(q ** j, 2 * q ** j, dtype=np.int64) for j in range(h)])
+    messages.flags.writeable = False
+    return messages
+
+
+def _span_planes(gen: np.ndarray, messages: np.ndarray, q: int) -> np.ndarray:
+    """Bit planes of the codewords of the given messages over the rows of gen.
 
     Message x has the base-q digits of x, least significant first.  The
-    result is (b, stop - start, ceil(n/64)) uint64, b = bit_length(q - 1):
+    result is (b, len(messages), ceil(n/64)) uint64, b = bit_length(q - 1):
     plane i packs bit i of every residue, little-endian.
     """
     b = (q - 1).bit_length()
     words = -(-gen.shape[1] // 64)
-    digits = np.arange(start, stop, dtype=np.int64)[:, None] // q ** np.arange(
-        len(gen), dtype=np.int64) % q
+    digits = messages[:, None] // q ** np.arange(len(gen), dtype=np.int64) % q
     table = digits @ gen % q
     if b > 1:
         table = table >> np.arange(b, dtype=np.int64)[:, None, None] & 1
-    packed = np.packbits(table.reshape(b, stop - start, -1), axis=-1, bitorder="little")
-    planes = np.zeros((b, stop - start, 8 * words), dtype=np.uint8)
+    packed = np.packbits(table.reshape(b, len(messages), -1), axis=-1, bitorder="little")
+    planes = np.zeros((b, len(messages), 8 * words), dtype=np.uint8)
     planes[:, :, :packed.shape[2]] = packed
     return planes.view(np.uint64)
+
+
+def _bincount_pairs(weights: np.ndarray, n: int) -> np.ndarray:
+    """``np.bincount(weights, minlength=n + 1)`` of weights in [0, n], two per index.
+
+    uint8 weights (n < 256) are read in neighbouring pairs as one uint16
+    index lo + 256 hi, so one bincount of 256 (n + 1) bins over half as
+    many indices, folded back along both axes (the fold is symmetric, so
+    the byte order does not matter).  The fold is a pass over the bins, so
+    this pays only from four weights per bin on; otherwise, and for wider
+    weights, they are counted one by one.
+    """
+    if weights.dtype != np.uint8 or len(weights) < 4 * 256 * (n + 1):
+        return np.bincount(weights, minlength=n + 1)
+    even = len(weights) & ~1
+    pairs = np.bincount(weights[:even].view(np.uint16), minlength=256 * (n + 1))
+    pairs = pairs.reshape(n + 1, 256)
+    counts = pairs.sum(axis=0)[:n + 1] + pairs.sum(axis=1)
+    if even < len(weights):
+        counts[weights[-1]] += 1
+    return counts
 
 
 def _weight_counts(rows: List[List[int]], q: int) -> List[int]:
     """Exact weight distribution of the span of rows over GF(q).
 
     Meet in the middle: every codeword is s - p, with p spanned by the
-    first ceil(k/2) rows and s by the other floor(k/2) (the span of p is
-    closed under negation), and coordinate j of s - p is zero exactly
-    when s_j = p_j.  The q^floor(k/2) codewords s are held as
+    first h = ceil(k/2) rows and s by the other floor(k/2) (the span of p
+    is closed under negation), and coordinate j of s - p is zero exactly
+    when s_j = p_j.  One codeword per line is enough, since c and lambda c
+    have the same weight for every lambda in GF(q)*: the prefixes p are
+    those of ``_line_messages``, message 0 and one message per line of
+    the others, and every suffix s is taken.  The row of prefix 0 is
+    counted once; every other row stands for the q - 1 messages
+    lambda (prefix, suffix), suffix running over all of them, and is
+    counted q - 1 times, so the counts are exact, and a generator of rank
+    r still shows q^(k - r) zero codewords.  The q^floor(k/2) codewords
+    s are held as
     b = bit_length(q - 1) bit planes S_i of ceil(n/64) uint64 words, for
     any n; the codewords p are built and packed the same way, block by
     block, so wt(s - p) = popcount(OR_i (S_i XOR P_i)) summed over the
     words, each block's XOR at most ``_BLOCK_WORDS`` words.  Residue
     tables and counts are int64: with q^k within
     ``ENUMERATION_CAP`` (checked by the caller), q < 2^26 and each
-    message-times-rows sum is below 2^52, so the counts are exact.  They
-    include the zero codeword, and the total is checked to be q^k.
+    message-times-rows sum is below 2^52, and no count, times q - 1 or
+    not, passes q^k, so the counts are exact.  They include the zero
+    codeword, and the total is checked to be q^k.
     """
     k = len(rows)
     n = len(rows[0])
     gen = np.array(rows, dtype=np.int64) % q
     hi = (k + 1) // 2
-    suffix = _span_planes(gen[hi:], 0, q ** (k - hi), q)
+    suffix = _span_planes(gen[hi:], np.arange(q ** (k - hi), dtype=np.int64), q)
     planes, size, words = suffix.shape
     step = max(1, _BLOCK_WORDS // (words * max(size, 64)))
+    messages = _line_messages(q, hi)
+    # a weight is at most n: one byte each while n < 256
+    dtype = np.uint8 if n < 256 else np.intp
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, q ** hi, step):
-        prefix = _span_planes(gen[:hi], start, min(start + step, q ** hi), q)
+    lines = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, len(messages), step):
+        prefix = _span_planes(gen[:hi], messages[start:start + step], q)
         # bit 1 at the nonzero coordinates of every s - p
         nonzero = prefix[0][:, None] ^ suffix[0]
         for plane in range(1, planes):
             nonzero |= prefix[plane][:, None] ^ suffix[plane]
-        weights = np.bitwise_count(nonzero[..., 0]).astype(np.intp)
+        weights = np.bitwise_count(nonzero[..., 0]).astype(dtype, copy=False)
         for word in range(1, words):
             weights += np.bitwise_count(nonzero[..., word])
-        counts += np.bincount(weights.ravel(), minlength=n + 1)
+        if not start:
+            # prefix 0 is a line of its own
+            counts += np.bincount(weights[0], minlength=n + 1)
+            weights = weights[1:]
+        lines += _bincount_pairs(weights.ravel(), n)
+    counts += (q - 1) * lines
     if int(counts.sum()) != q ** k:
         raise AssertionError("weight enumeration lost codewords")
     return counts.tolist()
@@ -194,6 +262,12 @@ def _transform_counts(dual_counts: List[int], n: int, q: int, dual_size: int) ->
     if sum(out) * dual_size != q ** n:
         raise AssertionError("dual weight transform lost codewords")
     return out
+
+
+def _dual_basis(code: LinearCode) -> List[List[int]]:
+    """``code.generator.kernel_basis()``, read off ``code.echelon``."""
+    p = code.field.p
+    return echelon_kernel(*echelon_residues(*code.echelon, code.n, p), p)[0].T.tolist()
 
 
 def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
@@ -225,7 +299,7 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
         if counts[0] != 1:
             raise ValueError(f"generator rank is not k = {k}")
         return counts, _transform_counts(counts, n, q, q ** k)
-    kernel = code.generator.kernel_basis()
+    kernel = _dual_basis(code)
     if len(kernel) != n - k:
         raise ValueError(f"generator rank is not k = {k}")
     dual_counts = _weight_counts(kernel, q) if kernel else [1] + [0] * n
@@ -250,7 +324,7 @@ def min_distance(code: LinearCode) -> int:
 
 def dual_code(code: LinearCode) -> LinearCode:
     """The standard nullspace dual, generated by a kernel basis."""
-    kernel = code.generator.kernel_basis()
+    kernel = _dual_basis(code)
     if kernel:
         gen = Matrix(code.field, kernel, coerce=False)
     else:

@@ -510,8 +510,13 @@ def _rref_rational(ints: np.ndarray) -> Tuple[List[List], List[int]]:
 
 def _rref_residues(ints: np.ndarray, p: int) -> Tuple[List[int], List[int], np.ndarray]:
     """The pivots, free columns and residues there of ``rref_mod_p`` of integer rows."""
-    reduced, ncols = (ints % p).tolist(), ints.shape[1]
-    pivots = rref_mod_p(reduced, p)
+    reduced = (ints % p).tolist()
+    return echelon_residues(reduced, rref_mod_p(reduced, p), ints.shape[1], p)
+
+
+def echelon_residues(reduced: List[List[int]], pivots: List[int], ncols: int,
+                     p: int) -> Tuple[List[int], List[int], np.ndarray]:
+    """The pivots, free columns and residues there of rows ``rref_mod_p`` has reduced."""
     free = sorted(set(range(ncols)) - set(pivots))
     rows = np.array(reduced[:len(pivots)], dtype=sum_dtype(0, p)).reshape(len(pivots), ncols)
     return pivots, free, rows[:, free]
@@ -523,8 +528,14 @@ def integer_kernel(field: Field, ints: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     terms; over GF(p) residues over 1, over QQ the lift's ``_integer_kernel``."""
     if not field.p:
         return _kernel_columns(*_rational_lift(ints))
-    pivots, free, rows = _rref_residues(ints, field.p)
-    return _kernel_columns(pivots, free, (-rows % field.p, np.ones(len(free), dtype=rows.dtype)))
+    return echelon_kernel(*_rref_residues(ints, field.p), field.p)
+
+
+def echelon_kernel(pivots: Sequence[int], free: Sequence[int], rows: np.ndarray,
+                   p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``integer_kernel`` over GF(p) read off the residues of an elimination
+    (``_rref_residues``, ``echelon_residues``)."""
+    return _kernel_columns(pivots, free, (-rows % p, np.ones(len(free), dtype=rows.dtype)))
 
 
 def _kernel_columns(pivots: Sequence[int], free: Sequence[int],

@@ -2,10 +2,11 @@ import logging
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derring import codes
+from derring import codes, linalg
 from derring.codes import (ENUMERATION_CAP, LinearCode, code_report, derivation_matrix,
                            dual_code, encode, idd_code,
                            is_lcd, is_self_orthogonal, linear_code_report, matrix_text,
@@ -222,6 +223,102 @@ def test_weight_counts_property(q, k, n, data):
     assert _weight_counts(rows, q) == brute_weights(rows, q)
 
 
+def enumerated_weights(rows, q):
+    """Independent oracle for large q^k: every message's codeword, by one numpy
+    product per chunk of 2^14 messages, with no lines and no meet in the middle."""
+    k, n = len(rows), len(rows[0])
+    gen = np.array(rows, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, q ** k, 2 ** 14):
+        messages = np.arange(start, min(start + 2 ** 14, q ** k))
+        digits = messages[:, None] // q ** np.arange(k) % q
+        counts += np.bincount(np.count_nonzero(digits @ gen % q, axis=1), minlength=n + 1)
+    return counts.tolist()
+
+
+def line_rows(rng, q, k, n):
+    """k random rows, the second a nonzero multiple of the first: both lie in the
+    prefix half once k >= 3, so some prefix lines span zero codewords."""
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    rows[1] = [rng.randrange(1, q) * x % q for x in rows[0]]
+    return rows
+
+
+# k >= 3, so h = ceil(k/2) >= 2 and the prefixes take the ranges [q^j, 2 q^j)
+# for j = 0 and 1 at least; GF(131) against the chunked enumeration, checked
+# here against the plain one on every smaller case
+@pytest.mark.parametrize("q", [3, 5, 7, 131])
+def test_line_enumeration_against_brute_oracle(q):
+    rng = random.Random(q * 7 + 1)
+    shapes = [(3, 2), (3, 5)] if q == 131 else [(3, 7), (4, 9), (5, 4)] + [(6, 3)] * (q == 3)
+    for k, n in shapes:
+        for rows in ([[rng.randrange(q) for _ in range(n)] for _ in range(k)],
+                     line_rows(rng, q, k, n)):
+            expected = enumerated_weights(rows, q)
+            if q != 131:
+                assert expected == brute_weights(rows, q)
+            assert _weight_counts(rows, q) == expected
+    # rank 1: the zero codeword q^(k - 1) times
+    base = [rng.randrange(1, q) for _ in range(4)]
+    rows = [[c * x % q for x in base] for c in (1, 2, q - 1)]
+    counts = _weight_counts(rows, q)
+    assert counts == enumerated_weights(rows, q) and counts[0] == q ** 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_line_enumeration_over_many_blocks(monkeypatch, q):
+    # one prefix message per block: message 0 only in the first
+    monkeypatch.setattr(codes, "_BLOCK_WORDS", 1)
+    rng = random.Random(q)
+    for k, n in ((4, 6), (5, 70)):
+        for rows in ([[rng.randrange(q) for _ in range(n)] for _ in range(k)],
+                     line_rows(rng, q, k, n)):
+            assert _weight_counts(rows, q) == brute_weights(rows, q)
+
+
+@pytest.mark.parametrize("q, k", [(2, 6), (3, 5), (3, 6), (5, 4), (131, 2), (131, 3)])
+def test_line_enumeration_takes_one_prefix_per_line(monkeypatch, q, k):
+    calls = []
+    span_planes = codes._span_planes
+
+    def spy(gen, messages, q_):
+        calls.append((len(gen), messages.tolist()))
+        return span_planes(gen, messages, q_)
+
+    monkeypatch.setattr(codes, "_span_planes", spy)
+    rng = random.Random(k)
+    rows = [[rng.randrange(q) for _ in range(9)] for _ in range(k)]
+    _weight_counts(rows, q)
+    h = (k + 1) // 2
+    # the suffix side first, complete; then the prefixes in blocks
+    assert calls[0] == (k - h, list(range(q ** (k - h))))
+    assert {size for size, _ in calls[1:]} == {h}
+    prefixes = [x for _, block in calls[1:] for x in block]
+    assert len(prefixes) == 1 + (q ** h - 1) // (q - 1)
+    assert prefixes == [0] + [x for j in range(h) for x in range(q ** j, 2 * q ** j)]
+
+
+def test_weight_counts_past_one_byte_of_weight():
+    # n >= 256: weights are counted as intp, not paired bytes
+    rng = random.Random(256)
+    for q, k in ((2, 4), (3, 3)):
+        rows = [[rng.randrange(q) for _ in range(300)] for _ in range(k)]
+        assert _weight_counts(rows, q) == brute_weights(rows, q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 24, 255])
+def test_paired_bincount_matches_bincount(n):
+    rng = np.random.default_rng(n)
+    # below and past the four weights per bin where pairing starts, odd and even
+    for size in (0, 1, 1024 * (n + 1) - 1, 1024 * (n + 1), 1024 * (n + 1) + 1):
+        weights = rng.integers(0, n + 1, size).astype(np.uint8)
+        expected = np.bincount(weights, minlength=n + 1)
+        assert codes._bincount_pairs(weights, n).tolist() == expected.tolist()
+        # the same weights one past the zero-prefix row: an odd byte offset
+        shifted = np.concatenate([[0], weights]).astype(np.uint8)[1:]
+        assert codes._bincount_pairs(shifted, n).tolist() == expected.tolist()
+
+
 def test_enumeration_cap_refuses_at_once(monkeypatch):
     class Enumerated(Exception):
         pass
@@ -289,6 +386,30 @@ def test_rank_deficient_generator_is_refused_on_both_sides():
             weight_distribution(code)
         with pytest.raises(ValueError, match="generator rank is not k"):
             linear_code_report(code)
+
+
+def test_code_report_eliminates_the_generator_once(monkeypatch):
+    calls = []
+    rref = linalg.rref_mod_p
+
+    def spy(m, p):
+        calls.append(len(m))
+        return rref(m, p)
+
+    for module in (codes, linalg):
+        monkeypatch.setattr(module, "rref_mod_p", spy)
+    D = build_context("c24")[3]
+    D18 = c18_derivation()[1]
+    # c24 S4: k = 14 > n - k, the dual enumerated from idd_code's elimination;
+    # c18: k = 8 <= n - k, the code itself
+    for D_, subset, k in ((D, REFERENCE_TABLES["c24"]["subsets"]["S4"], 14),
+                          (D18, [1, 5, 7, 9, 11, 13, 15, 17], 8)):
+        calls.clear()
+        code_report(D_, subset)
+        # the generator's rows once, then the k x k Gram matrix for the LCD flag
+        assert calls == [k, k]
+        code = idd_code(D_, subset)
+        assert codes._dual_basis(code) == code.generator.kernel_basis()
 
 
 def test_weight_transform_matches_direct_enumeration():

@@ -814,7 +814,9 @@ def test_integer_table_matches_free_eval(n):
             # over QQ a combination with denominators 3 and 7 puts the table over 21
             scales = [Fraction(rng.choice([1, 2, -5]), rng.choice([3, 7]) if not F.p else 1)
                       for _ in basis]
-            mix = {name: [F.coerce(sum(c * D.images[name][t] for c, D in zip(scales, basis)))
+            # each member's images read once: ``images`` builds its map afresh on every read
+            member_images = [D.images for D in basis]
+            mix = {name: [F.coerce(sum(c * imgs[name][t] for c, imgs in zip(scales, member_images)))
                           for t in range(G.order)] for name, _ in G.generators}
             for D in basis[:3] + [TwistedDerivation(G, F, sigma, tau, images=mix)]:
                 _assert_integer_table_matches(D, _reference_table(D))

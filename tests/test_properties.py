@@ -629,7 +629,9 @@ def test_walked_tables_past_int64_match_free_eval(group, field, data):
     scale = (st.integers(0, field.p - 1) if field.p else
              st.builds(Fraction, st.integers(-3, 3), st.sampled_from(BIG_DENOMINATORS)))
     scales = data.draw(st.lists(scale, min_size=len(basis), max_size=len(basis)))
-    images = {name: [field.coerce(sum(c * D.images[name][t] for c, D in zip(scales, basis)))
+    # each member's images read once: ``images`` builds its map afresh on every read
+    member_images = [D.images for D in basis]
+    images = {name: [field.coerce(sum(c * imgs[name][t] for c, imgs in zip(scales, member_images)))
                      for t in range(group.order)] for name, _ in group.generators}
     D = TwistedDerivation(group, field, sigma, tau, images=images)
     with chosen_dtypes() as chosen:
