@@ -38,8 +38,8 @@ import numpy as np
 
 from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
-from .linalg import (Field, Matrix, _values, debug_record, echelon_kernel, echelon_residues,
-                     rref_mod_p, sum_dtype)
+from .linalg import (Field, Matrix, _kernel_columns, _values, debug_record, echelon, rref_mod_p,
+                     sum_dtype)
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
@@ -61,11 +61,14 @@ class LinearCode:
     source: Dict = dataclass_field(default_factory=dict)
 
     @cached_property
-    def echelon(self) -> Tuple[List[List[int]], List[int]]:
-        """A copy of the generator's rows as ``rref_mod_p`` reduces them, and its
-        pivots: one elimination for the rank check and the dual."""
-        reduced = [list(row) for row in self.generator.data]
-        return reduced, rref_mod_p(reduced, self.field.p)
+    def integers(self) -> np.ndarray:
+        """The generator's residues, one array: its elimination, enumeration and Gram read it."""
+        return self.generator._integers()
+
+    @cached_property
+    def echelon(self):
+        """``linalg.echelon`` of the generator: one elimination for the rank check and the dual."""
+        return echelon(self.field, self.integers)
 
     def codeword(self, message: Sequence) -> List:
         return encode(self, message)
@@ -100,7 +103,7 @@ def idd_code(D: TwistedDerivation, subset: Sequence[int]) -> LinearCode:
         "subset_indices": list(subset),
     }
     code = LinearCode(F, G.order, len(subset), gen, source)
-    if len(code.echelon[1]) != len(subset):
+    if len(code.echelon[0]) != len(subset):
         witness = gen.transpose().kernel_basis()[0]
         names = [G.names[g] for g in subset]
         raise DependentSubset(
@@ -184,7 +187,7 @@ def _bincount_pairs(weights: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _weight_counts(rows: List[List[int]], q: int) -> List[int]:
+def _weight_counts(rows: Sequence[Sequence[int]], q: int) -> List[int]:
     """Exact weight distribution of the span of rows over GF(q).
 
     Meet in the middle: every codeword is s - p, with p spanned by the
@@ -266,8 +269,7 @@ def _transform_counts(dual_counts: List[int], n: int, q: int, dual_size: int) ->
 
 def _dual_basis(code: LinearCode) -> List[List[int]]:
     """``code.generator.kernel_basis()``, read off ``code.echelon``."""
-    p = code.field.p
-    return echelon_kernel(*echelon_residues(*code.echelon, code.n, p), p)[0].T.tolist()
+    return _kernel_columns(*code.echelon)[0].T.tolist()
 
 
 def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
@@ -294,7 +296,7 @@ def weight_distribution(code: LinearCode) -> Tuple[List[int], List[int]]:
                  side, q, small_k, q ** small_k, side=side, q=q, k=small_k,
                  codewords=q ** small_k)
     if k <= n - k:
-        counts = _weight_counts(code.generator.data, q)
+        counts = _weight_counts(code.integers, q)
         # the zero codeword is counted q^(k - rank) times
         if counts[0] != 1:
             raise ValueError(f"generator rank is not k = {k}")
@@ -340,9 +342,8 @@ def _gram(code: LinearCode) -> np.ndarray:
     An entry sums n products of residues, so it is at most n (q - 1)^2:
     int64 while that and q stay below 2^63 (``sum_dtype``), Python ints past.
     """
-    q, gen = code.field.p, code.generator
-    dtype = sum_dtype(gen.cols * (q - 1), q - 1, q)
-    rows = np.array(gen.data, dtype=dtype).reshape(gen.rows, gen.cols)
+    q = code.field.p
+    rows = code.integers.astype(sum_dtype(code.n * (q - 1), q - 1, q))
     return rows @ rows.T % q
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .derivations import TwistedDerivation, generator_rows, inner_block
 from .groups import Endomorphism, FiniteGroup, common_field, common_group
 from .groupring import GroupRingElement
-from .linalg import Field, dense_block, rows_full_rank, sparse_kernel_basis, sparse_rank
+from .linalg import Field, dense_block, echelon, sparse_kernel_basis, sparse_rank
 
 
 @dataclass
@@ -147,7 +147,7 @@ def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
         raise AssertionError("class bookkeeping lost derivations")
     cols, vals, _, _ = generator_rows(sigma, tau)
     columns = dense_block(common_field(field, sigma, tau), cols, vals, group.order)[:, members].T
-    if members and not rows_full_rank(field, columns.tolist(), len(members)):
+    if members and len(echelon(field, columns, rank_only=True)[0]) != len(members):
         raise AssertionError("inner derivation basis is not independent")
     return [TwistedDerivation(group, field, sigma, tau, provenance="inner",
                               witness=GroupRingElement.basis(group, field, g), images=(col, 1))

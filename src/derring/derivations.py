@@ -50,7 +50,7 @@ from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only
                      action_gathers, common_field, common_group, first_failing_pair,
                      word_str)
 from .groupring import GroupRingElement
-from .linalg import (Field, Matrix, _values, debug_record, dense_block, integer_kernel,
+from .linalg import (Field, _values, debug_record, dense_block, integer_kernel, integer_rref,
                      integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype)
 
 
@@ -537,10 +537,10 @@ class _InnerSystem:
     A x = b is solvable exactly when T b vanishes past the rank r, and then
     x, zero off the pivots and (T b)[i] at pivot i, is the solution read
     off the RREF of [A | b]: that RREF is [R | T b], since it is unique.
-    T is kept in integers, times M and over one denominator L (residues
-    over 1 over GF(p), where M = 1), so a solve reads x over L Lb off one
-    integer product T b, for b over Lb.  Each elimination writes one DEBUG
-    record on ``derring.derivations``.
+    T is kept in integers, times M and over one denominator L, as
+    ``integer_rref`` gives it (residues over 1 over GF(p), where M = 1), so
+    a solve reads x over L Lb off one integer product T b, for b over Lb.
+    Each elimination writes one DEBUG record on ``derring.derivations``.
     """
 
     __slots__ = ("field", "order", "pivots", "T", "den", "weight")
@@ -548,12 +548,10 @@ class _InnerSystem:
     def __init__(self, sigma: EndoLike, tau: EndoLike, field: Field):
         self.field, n = common_field(field, sigma, tau), common_group(sigma, tau).order
         cols, vals, scale, _ = generator_rows(sigma, tau)
-        A = dense_block(field, cols, vals, n).tolist()
+        A = dense_block(field, cols, vals, n)
         m = len(A)
-        R, pivots = Matrix(field, [row + [0] * i + [1] + [0] * (m - 1 - i)
-                                   for i, row in enumerate(A)], coerce=False).rref()
-        T, self.den = integer_scale([x for row in R.data for x in row[n:]])
-        T = scale * np.array(T, dtype=object).reshape(m, m)
+        pivots, R, self.den = integer_rref(field, np.hstack([A, np.eye(m, dtype=A.dtype)]))
+        T = R[:, n:].astype(sum_dtype(scale, _top(R)), copy=False) * scale
         self.order, self.pivots = n, [c for c in pivots if c < n]
         self.weight, self.T = row_weight(T), _int_array(T)
         debug_record("derring.derivations", "inner system %dx%d over %s: rank %d",

@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, common_field, common_group, parse_word
-from .linalg import Field, Matrix, dense_block, integer_scale
+from .linalg import Field, _values, dense_block, integer_kernel, integer_scale
 
 
 class GroupRingElement:
@@ -151,36 +151,35 @@ def apply_endo(sigma, alpha: GroupRingElement) -> GroupRingElement:
 
 # -- centralizers -------------------------------------------------------------
 
-def _commutator_map(beta: GroupRingElement, sign: int) -> Matrix:
-    """Matrix of alpha -> alpha*beta - sign*(beta*alpha) in the group basis.
+def _commutator_kernel(beta: GroupRingElement, sign: int) -> List[GroupRingElement]:
+    """The kernel of alpha -> alpha*beta - sign*(beta*alpha) in the group basis,
+    as ``Matrix.kernel_basis`` gives it: one vector per free column.
 
-    Built from one (cols, vals) block: row k has b_h at column k h^-1 and
+    The map is one (cols, vals) block: row k has b_h at column k h^-1 and
     -sign b_h at column h^-1 k for each h in beta's support, b the
     integers of beta over their common denominator (``integer_scale``),
-    which scale the map and keep its kernel.
+    which scale the map and keep its kernel (``integer_kernel``).
     """
-    G = beta.group
+    G, F = beta.group, beta.field
     ints, _ = integer_scale(beta.coeffs)
     hs = [h for h, b in enumerate(ints) if b]
     b = np.array([ints[h] for h in hs], dtype=object)
     inv = G.inv_array[np.array(hs, dtype=np.int64)]
     cols = np.concatenate([G.mul_array[:, inv], G.mul_array[inv].T], axis=1)
     vals = np.tile(np.concatenate([b, -sign * b]), (G.order, 1))
-    return Matrix(beta.field, dense_block(beta.field, cols, vals, G.order).tolist(), coerce=False)
+    K, lcms = integer_kernel(F, dense_block(F, cols, vals, G.order))
+    return [GroupRingElement(G, F, _values(F, col, lcm), coerce=False)
+            for col, lcm in zip(K.T, lcms.tolist())]
 
 
 def centralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:
     """Basis of {alpha : alpha*beta = beta*alpha}, in echelon order."""
-    m = _commutator_map(beta, 1)
-    return [GroupRingElement(beta.group, beta.field, v, coerce=False)
-            for v in m.kernel_basis()]
+    return _commutator_kernel(beta, 1)
 
 
 def anticentralizer_basis(beta: GroupRingElement) -> List[GroupRingElement]:
     """Basis of {alpha : alpha*beta = -beta*alpha}."""
-    m = _commutator_map(beta, -1)
-    return [GroupRingElement(beta.group, beta.field, v, coerce=False)
-            for v in m.kernel_basis()]
+    return _commutator_kernel(beta, -1)
 
 
 # -- parsing and formatting ---------------------------------------------------

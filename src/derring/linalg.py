@@ -4,19 +4,25 @@ Scalars are plain Python ints (always reduced mod p) for GF(p) and
 arbitrary-precision rationals for the rational field, so every result in
 the toolkit is exact; there is no floating point anywhere.
 
+An elimination of integer rows, one array, has one entry point,
+``echelon``: its pivots, free columns and RREF entries there as integers
+over their column's lcm, read whole by ``integer_rref`` (over one
+denominator) and ``integer_kernel``.  No solve path builds a rational
+RREF; ``Matrix`` is the API edge, where integers become field elements.
+
 Every row reduction runs one kernel, ``rref_mod_p``: Gauss-Jordan mod a
 prime on rows of residues, first-nonzero pivoting, in Python ints, so it
 is exact for every p.  Each step touches only the nonzero columns of the
 pivot row, and the systems derring builds are sparse.  Over GF(p) that
-is the whole story.  Over the rationals each row is scaled to integers
-(which keeps the RREF), reduced mod 2^31 - 1, and the entries at the
-free columns are recovered by rational reconstruction, combining further
-primes (taken downward) by CRT while reconstruction or the certificate
-fails.  The certificate is Cabay's bound (S. Cabay, "Exact solution of
-linear equations", SYMSAC 1971): K, the kernel vectors read off the
-candidate RREF and scaled to integers, is a multiple of the kernel mod p
-at every prime of the CRT modulus M, so A K = 0 mod M, and no entry of
-A K exceeds w max|K|, w the largest sum of |entries| of a row of A; so
+is the whole story.  Over the rationals the integer rows (which keep
+the RREF) are reduced mod 2^31 - 1, and the entries at the free columns
+are recovered by rational reconstruction, combining further primes
+(taken downward) by CRT while reconstruction or the certificate fails.
+The certificate is Cabay's bound (S. Cabay, "Exact solution of linear
+equations", SYMSAC 1971): K, the kernel vectors read off the candidate
+RREF and scaled to integers, is a multiple of the kernel mod p at every
+prime of the CRT modulus M, so A K = 0 mod M, and no entry of A K
+exceeds w max|K|, w the largest sum of |entries| of a row of A; so
 w max|K| < M proves A K = 0 with no product, and a loose bound costs one
 more prime.  K is the identity on the non-pivot columns, so it has full
 rank n - r_p and A K = 0 gives rank A <= r_p; a rank mod p never exceeds
@@ -24,9 +30,8 @@ the rational rank, so the two are equal, K spans the rational kernel,
 and the pivots and the RREF are the rational ones.  The loop has no
 cap: unlucky primes divide some nonzero minor, so there are finitely
 many, and M grows until every entry reconstructs and the bound holds.
-``Matrix.rank`` reads the pivots with no rational RREF, and a rank mod p
-equal to min(rows, cols) is exact with no lift.  ``integer_kernel`` reads
-the kernel off in integers, each column over its lcm, for either field.
+A rank (``rank_only``) reads the pivots alone, with no residue array over
+GF(p) and over QQ no lift when a rank mod p is min(rows, cols).
 
 Sparse rows (``sparse_rank``) run the same kernel and the same lift
 (``_lift``); only the mod-p step differs.  The rows stream in chunks
@@ -41,7 +46,7 @@ identity at its root rows.  K is then K0 times the kernel of the rows
 times K0, which the lift reconstructs at the roots and certifies as
 A K0 K = 0, a row of A K0 summing at most w times K0's row weight;
 ``sparse_kernel_basis`` puts any kernel in the canonical form of
-``Matrix.kernel_basis``.
+``Matrix.kernel_basis`` by one ``integer_rref``.
 """
 
 from __future__ import annotations
@@ -204,12 +209,12 @@ def parse_field(spec) -> Field:
 
 
 class Matrix:
-    """Dense row-major matrix over a single exact field.
+    """Dense row-major matrix over a single exact field: the API edge of the
+    integer elimination (``echelon``, ``integer_rref``).
 
     Over GF(p) the entries are residues in [0, p), reduced by ``coerce``
-    or already so with ``coerce=False``; ``rref`` does not reduce them
-    again.  Over QQ the entries may be ints as well as rationals; the
-    RREF, and so every kernel vector and solution, holds rationals.
+    or already so with ``coerce=False``.  Over QQ the entries may be ints
+    as well as rationals; every entry of the RREF is a rational.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -257,20 +262,14 @@ class Matrix:
     # -- row reduction ----------------------------------------------------
 
     def rref(self) -> Tuple["Matrix", Tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns (see the module notes)."""
-        p = self.field.p
-        if p:
-            data = [list(row) for row in self.data]
-            pivots = rref_mod_p(data, p)
-        else:
-            data, pivots = _rref_rational(self._integers())
-        return Matrix(self.field, data, coerce=False), tuple(pivots)
+        """Reduced row echelon form, zero rows kept, and its pivot columns: ``integer_rref``."""
+        pivots, rows, den = integer_rref(self.field, self._integers())
+        rows = np.vstack([rows, np.zeros((self.rows - len(pivots), self.cols), dtype=rows.dtype)])
+        return Matrix(self.field, _field_rows(self.field, rows, den), coerce=False), tuple(pivots)
 
     def rank(self) -> int:
-        """The rank; over QQ the lift's pivots (``_rational_lift``), with no rational RREF."""
-        if self.field.p or not self.rows:
-            return len(self.rref()[1])
-        return len(_rational_lift(self._integers(), rank_only=True)[0])
+        """The rank: the number of ``echelon``'s pivots, with no RREF built."""
+        return len(echelon(self.field, self._integers(), rank_only=True)[0])
 
     def kernel_basis(self) -> List[List]:
         """One vector per free column: a column of ``integer_kernel`` over its lcm."""
@@ -278,9 +277,11 @@ class Matrix:
         return [_values(self.field, col, lcm) for col, lcm in zip(K.T, lcms.tolist())]
 
     def _integers(self) -> np.ndarray:
-        """The rows in one ``object`` array, over QQ each over its own denominator."""
-        rows = self.data if self.field.p else [integer_scale(row)[0] for row in self.data]
-        return np.array(rows, dtype=object).reshape(self.rows, self.cols)
+        """The rows in one array: over GF(p) the residues (``sum_dtype``), over QQ
+        each row over its own denominator, in Python ints."""
+        p = self.field.p
+        rows = self.data if p else [integer_scale(row)[0] for row in self.data]
+        return np.array(rows, dtype=sum_dtype(0, p) if p else object).reshape(self.rows, self.cols)
 
 
 def _values(field: Field, ints: np.ndarray, den: int) -> List:
@@ -289,6 +290,14 @@ def _values(field: Field, ints: np.ndarray, den: int) -> List:
         return ints.tolist()
     inv = field.inv(field.coerce(den))
     return [field.mul(inv, x) for x in ints.tolist()]
+
+
+def _field_rows(field: Field, rows: np.ndarray, den: int) -> List[List]:
+    """Integer rows over den as field elements: residues over GF(p), rationals over QQ."""
+    if field.p:
+        return rows.tolist()
+    zero = _rat(0)
+    return [[_rat(x, den) if x else zero for x in row] for row in rows.tolist()]
 
 
 def dense_block(field: Field, cols: np.ndarray, vals: np.ndarray, ncols: int) -> np.ndarray:
@@ -396,11 +405,11 @@ def _integer_kernel(residues: np.ndarray, modulus: int) -> Optional[Tuple[np.nda
     """K, the kernel vectors of the candidate RREF scaled to integers, as its
     rows at the pivots and its diagonal L at the free columns; or None.
 
-    Entry (pivot i, free column k) of the RREF is the reconstruction n/d of
-    ``residues[i, k]``, read at once as n/1 where the symmetric residue is
-    within the bound and by ``_reconstruct`` elsewhere; None when one fails.
-    Column k of K, scaled by the lcm L[k] of its denominators, is L[k] at
-    free column k, -L[k] n/d at pivot i and 0 elsewhere.
+    Entry (pivot i, free column k) of the kernel, minus the RREF's, is the
+    reconstruction n/d of ``residues[i, k]``, read at once as n/1 where the
+    symmetric residue is within the bound and by ``_reconstruct`` elsewhere;
+    None when one fails.  Column k of K, scaled by the lcm L[k] of its
+    denominators, is L[k] at free column k, L[k] n/d at pivot i, else 0.
     """
     bound = math.isqrt(modulus // 2)
     num = np.where(residues > modulus // 2, residues - modulus, residues)
@@ -414,7 +423,7 @@ def _integer_kernel(residues: np.ndarray, modulus: int) -> Optional[Tuple[np.nda
             else [1] * residues.shape[1])
     dtype = sum_dtype(max(lcms, default=1), bound)
     lcms = np.array(lcms, dtype=dtype)
-    return -num.astype(dtype) * (lcms // den.astype(dtype)), lcms
+    return num.astype(dtype) * (lcms // den.astype(dtype)), lcms
 
 
 def row_weight(rows) -> int:
@@ -448,11 +457,11 @@ def sum_dtype(weight: int, top: int, p: int = 0, extra: int = 0):
 def _lift(modp, weight: int) -> Tuple[List[int], List[int], Tuple[np.ndarray, np.ndarray], int]:
     """The rational RREF of an integer system A by the multimodular loop (see the module notes).
 
-    ``modp(p)`` gives the pivots, the free columns and the RREF entries at
-    the free columns mod p, an int64 array with a row per pivot;
+    ``modp(p)`` gives the pivots, the free columns and the kernel mod p at
+    the pivots, minus the RREF there, an int64 array with a row per pivot;
     ``weight`` bounds the sum of |entries| of every row of A.  Returns the
     pivots, the free columns, K (``_integer_kernel``) and the primes used.
-    Column k of K is L (e_f - sum n_i / d_i e_(P_i)), f = free[k], and
+    Column k of K is L (e_f + sum n_i / d_i e_(P_i)), f = free[k], and
     n_i (L / d_i) = L x_i mod p for the residue x_i at each prime p of the
     CRT modulus M: K is L times the kernel mod p, so A K = 0 mod M, and
     weight max|K| < M proves A K = 0 (Cabay's bound).
@@ -478,10 +487,14 @@ def _lift(modp, weight: int) -> Tuple[List[int], List[int], Tuple[np.ndarray, np
             return pivots, free, kernel, primes
 
 
-def _rational_lift(ints: np.ndarray, rank_only: bool = False):
-    """``_lift`` of dense integer rows, one array, and one DEBUG record.  With
-    ``rank_only``, a rank mod p equal to min(rows, cols) is exact: no lift, and
-    the kernel is None."""
+def echelon(field: Field, ints: np.ndarray, rank_only: bool = False):
+    """The pivots, the free columns and (rows, lcms) of integer rows, one array:
+    the RREF's entry at (pivot i, free column k) is -rows[i, k] / lcms[k], over
+    GF(p) of residues over 1, over QQ the lift's, with one DEBUG record (see
+    the module notes).  With ``rank_only``, (rows, lcms) may be None."""
+    if field.p:
+        pivots, free, rows = _rref_residues(ints, field.p, rank_only)
+        return pivots, free, None if rank_only else (rows, np.ones(len(free), dtype=rows.dtype))
     first = _rref_residues(ints, _FIRST_PRIME)
     pivots, free, kernel, primes = *first[:2], None, 1
     if not rank_only or len(pivots) < min(ints.shape):
@@ -493,55 +506,42 @@ def _rational_lift(ints: np.ndarray, rank_only: bool = False):
     return pivots, free, kernel
 
 
-def _rref_rational(ints: np.ndarray) -> Tuple[List[List], List[int]]:
-    """The RREF over QQ of integer rows by the multimodular engine (see the module notes)."""
-    if not len(ints):
-        return [], []
-    pivots, free, (rows, lcms) = _rational_lift(ints)
-    zero, lcms = _rat(0), lcms.tolist()
-    out = [[zero] * ints.shape[1] for _ in range(len(ints))]
-    for full, pc, row in zip(out, pivots, rows.tolist()):
-        full[pc] = _rat(1)
-        for f, x, lcm in zip(free, row, lcms):
-            if x:
-                full[f] = _rat(-x, lcm)
-    return out, pivots
+def integer_rref(field: Field, ints: np.ndarray) -> Tuple[List[int], np.ndarray, int]:
+    """The RREF of integer rows, one array, read off ``echelon``: its pivots,
+    its rows at them as integers over one denominator L, and L, the lcm of
+    the denominators of its entries (1 over GF(p), where they are residues)."""
+    pivots, free, (rows, lcms) = echelon(field, ints)
+    den = math.lcm(1, *lcms.tolist())
+    dtype = sum_dtype(den, int(abs(rows).max(initial=0)), field.p)
+    out = np.zeros((len(pivots), ints.shape[1]), dtype=dtype)
+    out[np.arange(len(pivots)), pivots] = den
+    out[:, free] = -rows.astype(dtype) * np.array([den // l for l in lcms.tolist()], dtype=dtype)
+    return pivots, out % field.p if field.p else out, den
 
 
-def _rref_residues(ints: np.ndarray, p: int) -> Tuple[List[int], List[int], np.ndarray]:
-    """The pivots, free columns and residues there of ``rref_mod_p`` of integer rows."""
+def _rref_residues(ints: np.ndarray, p: int, rank_only: bool = False):
+    """The pivots and free columns of ``rref_mod_p`` of integer rows and, unless
+    ``rank_only``, the kernel mod p at the pivots: minus the RREF's residues."""
     reduced = (ints % p).tolist()
-    return echelon_residues(reduced, rref_mod_p(reduced, p), ints.shape[1], p)
-
-
-def echelon_residues(reduced: List[List[int]], pivots: List[int], ncols: int,
-                     p: int) -> Tuple[List[int], List[int], np.ndarray]:
-    """The pivots, free columns and residues there of rows ``rref_mod_p`` has reduced."""
-    free = sorted(set(range(ncols)) - set(pivots))
-    rows = np.array(reduced[:len(pivots)], dtype=sum_dtype(0, p)).reshape(len(pivots), ncols)
-    return pivots, free, rows[:, free]
+    pivots = rref_mod_p(reduced, p)
+    free = sorted(set(range(ints.shape[1])) - set(pivots))
+    if rank_only:
+        return pivots, free, None
+    rows = np.array(reduced[:len(pivots)], dtype=sum_dtype(0, p))
+    return pivots, free, -rows.reshape(len(pivots), ints.shape[1])[:, free] % p
 
 
 def integer_kernel(field: Field, ints: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The kernel of integer rows, one array, as K and lcms: column k of K over
     lcms[k] is the ``Matrix.kernel_basis`` vector of free column k, in lowest
-    terms; over GF(p) residues over 1, over QQ the lift's ``_integer_kernel``."""
-    if not field.p:
-        return _kernel_columns(*_rational_lift(ints))
-    return echelon_kernel(*_rref_residues(ints, field.p), field.p)
-
-
-def echelon_kernel(pivots: Sequence[int], free: Sequence[int], rows: np.ndarray,
-                   p: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``integer_kernel`` over GF(p) read off the residues of an elimination
-    (``_rref_residues``, ``echelon_residues``)."""
-    return _kernel_columns(pivots, free, (-rows % p, np.ones(len(free), dtype=rows.dtype)))
+    terms; over GF(p) residues over 1 (``echelon``)."""
+    return _kernel_columns(*echelon(field, ints))
 
 
 def _kernel_columns(pivots: Sequence[int], free: Sequence[int],
                     kernel: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """(K, lcms) of a kernel (rows, lcms) as ``_lift`` gives it: K is rows at the
-    pivots and lcms at the free columns, one each."""
+    """(K, lcms) of a kernel (rows, lcms) as ``echelon`` gives it: K is rows at
+    the pivots and lcms at the free columns, one each."""
     rows, lcms = kernel
     K = np.zeros((len(pivots) + len(free), len(free)), dtype=rows.dtype)
     K[free, np.arange(len(free))], K[pivots] = lcms, rows
@@ -704,7 +704,7 @@ def _sparse_lift(blocks, ncols: int, seed=None):
         is_pivot = np.ones(len(roots), dtype=bool)
         is_pivot[at] = False
         pivots = np.flatnonzero(is_pivot)
-        return pivots.tolist(), at.tolist(), -K[roots[pivots]] % p
+        return pivots.tolist(), at.tolist(), K[roots[pivots]]
 
     weight = max((row_weight(vals) for _, vals in blocks), default=0)
     if seed is not None:
@@ -747,7 +747,7 @@ def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> 
     canonical basis is the kernel's RREF with the columns reversed, then
     each vector and their order reversed: the vector of a free column f is
     1 at f and 0 at every other free column, and nonzero only left of f.
-    So it is one ``Matrix.rref`` of those vectors, whatever basis they
+    So it is one ``integer_rref`` of those vectors, whatever basis they
     are; a seed (K0, roots) must meet ``_sparse_kernel``'s precondition.
     """
     blocks = _sparse_blocks(rows)
@@ -757,5 +757,5 @@ def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> 
         K = _seeded(seed, _kernel_columns(*_sparse_lift(blocks, ncols, seed))[0])
     if not K.shape[1]:
         return []
-    R, _ = Matrix(field, [vec[::-1] for vec in K.T.tolist()], coerce=False).rref()
-    return [vec[::-1] for vec in reversed(R.data)]
+    _, R, den = integer_rref(field, K.T[:, ::-1])
+    return [vec[::-1] for vec in reversed(_field_rows(field, R, den))]

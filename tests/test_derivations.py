@@ -928,8 +928,9 @@ def test_images_given_are_coerced_into_the_field():
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
 def test_members_are_built_and_checked_with_no_integer_scale(field, monkeypatch):
     # the kernel hands its integers to the members, and the walk, the product
-    # rule and the inner solve read them as they are
-    is_inner(derivation_space(field, D16_SIGMA)[1][0])  # the inner system, eliminated once
+    # rule, the elimination of the inner system [A | I] and the inner solve read
+    # them as they are
+    derivations._cached.cache_clear()
     original, calls = linalg.integer_scale, []
 
     def spy(values):

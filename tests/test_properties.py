@@ -427,6 +427,62 @@ def test_cached_systems_never_cross_groups_or_fields():
     assert outer > 0
 
 
+def assert_inner_system_is_fraction_rref(sigma, tau, field):
+    """``_InnerSystem``'s pivots and T over den against ``gauss_jordan`` of [A | I]."""
+    derivations._cached.cache_clear()
+    n = sigma.group.order
+    cols, vals, scale, _ = generator_rows(sigma, tau)
+    A = dense_block(field, cols, vals, n).tolist()
+    m = len(A)
+    reduced, pivots = gauss_jordan(field, [row + [int(i == j) for j in range(m)]
+                                           for i, row in enumerate(A)])
+    right = [x for row in reduced for x in row[n:]]
+    system = derivations._InnerSystem(sigma, tau, field)
+    assert system.pivots == [c for c in pivots if c < n]
+    # T over den is M times the right block, den the lcm of its denominators
+    assert system.den == (1 if field.p else math.lcm(*(x.denominator for x in right)))
+    assert system.T.dtype == np.int64 and system.T.shape == (m, m)
+    assert system.T.ravel().tolist() == [scale * x * system.den for x in right]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8], ids=lambda n: f"D{2 * n}")
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_inner_system_is_the_fraction_rref_beside_the_identity(n, field):
+    # sigma = tau: a -> a^-1, b -> b; and sigma != tau, with tau: a -> a, b -> a b
+    G = dihedral_group(n)
+    sigma = endo_from_images(G, {"a": "a^-1", "b": "b"})
+    tau = endo_from_images(G, {"a": "a", "b": "a*b"})
+    for s, t in ((sigma, sigma), (sigma, tau)):
+        assert_inner_system_is_fraction_rref(s, t, field)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=str)
+def test_inner_system_of_algebra_maps_is_the_fraction_rref(field):
+    # sign-twisted maps of D8 put T over 2; C4's x -> (1 + x + x^2 - x^3)/2 acts over M = 2
+    for _, maps in algebra_endos(field):
+        for sigma in maps:
+            for tau in maps:
+                assert_inner_system_is_fraction_rref(sigma, tau, field)
+
+
+# the benchmark's space-basis points: D12 and D16 under a -> a^s, b -> a^t b
+SPACE_BASIS_POINTS = (
+    (6, (1, 1), (GF(2), GF(3), QQ)), (6, (2, 1), (QQ,)), (6, (4, 1), (QQ,)),
+    (6, (5, 1), (QQ,)), (8, (1, 1), (GF(2), GF(3), QQ)), (8, (2, 1), (GF(2), QQ)),
+    (8, (3, 1), (GF(2), QQ)), (8, (5, 1), (GF(2),)), (8, (7, 1), (GF(2),)))
+
+
+@pytest.mark.parametrize("n, s_t, fields", SPACE_BASIS_POINTS,
+                         ids=[f"D{2 * n}-{s}-{t}" for n, (s, t), _ in SPACE_BASIS_POINTS])
+def test_space_basis_witnesses_are_the_fraction_solves(n, s_t, fields):
+    G = dihedral_group(n)
+    sigma = {(e.s, e.t): e for e in enumerate_endomorphisms(G)
+             if e.family in ("sigma0", "sigma1")}[s_t]
+    for field in fields:
+        for D in derivation_space(field, sigma)[1]:
+            assert_cached_witness(D)
+
+
 # beta's coefficients off the center of D8: the central ones cancel from D_beta
 BOUND_CASES = [
     # coefficients 1 on a table below p: 3 (p - 1) < 2^63
@@ -773,6 +829,8 @@ def test_engine_rref_matches_fraction_elimination(rows):
         reduced, pivots = m.rref()
     assert pivots == expected_pivots
     assert reduced.data == expected_rows
+    # field values are made only at this edge: every entry a rational, zeros too
+    assert all(type(x) is linalg._rat for row in reduced.data for x in row)
     assert m.rank() == len(expected_pivots)
     # one prime can certify only its own pivots and entries within its bound
     _, first_pivots = gauss_jordan(GF(FIRST_PRIME), rows)
