@@ -38,8 +38,7 @@ import numpy as np
 
 from .derivations import TwistedDerivation
 from .errors import DependentSubset, EnumerationTooLarge
-from .linalg import (Field, Matrix, _kernel_columns, _values, debug_record, echelon, rref_mod_p,
-                     sum_dtype)
+from .linalg import Field, Matrix, _kernel_columns, _values, debug_record, echelon, sum_dtype
 
 # most codewords enumerated for one weight distribution
 ENUMERATION_CAP = 3 ** 16
@@ -69,6 +68,17 @@ class LinearCode:
     def echelon(self):
         """``linalg.echelon`` of the generator: one elimination for the rank check and the dual."""
         return echelon(self.field, self.integers)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix G G^T mod q of the generator G, exactly, for both flags.
+
+        An entry sums n products of residues, so it is at most n (q - 1)^2:
+        int64 while that and q stay below 2^63 (``sum_dtype``), Python ints past.
+        """
+        q = self.field.p
+        rows = self.integers.astype(sum_dtype(self.n * (q - 1), q - 1, q))
+        return rows @ rows.T % q
 
     def codeword(self, message: Sequence) -> List:
         return encode(self, message)
@@ -336,25 +346,14 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(code.field, code.n, code.n - code.k, gen, source)
 
 
-def _gram(code: LinearCode) -> np.ndarray:
-    """The Gram matrix G G^T mod q of the generator G, exactly.
-
-    An entry sums n products of residues, so it is at most n (q - 1)^2:
-    int64 while that and q stay below 2^63 (``sum_dtype``), Python ints past.
-    """
-    q = code.field.p
-    rows = code.integers.astype(sum_dtype(code.n * (q - 1), q - 1, q))
-    return rows @ rows.T % q
-
-
 def is_lcd(code: LinearCode) -> bool:
     """Linear complementary dual: the generator Gram matrix is nonsingular."""
-    return len(rref_mod_p(_gram(code).tolist(), code.field.p)) == code.k
+    return len(echelon(code.field, code.gram, rank_only=True)[0]) == code.k
 
 
 def is_self_orthogonal(code: LinearCode) -> bool:
     """Self-orthogonal: every pair of generator rows is orthogonal."""
-    return not _gram(code).any()
+    return not code.gram.any()
 
 
 @dataclass
@@ -392,13 +391,10 @@ def linear_code_report(code: LinearCode) -> CodeReport:
     if not 1 <= code.k < code.n:
         raise ValueError("a code report needs dimension 1 <= k < n")
     counts, dual_counts = weight_distribution(code)
-    gram = _gram(code)
     return CodeReport(
         n=code.n, k=code.k, d=_first_weight(counts),
         dual_n=code.n, dual_k=code.n - code.k, dual_d=_first_weight(dual_counts),
-        lcd=len(rref_mod_p(gram.tolist(), code.field.p)) == code.k,
-        self_orthogonal=not gram.any(),
-        source=code.source)
+        lcd=is_lcd(code), self_orthogonal=is_self_orthogonal(code), source=code.source)
 
 
 def code_report(D: TwistedDerivation, subset: Sequence[int]) -> CodeReport:

@@ -21,7 +21,7 @@ import numpy as np
 from .derivations import TwistedDerivation, generator_rows, inner_block
 from .groups import Endomorphism, FiniteGroup, common_field, common_group
 from .groupring import GroupRingElement
-from .linalg import Field, dense_block, echelon, sparse_kernel_basis, sparse_rank
+from .linalg import Field, dense_block, echelon, identity_seed, sparse_kernel_basis, sparse_rank
 
 
 @dataclass
@@ -120,7 +120,7 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     """
     n = common_group(group, sigma, tau).order
     cols, vals, _, _ = inner_block(sigma, tau, range(n))
-    kernel = sparse_kernel_basis(common_field(field, sigma, tau), [(cols, vals)], n)
+    kernel = sparse_kernel_basis(common_field(field, sigma, tau), (cols, vals), identity_seed(n))
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
 
@@ -128,7 +128,7 @@ def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endom
                              field: Field) -> int:
     n = common_group(group, sigma, tau).order
     cols, vals, _, _ = inner_block(sigma, tau, range(n))
-    return n - sparse_rank(common_field(field, sigma, tau), [(cols, vals)])
+    return n - sparse_rank(common_field(field, sigma, tau), (cols, vals))
 
 
 def inner_basis(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,

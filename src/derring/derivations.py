@@ -669,13 +669,6 @@ def derivation_space(field: Field, sigma: Endomorphism,
                                          images=(col, lcm)) for col, lcm in zip(K.T, lcms.tolist())]
 
 
-def _pair_constraint_rows(sigma: Endomorphism, tau: Endomorphism):
-    """The full product-rule system, yielded as one (cols, vals) block: ``pair_block``
-    at every pair, g-major, so row (g |G| + h) |G| + t is that of (g, h) at t."""
-    n = common_group(sigma, tau).order
-    yield _pairs_block(sigma, tau, range(n), range(n))[:2]
-
-
 def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
     """The pair rows along a spanning tree of G, eliminated in closed form: the
     seed (K0, roots) of ``linalg._sparse_kernel``, and the tree edges (y, g, x).
@@ -701,8 +694,8 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
                           basis: bool = True) -> Tuple[int, Optional[List[TwistedDerivation]]]:
     """Oracle solver: all |G| images unknown, all product pairs constrained.
 
-    It never reads the relators.  The |G|^3 pair rows
-    (``_pair_constraint_rows``) all stream through the sparse kernel
+    It never reads the relators.  The |G|^3 pair rows, ``pair_block`` at
+    every pair as one block, all stream through the sparse kernel
     of ``linalg``, seeded by the kernel of the rows along a spanning tree
     (``_tree_seed``), which meets the seed's precondition: those rows are
     among the rows, and K0 spans their kernel.  Both modes read that one
@@ -714,12 +707,12 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     tau = sigma if tau is None else tau
     G = common_group(sigma, tau)
     n, (seed, edges) = G.order, _tree_seed(sigma, tau)
-    rows = _pair_constraint_rows(sigma, tau)
+    block = _pairs_block(sigma, tau, range(n), range(n))[:2]
     if basis:
-        kernel = sparse_kernel_basis(field, rows, n * n, seed)
+        kernel = sparse_kernel_basis(field, block, seed)
         dim = len(kernel)
     else:
-        dim = sparse_nullity(field, rows, n * n, seed)
+        dim = sparse_nullity(field, block, seed)
     debug_record("derring.derivations",
                  "pair oracle |G| = %d over %s: %d tree edges, seed width %d, rank %d",
                  n, field, len(edges), seed[0].shape[1], n * n - dim,

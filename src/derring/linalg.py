@@ -33,20 +33,23 @@ many, and M grows until every entry reconstructs and the bound holds.
 A rank (``rank_only``) reads the pivots alone, with no residue array over
 GF(p) and over QQ no lift when a rank mod p is min(rows, cols).
 
-Sparse rows (``sparse_rank``) run the same kernel and the same lift
-(``_lift``); only the mod-p step differs.  The rows stream in chunks
-through K, the kernel mod p of the rows before them: a chunk times K is
-row-reduced by the kernel above and updates K.  K ends as the identity
-on the free columns and minus the RREF at the pivots, the same pivots
-and entries as the dense step, so the lift reads its residues off K and
-bounds A K by the rows' largest sum of |vals|.  K may start from a
-seed instead of the identity (``sparse_nullity``, ``sparse_kernel_basis``):
-an integer K0 whose columns span the kernel of some of the rows, the
-identity at its root rows.  K is then K0 times the kernel of the rows
-times K0, which the lift reconstructs at the roots and certifies as
-A K0 K = 0, a row of A K0 summing at most w times K0's row weight;
-``sparse_kernel_basis`` puts any kernel in the canonical form of
-``Matrix.kernel_basis`` by one ``integer_rref``.
+Sparse rows, one (cols, vals) block, have one entry point too,
+``sparse_echelon(field, block, seed)``, which returns ``echelon``'s
+triple; it runs the same kernel and the same lift (``_lift``), and only
+the mod-p step differs.  The rows stream in chunks through K, the kernel
+mod p of the rows before them: a chunk times K is row-reduced by the
+kernel above and updates K.  K starts from a seed (K0, roots), always
+given: an integer K0 whose columns span the kernel of some of the rows,
+the identity at its root rows, or ``identity_seed(ncols)``, the identity
+on every column, for no rows.  K is then K0 times the kernel of the rows
+times K0; at the roots it is the identity on the free columns and minus
+the RREF at the pivots, so over GF(p) the triple is read off it, and
+over QQ the lift reconstructs it and certifies A K0 K = 0, a row of
+A K0 summing at most the rows' largest sum of |vals| times K0's row
+weight.  ``sparse_rank`` counts the pivots from the identity seed,
+``sparse_nullity`` the free columns, and ``sparse_kernel_basis`` puts K0
+times the kernel in the canonical form of ``Matrix.kernel_basis`` by one
+``integer_rref``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,13 +315,6 @@ def dense_block(field: Field, cols: np.ndarray, vals: np.ndarray, ncols: int) ->
     if field.p:
         dense %= field.p
     return dense
-
-
-def rows_full_rank(field: Field, rows: Sequence[Sequence], expected: int) -> bool:
-    """Whether the rows, lists of field elements (or ints over QQ), have rank `expected`."""
-    if not rows:
-        return expected == 0
-    return Matrix(field, rows, coerce=False).rank() == expected
 
 
 def rref_mod_p(m: List[List[int]], p: int) -> List[int]:
@@ -582,18 +578,6 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
 _SPARSE_CHUNK = 2 ** 12
 
 
-def _sparse_blocks(blocks) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The (cols, vals) blocks of ``blocks`` as two (m, w) arrays each, empty ones dropped.
-
-    Row i of a block has the entries vals[i, j] at the columns cols[i, j];
-    a column repeated in a row adds, so a row is padded with zeros at any
-    column.  Values too large for int64 are a numpy ``object`` array of
-    Python ints.  The order of the rows changes no rank.
-    """
-    blocks = [(np.asarray(cols, dtype=np.int64), np.asarray(vals)) for cols, vals in blocks]
-    return [(cols, vals) for cols, vals in blocks if cols.size]
-
-
 def _gather(cols: np.ndarray, vals: np.ndarray, K: np.ndarray, p: int = 0,
             each: bool = False) -> np.ndarray:
     """The rows (cols, vals) times K: the sum over j of vals[:, j] K[cols[:, j]].
@@ -620,142 +604,125 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (((a @ (b >> 16)) % p << 16) + a @ (b & 0xFFFF)) % p
 
 
-def _sparse_kernel(blocks, ncols: int, p: int, seed=None) -> Tuple[np.ndarray, np.ndarray]:
-    """The kernel mod p of sparse rows: K, ncols x nfree, and the free columns.
+def _sparse_kernel(cols: np.ndarray, vals: np.ndarray, p: int,
+                   seed) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel mod p of the sparse rows (cols, vals): K, ncols x nfree, and the free columns.
 
-    K starts as the identity, or as the seed (K0, roots) reduced mod p: an
-    integer ncols x r matrix K0 that is the identity at the rows ``roots``
-    (increasing) and whose columns span the kernel, over every field, of
-    some of the rows.  That is the seed's precondition: every kernel vector
-    of all the rows is then K0 c for one c, and K0 has full column rank,
-    so the kernel is K0 times the kernel of the rows times K0, and the free
-    columns are among the roots.  Each chunk of rows is multiplied into K,
-    R = rows K, a gather of K's rows by column index, and the nonzero rows
-    of R, as lists, are row-reduced by ``rref_mod_p``; with P the pivots of
-    R and N its RREF, K becomes K - K[:, P] N without the columns P.  N is
-    zero left of each pivot, so each column of K stays supported (at the
-    roots) on its free column and the pivots left of it: at the roots K is
-    the identity on the free columns and minus the RREF, at the pivots, of
-    the rows times K0; unseeded, K0 is the identity and that is the RREF
-    of the rows, with its first-nonzero pivots.  K is int64 while
-    (p - 1)^2 < 2^63 (``sum_dtype``), and Python ints past that; a gather
-    is reduced after every term when a row's sum of |vals| (symmetric
-    residues) times p - 1 could reach 2^63.  Rows stop being read once the
-    kernel is 0.
+    K starts as the seed (K0, roots) reduced mod p: an integer ncols x r
+    matrix K0 that is the identity at the rows ``roots`` (increasing) and
+    whose columns span the kernel, over every field, of some of the rows
+    (``identity_seed``: of none).  That is the seed's precondition: every
+    kernel vector of all the rows is then K0 c for one c, and K0 has full
+    column rank, so the kernel is K0 times the kernel of the rows times
+    K0, and the free columns are among the roots.  Each chunk of rows is
+    multiplied into K, R = rows K, a gather of K's rows by column index,
+    and the nonzero rows of R, as lists, are row-reduced by
+    ``rref_mod_p``; with P the pivots of R and N its RREF, K becomes
+    K - K[:, P] N without the columns P.  N is zero left of each pivot, so
+    each column of K stays supported (at the roots) on its free column and
+    the pivots left of it: at the roots K is the identity on the free
+    columns and minus the RREF, at the pivots, of the rows times K0, with
+    its first-nonzero pivots.  K is int64 while (p - 1)^2 < 2^63
+    (``sum_dtype``), and Python ints past that; a gather is reduced after
+    every term when a row's sum of |vals| (symmetric residues) times p - 1
+    could reach 2^63.  Rows stop being read once the kernel is 0.
     """
     dtype = sum_dtype(p - 1, p - 1)
-    if seed is None:
-        K, free = np.eye(ncols, dtype=dtype), np.arange(ncols)
-    else:
-        # an int64 seed is reduced in Python ints when p itself is past int64
-        K, free = seed[0].astype(dtype) % p, np.array(seed[1])
-    for cols, vals in blocks:
-        # int64 values are reduced in Python ints when p itself is past int64
-        vals = (vals if p < 2 ** 63 else vals.astype(object)) % p
-        vals[vals > p // 2] -= p
-        vals = vals.astype(dtype, copy=False)
-        each = dtype is np.int64 and int(abs(vals).sum(axis=1).max()) * (p - 1) >= 2 ** 63
-        start = 0
-        while start < len(cols) and len(free):
-            step = max(1, _SPARSE_CHUNK // len(free))
-            R = _gather(cols[start:start + step], vals[start:start + step], K, p, each)
-            start += step
-            R = R[R.any(axis=1)]
-            if not len(R):
-                continue
-            N = R.tolist()
-            P = rref_mod_p(N, p)
-            if not P:
-                continue
-            keep = np.ones(len(free), dtype=bool)
-            keep[P] = False
-            KP, K, N = K[:, P], K[:, keep], np.array(N[:len(P)], dtype=dtype)[:, keep]
-            hit = np.flatnonzero(KP.any(axis=1))
-            for rows in np.array_split(hit, max(1, len(hit) * K.shape[1] // _SPARSE_CHUNK)):
-                K[rows] = (K[rows] - _matmul_mod(KP[rows], N, p)) % p
-            free = free[keep]
+    # an int64 seed, and int64 values, are reduced in Python ints when p itself is past int64
+    K, free = seed[0].astype(dtype) % p, np.array(seed[1])
+    vals = (vals if p < 2 ** 63 else vals.astype(object)) % p
+    vals[vals > p // 2] -= p
+    vals = vals.astype(dtype, copy=False)
+    each = dtype is np.int64 and int(abs(vals).sum(axis=1).max(initial=0)) * (p - 1) >= 2 ** 63
+    start = 0
+    while start < len(cols) and len(free):
+        step = max(1, _SPARSE_CHUNK // len(free))
+        R = _gather(cols[start:start + step], vals[start:start + step], K, p, each)
+        start += step
+        R = R[R.any(axis=1)]
+        if not len(R):
+            continue
+        N = R.tolist()
+        P = rref_mod_p(N, p)
+        if not P:
+            continue
+        keep = np.ones(len(free), dtype=bool)
+        keep[P] = False
+        KP, K, N = K[:, P], K[:, keep], np.array(N[:len(P)], dtype=dtype)[:, keep]
+        hit = np.flatnonzero(KP.any(axis=1))
+        for rows in np.array_split(hit, max(1, len(hit) * K.shape[1] // _SPARSE_CHUNK)):
+            K[rows] = (K[rows] - _matmul_mod(KP[rows], N, p)) % p
+        free = free[keep]
     return K, free
 
 
-def _seeded(seed, kernel: np.ndarray) -> np.ndarray:
-    """Integer kernel vectors given at a seed's roots, K0 times them: exact,
-    int64 while K0's row weight times their largest |entry| is below 2^63.
-    Unseeded, the vectors themselves."""
-    if seed is None:
-        return kernel
-    K0 = seed[0]
-    dtype = sum_dtype(row_weight(K0), int(abs(kernel).max(initial=0)))
-    return K0.astype(dtype) @ kernel.astype(dtype)
+def identity_seed(ncols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The seed of no rows: K0 the ncols x ncols identity, every column a root."""
+    return np.eye(ncols, dtype=np.int64), np.arange(ncols)
 
 
-def _sparse_lift(blocks, ncols: int, seed=None):
-    """``_lift`` of sparse rows: their kernel mod p by ``_sparse_kernel``.
+def sparse_echelon(field: Field, block: Tuple[np.ndarray, np.ndarray], seed):
+    """``echelon`` of the sparse rows of one (cols, vals) block times a seed's K0.
 
-    The system lifted is the rows times the seed's K0, so the pivots, the
-    free columns and the kernel are those at its roots, by position
-    (unseeded, every column is a root).  A row of it sums at most a row's
-    |vals| times K0's row weight, the weight of the certificate.
+    Row i of the block has the entries vals[i, j] at the columns cols[i, j]
+    (two (m, w) arrays, vals int64 or numpy ``object`` Python ints); a
+    column repeated in a row adds.  The seed (K0, roots) meets
+    ``_sparse_kernel``'s precondition (``identity_seed`` always does).  The
+    pivots, the free columns and (rows, lcms) are those of the rows times
+    K0, by position among the roots: over GF(p) residues over 1, read off
+    ``_sparse_kernel``, over QQ its ``_lift``, with one DEBUG record, whose
+    certificate weight is a row's largest sum of |vals| times K0's row
+    weight, a row of the rows times K0 summing at most that.
     """
-    roots = np.arange(ncols) if seed is None else seed[1]
+    cols, vals = block
+    K0, roots = seed
 
     def modp(p):
-        K, free = _sparse_kernel(blocks, ncols, p, seed)
+        K, free = _sparse_kernel(cols, vals, p, seed)
         at = np.searchsorted(roots, free)
         is_pivot = np.ones(len(roots), dtype=bool)
         is_pivot[at] = False
         pivots = np.flatnonzero(is_pivot)
         return pivots.tolist(), at.tolist(), K[roots[pivots]]
 
-    weight = max((row_weight(vals) for _, vals in blocks), default=0)
-    if seed is not None:
-        weight *= row_weight(seed[0])
-    pivots, free, kernel, primes = _lift(modp, weight)
-    nrows = sum(len(cols) for cols, _ in blocks)
-    _log_rational((nrows, ncols), ncols - len(free), primes, lifted=bool(free and pivots))
+    if field.p:
+        pivots, free, rows = modp(field.p)
+        return pivots, free, (rows, np.ones(len(free), dtype=rows.dtype))
+    pivots, free, kernel, primes = _lift(modp, row_weight(vals) * row_weight(K0))
+    _log_rational((len(cols), len(K0)), len(K0) - len(free), primes,
+                  lifted=bool(free and pivots))
     return pivots, free, kernel
 
 
-def sparse_rank(field: Field, rows: Iterable) -> int:
-    """Rank over ``field`` of (cols, vals) blocks of integer rows (``_sparse_blocks``):
-    ncols, one past their largest column, minus their ``sparse_nullity``."""
-    blocks = _sparse_blocks(rows)
-    ncols = 1 + max((int(cols.max()) for cols, _ in blocks), default=-1)
-    return ncols - sparse_nullity(field, blocks, ncols)
+def sparse_rank(field: Field, block) -> int:
+    """Rank over ``field`` of one (cols, vals) block: the number of ``sparse_echelon``'s
+    pivots from the ``identity_seed`` of ncols, one past the block's largest column."""
+    cols, vals = block
+    seed = identity_seed(int(np.max(cols, initial=-1)) + 1)
+    return len(sparse_echelon(field, (cols, vals), seed)[0])
 
 
-def sparse_nullity(field: Field, rows: Iterable, ncols: int, seed=None) -> int:
-    """Dimension over ``field`` of the kernel of sparse rows over ncols columns,
-    optionally seeded by (K0, roots), meeting ``_sparse_kernel``'s precondition.
-
-    It is the number of free columns, read without building the kernel
-    vectors: the width of ``_sparse_kernel`` over GF(p), and over QQ that
-    of the lifted kernel, certified by its bound (``_sparse_lift``).
-    """
-    blocks = _sparse_blocks(rows)
-    if field.p:
-        return len(_sparse_kernel(blocks, ncols, field.p, seed)[1])
-    return len(_sparse_lift(blocks, ncols, seed)[1])
+def sparse_nullity(field: Field, block, seed) -> int:
+    """Dimension over ``field`` of the kernel of one (cols, vals) block, seeded:
+    the number of ``sparse_echelon``'s free columns, with no kernel vector built."""
+    return len(sparse_echelon(field, block, seed)[1])
 
 
-def sparse_kernel_basis(field: Field, rows: Iterable, ncols: int, seed=None) -> List[List]:
-    """The kernel basis of sparse rows over ncols columns, as ``Matrix.kernel_basis``
+def sparse_kernel_basis(field: Field, block, seed) -> List[List]:
+    """The kernel basis of one (cols, vals) block, seeded, as ``Matrix.kernel_basis``
     gives it for the same rows dense: one vector per free column, in order.
 
-    A basis of the kernel is read off ``_sparse_kernel``'s columns over
-    GF(p), and over QQ off the lifted kernel, each vector scaled to
-    integers and certified by its bound (``_sparse_lift``).  The
-    canonical basis is the kernel's RREF with the columns reversed, then
-    each vector and their order reversed: the vector of a free column f is
-    1 at f and 0 at every other free column, and nonzero only left of f.
-    So it is one ``integer_rref`` of those vectors, whatever basis they
-    are; a seed (K0, roots) must meet ``_sparse_kernel``'s precondition.
+    The kernel is K0 times ``sparse_echelon``'s, column k over lcms[k]
+    (``_kernel_columns``), exact, int64 while K0's row weight times the
+    largest |entry|, and p, are below 2^63.  The canonical basis is the kernel's
+    RREF with the columns reversed, then each vector and their order
+    reversed: the vector of a free column f is 1 at f and 0 at every other
+    free column, and nonzero only left of f.  So it is one
+    ``integer_rref`` of those vectors, whatever basis they are.
     """
-    blocks = _sparse_blocks(rows)
-    if field.p:
-        K = _sparse_kernel(blocks, ncols, field.p, seed)[0]
-    else:
-        K = _seeded(seed, _kernel_columns(*_sparse_lift(blocks, ncols, seed))[0])
+    K, _ = _kernel_columns(*sparse_echelon(field, block, seed))
     if not K.shape[1]:
         return []
-    _, R, den = integer_rref(field, K.T[:, ::-1])
+    dtype = sum_dtype(row_weight(seed[0]), int(abs(K).max(initial=0)), field.p)
+    _, R, den = integer_rref(field, (seed[0].astype(dtype) @ K.astype(dtype)).T[:, ::-1])
     return [vec[::-1] for vec in reversed(_field_rows(field, R, den))]

@@ -396,8 +396,7 @@ def test_code_report_eliminates_the_generator_once(monkeypatch):
         calls.append(len(m))
         return rref(m, p)
 
-    for module in (codes, linalg):
-        monkeypatch.setattr(module, "rref_mod_p", spy)
+    monkeypatch.setattr(linalg, "rref_mod_p", spy)
     D = build_context("c24")[3]
     D18 = c18_derivation()[1]
     # c24 S4: k = 14 > n - k, the dual enumerated from idd_code's elimination;

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from derring import derivations, groupring, linalg
-from derring.derivations import (AlgebraEndo, TwistedDerivation, _pair_constraint_rows,
+from derring.derivations import (AlgebraEndo, TwistedDerivation, _pairs_block,
                                  _tree_plan, _tree_seed, abelian_basis, averaging_witness,
                                  cyclic_power_derivation, derivation_space,
                                  derivation_space_full, extend_from_generators,
@@ -152,8 +152,8 @@ def test_generator_solver_matches_full_oracle_samples():
 
 def tree_rows(sigma, tau, edges):
     """The pair rows of the tree edges y = g x, (g, x) the pair, dense."""
-    (cols, vals), = _pair_constraint_rows(sigma, tau)
     n = sigma.group.order
+    cols, vals, _ = _pairs_block(sigma, tau, range(n), range(n))
     picked = [(g * n + x) * n + t for _, g, x in edges for t in range(n)]
     dense = np.zeros((len(picked), n * n), dtype=np.int64)
     np.add.at(dense, (np.arange(len(picked))[:, None], cols[picked]), vals[picked])
@@ -660,7 +660,7 @@ def test_bad_generator_images_are_refused_at_construction(case, field):
 MIXED_GROUPS = {
     "relator_block": lambda F: relator_block(ID_D6, POWER_C6),
     "inner_block": lambda F: inner_block(ID_D6, POWER_C6, range(6)),
-    "_pair_constraint_rows": lambda F: next(_pair_constraint_rows(ID_D6, POWER_C6)),
+    "_pairs_block": lambda F: _pairs_block(ID_D6, POWER_C6, range(6), range(6)),
     "twisted_classes": lambda F: twisted_classes(D6, POWER_C6, POWER_C6),
     # this one once returned {0, 4, 5}, read off D6's table
     "twisted_centralizer": lambda F: twisted_centralizer(D6, POWER_C6, POWER_C6, 1),

@@ -8,7 +8,7 @@ from derring.derivations import derivation_space, derivation_space_full
 from derring.groupring import GroupRingElement
 from derring.groups import cyclic_group, dihedral_group, identity_endomorphism
 from derring.linalg import (GF, QQ, Field, Matrix, _MILLER_RABIN_LIMIT, dense_block, is_prime,
-                            parse_field, row_weight, rows_full_rank, rref_mod_p, sparse_rank)
+                            parse_field, row_weight, rref_mod_p, sparse_rank)
 from derring.reference import reference_matrix
 from gauss_jordan import dot, gauss_jordan, matmul, same_row_space, solve
 
@@ -181,11 +181,10 @@ def test_same_row_space():
     assert not same_row_space(f, a, [[1, 0, 0]])
 
 
-def test_rows_full_rank_rational_certificate():
-    rows = [[1, 0, 2], [0, 1, -1]]
-    assert rows_full_rank(QQ, rows, 2)
-    assert not rows_full_rank(QQ, [[1, 2], [2, 4]], 2)
-    assert rows_full_rank(QQ, [], 0)
+def test_rational_rank_of_field_rows():
+    assert Matrix(QQ, [[1, 0, 2], [0, 1, -1]], coerce=False).rank() == 2
+    assert Matrix(QQ, [[1, 2], [2, 4]], coerce=False).rank() == 1
+    assert Matrix(QQ, []).rank() == 0
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -206,7 +205,7 @@ def test_sparse_rank_matches_dense(field):
         padded = [row + [(0, 0)] * (width - len(row)) for row in entries]
         block = (np.array([[j for j, _ in row] for row in padded]),
                  np.array([[v for _, v in row] for row in padded]))
-        assert sparse_rank(field, [block]) == expected
+        assert sparse_rank(field, block) == expected
 
 
 def test_row_weight_and_dense_block_are_exact_past_int64():

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from derring.conjugacy import twisted_classes
 from derring.derivations import (AlgebraEndo, TwistedDerivation, _inner_gather,
-                                 _pair_constraint_rows, averaging_witness,
+                                 _pairs_block, averaging_witness,
                                  derivation_space, derivation_space_full,
                                  extend_from_generators, free_eval, generator_rows,
                                  inner_block, inner_derivation, is_inner, pair_block,
@@ -33,7 +33,7 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             endo_from_images, enumerate_endomorphisms,
                             identity_endomorphism, parse_word, table_group)
 from derring import derivations, linalg
-from derring.linalg import (GF, QQ, Matrix, dense_block, is_prime, rref_mod_p,
+from derring.linalg import (GF, QQ, Matrix, dense_block, identity_seed, is_prime, rref_mod_p,
                             sparse_kernel_basis, sparse_rank)
 from gauss_jordan import dot, gauss_jordan, rows_rank, solve
 
@@ -607,9 +607,15 @@ def test_inner_gathers_leave_int64_at_their_bound(field, algebra, beta, dtype):
     assert_inner_gathers_match_convolution(beta, endo, endo)
 
 
+def full_pair_block(sigma, tau):
+    """The pair oracle's rows: ``pair_block`` at every pair, g-major, as (cols, vals)."""
+    n = sigma.group.order
+    return _pairs_block(sigma, tau, range(n), range(n))[:2]
+
+
 def dense_pair_kernel(field, sigma, tau):
     """The pair oracle's kernel basis from its rows built dense."""
-    (cols, vals), = _pair_constraint_rows(sigma, tau)
+    cols, vals = full_pair_block(sigma, tau)
     n = sigma.group.order
     dense = np.zeros((len(cols), n * n), dtype=np.int64)
     np.add.at(dense, (np.arange(len(cols))[:, None], cols), vals)
@@ -618,7 +624,8 @@ def dense_pair_kernel(field, sigma, tau):
 
 @pytest.mark.parametrize("group", [dihedral_group(3), cyclic_group(6), Q8_TABLE],
                          ids=lambda g: g.describe())
-@pytest.mark.parametrize("field", FIELDS, ids=repr)
+# past int64 the seeded GF(p) basis multiplies K0 by the kernel in Python ints
+@pytest.mark.parametrize("field", FIELDS + EDGE_PRIMES, ids=repr)
 def test_pair_oracle_basis_is_the_dense_kernel_basis(group, field):
     endos = endomorphisms(group)
     for sigma, tau in ((endos[-1], endos[-1]), (endos[-1], identity_endomorphism(group))):
@@ -655,7 +662,7 @@ def test_seeded_pair_oracle_matches_the_identity_start(group, field, data):
     tau = data.draw(st.sampled_from([e for e in endos if e != sigma]))
     n = group.order
     rank = n * n - derivation_space_full(field, sigma, tau, basis=False)[0]
-    assert rank == sparse_rank(field, _pair_constraint_rows(sigma, tau))
+    assert rank == sparse_rank(field, full_pair_block(sigma, tau))
     assert rank == n * n - derivation_space(field, sigma, tau, basis=False)[0]
 
 
@@ -873,26 +880,27 @@ def sparse_systems(draw):
 # row 3 is rows 1 + 2 plus (2^31 - 1) e_0: rank 2 modulo 2^31 - 1, 3 over QQ
 @example(QQ, (3, [[(0, 1), (1, 2)], [(1, 1), (2, 3)], [(0, 1 + FIRST_PRIME), (1, 3), (2, 3)]]),
          True, 1)
-# the kernel (-1, 2^63) is certified against a zero row's block of weight 0
+# a zero row beside one of weight 2^63 + 1: the kernel (-1, 2^63) is certified
+# by the block's largest row weight, not by its first row's
 @example(QQ, (2, [[], [(0, 2 ** 63), (1, 1)]]), False, 1)
-def test_sparse_rank_matches_fraction_elimination(field, system, one_block, chunk):
+def test_sparse_rank_matches_fraction_elimination(field, system, repeated, chunk):
     ncols, rows = system
     dense = [[0] * ncols for _ in rows]
     for row, entries in zip(dense, rows):
         for c, v in entries:
             row[c] += v
     _, expected = gauss_jordan(field, dense)
-    # one block with repeated columns, or a block per row of summed entries
-    if one_block:
-        items = [entry_block(rows)]
+    # one block with repeated columns, or one of each row's summed entries
+    if repeated:
+        block = entry_block(rows)
     else:
-        items = [entry_block([[(c, v) for c, v in enumerate(row) if v]]) for row in dense]
+        block = entry_block([[(c, v) for c, v in enumerate(row) if v] for row in dense])
     with engine_records() as records, mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
         if not field.p:
             # the lift starts from the kernel modulo the first prime
             _, first = gauss_jordan(GF(FIRST_PRIME), dense)
-            assert sparse_rank(GF(FIRST_PRIME), items) == len(first)
-        assert sparse_rank(field, items) == len(expected)
+            assert sparse_rank(GF(FIRST_PRIME), block) == len(first)
+        assert sparse_rank(field, block) == len(expected)
     if not field.p:
         # a wrong profile modulo the first prime fails the certificate
         (record,) = records
@@ -910,9 +918,9 @@ def test_sparse_kernel_basis_matches_fraction_elimination(field, data):
         for c, v in entries:
             row[c] += v
     chunk = data.draw(st.sampled_from([1, 2 ** 5, linalg._SPARSE_CHUNK]))
-    items = [entry_block(rows)]
     with mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
-        assert sparse_kernel_basis(field, items, ncols) == gauss_jordan_kernel(field, dense)
+        assert (sparse_kernel_basis(field, entry_block(rows), identity_seed(ncols))
+                == gauss_jordan_kernel(field, dense))
 
 
 def pair_rows_reference(sigma, tau):
@@ -943,7 +951,7 @@ def test_pair_rows_match_the_per_row_reference(group):
     tau_id = identity_endomorphism(group)
     for sigma in endos[::max(1, len(endos) // 4)]:
         for tau in (sigma, tau_id):
-            (cols, vals), = _pair_constraint_rows(sigma, tau)
+            cols, vals = full_pair_block(sigma, tau)
             rows = []
             for cs, vs in zip(cols.tolist(), vals.tolist()):
                 row = {}
