@@ -3,23 +3,25 @@
 The twisted conjugate of x by g is sigma(g) x tau(g)^-1; its orbit
 partitions the group.  Classes, orbits, centralizers and the center are
 all read off one gather from the multiplication table, C[g, x] =
-sigma(g) x tau(g)^-1 (``_conjugates``): the orbit of x is column x, its
-centralizer the g with C[g, x] = x, the center the fixed columns, and
-each class is the set of columns sharing one minimum.  Class sums span
-the twisted center of FG, and the non-singleton classes index the
-inner-derivation basis: dropping one representative per class leaves
-exactly |G| - r independent inner derivations.
+sigma(g) x tau(g)^-1 (``groups.twisted_conjugates``): the orbit of x is
+column x, its centralizer the g with C[g, x] = x, the center the fixed
+columns, and each class is the set of columns sharing one minimum
+(``groups.class_minima``).  Class sums span the twisted center of FG,
+and the non-singleton classes index the inner-derivation basis: dropping
+one representative per class leaves exactly |G| - r independent inner
+derivations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .derivations import TwistedDerivation, generator_rows, inner_block
-from .groups import Endomorphism, FiniteGroup, common_field, common_group
+from .derivations import TwistedDerivation, generator_rows, table_rows
+from .groups import (Endomorphism, FiniteGroup, class_minima, common_field, common_group,
+                     twisted_conjugates)
 from .groupring import GroupRingElement
 from .linalg import Field, dense_block, echelon, identity_seed, sparse_kernel_basis, sparse_rank
 
@@ -44,21 +46,9 @@ class ConjugacyPartition:
         raise KeyError(x)
 
 
-def _conjugates(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
-                x: Optional[int] = None) -> np.ndarray:
-    """C[g, x] = sigma(g) x tau(g)^-1 for every g, gathered from ``mul_array``:
-    the column of one x, or the whole |G| x |G| table when x is None."""
-    G = common_group(group, sigma, tau)
-    mul, images = G.mul_array, np.asarray(sigma.images, dtype=np.int64)
-    undo = G.inv_array[np.asarray(tau.images, dtype=np.int64)]
-    if x is None:
-        return mul[mul[images], undo[:, None]]
-    return mul[mul[images, x], undo]
-
-
 def twisted_orbit(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                   x: int) -> Set[int]:
-    return set(_conjugates(group, sigma, tau, x).tolist())
+    return set(twisted_conjugates(group, sigma, tau, x).tolist())
 
 
 def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
@@ -67,7 +57,7 @@ def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
     if tau is None:
         tau = sigma
     members: Dict[int, List[int]] = {}
-    for x, rep in enumerate(_conjugates(group, sigma, tau).min(axis=0).tolist()):
+    for x, rep in enumerate(class_minima(group, sigma, tau).tolist()):
         members.setdefault(rep, []).append(x)
     # a representative is the least member of its class, so it opens the class:
     # the classes come out sorted, in order of representative
@@ -80,13 +70,13 @@ def twisted_classes(group: FiniteGroup, sigma: Endomorphism,
 def twisted_centralizer(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                         x: int) -> Set[int]:
     """{g : x tau(g) = sigma(g) x}; a subgroup for finite groups."""
-    return set(np.flatnonzero(_conjugates(group, sigma, tau, x) == x).tolist())
+    return set(np.flatnonzero(twisted_conjugates(group, sigma, tau, x) == x).tolist())
 
 
 def twisted_center_group(group: FiniteGroup, sigma: Endomorphism,
                          tau: Endomorphism) -> Set[int]:
     """{z : z tau(g) = sigma(g) z for all g}; the union of singleton classes."""
-    C = _conjugates(group, sigma, tau)
+    C = twisted_conjugates(group, sigma, tau)
     return set(np.flatnonzero((C == np.arange(len(C))).all(axis=0)).tolist())
 
 
@@ -116,10 +106,10 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
     """Kernel-computed basis of the twisted center of FG (class-sum oracle).
 
     The twisted center is the kernel of the inner-derivation map
-    z -> z tau(g) - sigma(g) z, the rows of ``inner_block``, on the sparse engine.
+    z -> z tau(g) - sigma(g) z, the cached rows of ``table_rows``, on the sparse engine.
     """
     n = common_group(group, sigma, tau).order
-    cols, vals, _, _ = inner_block(sigma, tau, range(n))
+    cols, vals, _, _ = table_rows(sigma, tau)
     kernel = sparse_kernel_basis(common_field(field, sigma, tau), (cols, vals), identity_seed(n))
     return [GroupRingElement(group, field, v, coerce=False) for v in kernel]
 
@@ -127,7 +117,7 @@ def twisted_center_space(group: FiniteGroup, sigma: Endomorphism, tau: Endomorph
 def twisted_center_dimension(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                              field: Field) -> int:
     n = common_group(group, sigma, tau).order
-    cols, vals, _, _ = inner_block(sigma, tau, range(n))
+    cols, vals, _, _ = table_rows(sigma, tau)
     return n - sparse_rank(common_field(field, sigma, tau), (cols, vals))
 
 

@@ -16,7 +16,9 @@ generators to a derivation's table, in integers, and to the oracle's seed.
 Every system is one block over maps of one group (``common_group``) and
 one field (``common_field``).  Those fixed by (sigma, tau), the tree and
 the inner system's elimination are built once and kept in one bounded
-cache (``_cached``), so ``is_inner`` solves by an integer product.
+cache (``_cached``), so ``is_inner`` solves and certifies by integer
+products.  When |G| is invertible in the field, ``derivation_space``
+reads the dimension off the twisted classes, |G| - r, with no solve.
 
 sigma and tau act on FG only through their cached ``Action`` gathers,
 group and algebra endomorphisms alike, with coefficients over one
@@ -47,8 +49,8 @@ import numpy as np
 
 from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only,
-                     action_gathers, common_field, common_group, first_failing_pair,
-                     word_str)
+                     action_gathers, class_minima, common_field, common_group,
+                     first_failing_pair, word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, _values, debug_record, dense_block, integer_kernel, integer_rref,
                      integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype)
@@ -114,9 +116,10 @@ def _cached(build, *key):
 
     The one cache of what (sigma, tau) or (sigma, tau, field) fix: the
     relator block, the tree plan, the decisive pair rows, the inner
-    generator rows and their elimination.  Keys compare an ``Endomorphism``
-    by its group object and images, an ``AlgebraEndo`` by identity and a
-    field by p, so no entry crosses groups or fields; its arrays are read-only.
+    generator rows and their elimination, and the inner rows at all of G
+    (``table_rows``).  Keys compare an ``Endomorphism`` by its group object
+    and images, an ``AlgebraEndo`` by identity and a field by p, so no entry
+    crosses groups or fields; its arrays are read-only.
     """
     return build(*key)
 
@@ -243,7 +246,7 @@ class TwistedDerivation:
                 self._integers = _scaled(self.flat())
             elif self.witness is not None:
                 self._integers = _witness_ints(self.witness, self.sigma, self.tau,
-                                               inner_block(self.sigma, self.tau, range(n)))
+                                               table_rows(self.sigma, self.tau))
             else:
                 (ints, den), plan = self.integer_images, _tree_plan(
                     self.sigma, self.tau, tuple(s for _, s in G.generators))
@@ -507,6 +510,14 @@ def generator_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarr
     return _cached(inner_block, sigma, tau, gens)
 
 
+@_shared
+def table_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``inner_block`` at every element of G: the |G|^2 rows that gather an
+    inner derivation's table from its witness and certify ``is_inner``'s
+    solutions; cached."""
+    return inner_block(sigma, tau, range(common_group(sigma, tau).order))
+
+
 def _inner_gather(cols: np.ndarray, vals: np.ndarray, beta: np.ndarray, dtype) -> np.ndarray:
     """A block's rows times the integer array beta, in ``dtype``: for ``inner_block``, M Lb
     D_beta(g)[t] for beta over Lb; for ``pair_block``, M times the rule's defect."""
@@ -586,16 +597,17 @@ def is_inner(D: TwistedDerivation) -> Optional[GroupRingElement]:
     hence the same RREF, as the full |G|^2 system: when the full system is
     solvable, both give the same witness.  A solution is returned only
     when D_beta reproduces all of D's table, which certifies it:
-    ``_inner_gather`` of beta's integers (over Lb) against D's integer
-    table T (over Ld), exact in int64 while Ld w max |beta| + M Lb max |T|
-    < 2^63, w the actions' weight on scale M.
+    ``_inner_gather`` of beta's integers (over Lb) through the cached
+    ``table_rows``, against D's integer table T (over Ld), exact in int64
+    while Ld w max |beta| + M Lb max |T| < 2^63, w the actions' weight on
+    scale M.
     """
     G, F, p, (ints, lgen) = D.group, D.field, D.field.p, D.integer_images
     solution = _cached(_InnerSystem, D.sigma, D.tau, F).solve(ints.ravel(), lgen)
     if solution is None:
         return None
     (beta, lb), (table, ld) = solution, D.integer_table()
-    cols, vals, scale, weight = inner_block(D.sigma, D.tau, range(G.order))
+    cols, vals, scale, weight = table_rows(D.sigma, D.tau)
     dtype = sum_dtype(ld * weight, _top(beta), p, scale * lb * _top(table))
     image = _inner_gather(cols, vals, beta, dtype)
     diff = ld * image - scale * lb * table.astype(dtype, copy=False)  # Ld = M = Lb = 1 over GF(p)
@@ -651,18 +663,44 @@ def relator_block(sigma: Endomorphism, tau: Endomorphism) -> Tuple[np.ndarray, n
             _read_only(np.repeat(sign, n, axis=0)))
 
 
+def _relator_kernel(field: Field, sigma: Endomorphism,
+                    tau: Endomorphism) -> Tuple[np.ndarray, np.ndarray]:
+    """The relator system's ``integer_kernel`` (K, lcms): the one solve of the
+    generator images, its unknowns, under the |G| constraints per relator
+    (``relator_block``).  ``derivation_space`` reads it, and so do the checks
+    of the solver against the paper's closed forms."""
+    G = common_group(sigma, tau)
+    return integer_kernel(field, dense_block(field, *relator_block(sigma, tau),
+                                             len(G.generators) * G.order))
+
+
 def derivation_space(field: Field, sigma: Endomorphism,
                      tau: Optional[Endomorphism] = None,
                      basis: bool = True) -> Tuple[int, Optional[List[TwistedDerivation]]]:
     """Dimension (and optionally a basis) of all (sigma, tau)-derivations.
 
-    Unknowns are the generator images; each relator contributes |G|
-    linear constraints, the coefficients of its image (``relator_block``).
-    Member k is column k of the system's ``integer_kernel`` K over lcms[k].
+    When |G| is invertible in the field (characteristic 0 or not dividing
+    |G|), every derivation is inner (the averaging theorem), and the inner
+    ones number |G| - r, r the twisted class count (``class_minima``): a
+    dimension-only call returns that and eliminates nothing.  A basis, or
+    the dimension when the characteristic divides |G|, is read off the
+    relator system (``_relator_kernel``): member k is column k of its
+    ``integer_kernel`` K over lcms[k].  Each call writes one DEBUG record on
+    ``derring.derivations`` naming the path it took.
     """
-    tau, G = sigma if tau is None else tau, sigma.group
-    K, lcms = integer_kernel(field, dense_block(field, *relator_block(sigma, tau),
-                                                len(G.generators) * G.order))
+    tau = sigma if tau is None else tau
+    G = common_group(sigma, tau)
+    n = G.order
+    if not basis and (not field.p or n % field.p):
+        r = int(np.count_nonzero(class_minima(G, sigma, tau) == np.arange(n)))
+        debug_record("derring.derivations", "closed form over %s: |G| - r = %d - %d",
+                     field, n, r, path="closed form", order=n, classes=r)
+        return n - r, None
+    K, lcms = _relator_kernel(field, sigma, tau)
+    shape = (len(G.relators) * n, len(G.generators) * n)
+    debug_record("derring.derivations", "relator solve %dx%d over %s: rank %d",
+                 *shape, field, shape[1] - len(lcms), path="relator solve", shape=shape,
+                 rank=shape[1] - len(lcms))
     if not basis:
         return len(lcms), None
     return len(lcms), [TwistedDerivation(G, field, sigma, tau, provenance="extended",

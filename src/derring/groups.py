@@ -15,7 +15,9 @@ from index arithmetic, and the identity, the inverses and Light's
 associativity test are array operations on it.  ``mul`` and ``inv`` are
 list views of the arrays for the word walks.  An endomorphism's action
 on FG is kept as read-only int64 index arrays, built on first use, for
-the checks that run as numpy gathers.
+the checks that run as numpy gathers.  The twisted conjugation of a pair
+of endomorphisms is one gather here too (``twisted_conjugates``), since
+both the classes and the dimension by |G| - r read its column minima.
 """
 
 from __future__ import annotations
@@ -619,6 +621,26 @@ class Endomorphism:
 
 def identity_endomorphism(group: FiniteGroup) -> Endomorphism:
     return Endomorphism(group, range(group.order), check=False)
+
+
+def twisted_conjugates(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
+                       x: Optional[int] = None) -> np.ndarray:
+    """C[g, x] = sigma(g) x tau(g)^-1 for every g, gathered from ``mul_array``:
+    the column of one x, or the whole |G| x |G| table when x is None.  Column x
+    is the twisted orbit of x, since g -> (x -> C[g, x]) is an action of G."""
+    G = common_group(group, sigma, tau)
+    mul, images = G.mul_array, np.asarray(sigma.images, dtype=np.int64)
+    undo = G.inv_array[np.asarray(tau.images, dtype=np.int64)]
+    if x is None:
+        return mul[mul[images], undo[:, None]]
+    return mul[mul[images, x], undo]
+
+
+def class_minima(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism) -> np.ndarray:
+    """The least twisted conjugate of each x, the column minima of
+    ``twisted_conjugates``: x's class, named by its least member, so the
+    classes are the x equal to their own minimum."""
+    return twisted_conjugates(group, sigma, tau).min(axis=0)
 
 
 def _extend_images(group: FiniteGroup, gen_elems: Dict[str, int]) -> List[int]:

@@ -11,7 +11,7 @@ import numpy as np
 
 from derring.conjugacy import (class_sums, inner_basis, twisted_center_dimension,
                                twisted_centralizer, twisted_classes)
-from derring.derivations import (averaging_witness, derivation_space,
+from derring.derivations import (_relator_kernel, averaging_witness, derivation_space,
                                  derivation_space_full, inner_derivation, is_inner,
                                  verify_derivation)
 from derring.dihedral import (explicit_basis, predict, predict_classes,
@@ -41,9 +41,11 @@ def grid_endos(n):
 
 
 def solver_dim(n, endo, field):
+    """The relator solve's dimension, not derivation_space's closed form, so the
+    closed forms are checked against the solver."""
     key = (n, endo.s, endo.t, field.p)
     if key not in _DIMS:
-        _DIMS[key] = derivation_space(field, endo, basis=False)[0]
+        _DIMS[key] = len(_relator_kernel(field, endo, endo)[1])
     return _DIMS[key]
 
 
@@ -373,11 +375,13 @@ def test_scale_generator_data_against_closed_forms():
 def test_scale_rational_dimension_is_order_minus_classes():
     """Over QQ, |G| is invertible, so every derivation is inner: dim = |G| - r.
 
-    On D512 the dimension is read off the rank of the 1536 x 512 relator
-    system, certified by the lift's bound.
+    ``derivation_space`` returns that closed form; on D512 the relator solve
+    reads it off the rank of the 1536 x 512 relator system, certified by the
+    lift's bound.
     """
     group = dihedral_group(256)
     sigma = endo_from_images(group, {"a": "a^-1", "b": "b"})
     dim, basis = derivation_space(QQ, sigma, basis=False)
     assert basis is None
     assert dim == group.order - twisted_classes(group, sigma).r
+    assert len(_relator_kernel(QQ, sigma, sigma)[1]) == dim

@@ -760,6 +760,32 @@ def test_inner_system_is_eliminated_once(caplog):
     assert not caplog.records
 
 
+def test_certificate_rows_are_built_once_per_pair(monkeypatch):
+    # a whole basis, each member certified inner, and every inner derivation's
+    # table gathered from its witness: the |G|^2 rows of inner_block, once per pair
+    built = []
+
+    def spy(sigma, tau, gs):
+        if len(gs) == sigma.group.order:
+            built.append((sigma, tau))
+        return inner_block(sigma, tau, gs)
+
+    derivations._cached.cache_clear()
+    monkeypatch.setattr(derivations, "inner_block", spy)
+    d12 = dihedral_group(6)
+    pairs = [(endo_from_images(d12, {"a": "a^5", "b": "b"}), identity_endomorphism(d12)),
+             (endo_from_images(d12, {"a": "a", "b": "a*b"}),) * 2]
+    for sigma, tau in pairs:
+        _, basis = derivation_space(QQ, sigma, tau)
+        assert len(basis) > 1 and all(is_inner(D) is not None for D in basis)
+        for x in range(d12.order):
+            D = inner_derivation(GroupRingElement.basis(d12, QQ, x), sigma, tau)
+            D.integer_table()
+            assert is_inner(D) is not None
+    assert built == pairs
+    derivations._cached.cache_clear()
+
+
 def _reference_table(D):
     """D's table by free-word evaluation of each normal form."""
     G = D.group
