@@ -8,11 +8,14 @@ exactly when the induced free-word evaluation kills every relator; that
 criterion is linear in the images, one (cols, vals) block read off the
 table (``relator_block``), which ``derivation_space`` solves and
 ``extend_from_generators`` gathers the images through.  The product rule
-at any pairs is one block too (``pair_block``): ``product_rule_violation``
-gathers D's table through it, the pair oracle ``derivation_space_full``
-solves it over all pairs, and along a spanning tree it is the walk
-(``_tree_plan``, ``_tree_extend``) that extends values at 1 and the
-generators to a derivation's table, in integers, and to the oracle's seed.
+at any pairs is one block too (``pair_block``).  At G x X, X the
+generators, it decides the rule (the induction of
+``groups.first_failing_pair``): ``product_rule_violation`` gathers D's
+table through those rows and the pair oracle ``derivation_space_full``
+solves them, one cached block (``decisive_rows``).  Along a spanning
+tree it is the walk (``_tree_plan``, ``_tree_extend``) that extends
+values at 1 and the generators to a derivation's table, in integers,
+and to the oracle's seed.
 Every system is one block over maps of one group (``common_group``) and
 one field (``common_field``).  Those fixed by (sigma, tau), the tree and
 the inner system's elimination are built once and kept in one bounded
@@ -50,7 +53,7 @@ import numpy as np
 from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only,
                      action_gathers, class_minima, common_field, common_group,
-                     first_failing_pair, word_str)
+                     decisive_generators, first_failing_pair, word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, _values, debug_record, dense_block, integer_kernel, integer_rref,
                      integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype)
@@ -115,11 +118,12 @@ def _cached(build, *key):
     """``build(*key)``, built once while the key stays among the 64 latest.
 
     The one cache of what (sigma, tau) or (sigma, tau, field) fix: the
-    relator block, the tree plan, the decisive pair rows, the inner
-    generator rows and their elimination, and the inner rows at all of G
-    (``table_rows``).  Keys compare an ``Endomorphism`` by its group object
-    and images, an ``AlgebraEndo`` by identity and a field by p, so no entry
-    crosses groups or fields; its arrays are read-only.
+    relator block, the tree plan, the decisive pair rows
+    (``decisive_rows``), the inner generator rows and their elimination,
+    and the inner rows at all of G (``table_rows``).  Keys compare an
+    ``Endomorphism`` by its group object and images, an ``AlgebraEndo`` by
+    identity and a field by p, so no entry crosses groups or fields; its
+    arrays are read-only.
     """
     return build(*key)
 
@@ -451,22 +455,32 @@ def _pairs_block(sigma: EndoLike, tau: EndoLike, gs: Sequence[int], hs: Sequence
     return pair_block(sigma, tau, np.repeat(gs, len(hs)), np.tile(hs, len(gs)))
 
 
+@_shared
+def decisive_rows(sigma: EndoLike, tau: EndoLike) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``pair_block`` at the pairs that decide the product rule, G x X g-major,
+    X the generators as listed or 1 for none (``groups.decisive_generators``):
+    |X| |G|^2 rows, which ``product_rule_violation`` gathers and the pair
+    oracle solves; cached."""
+    G = common_group(sigma, tau)
+    return _pairs_block(sigma, tau, range(G.order), decisive_generators(G))
+
+
 def product_rule_violation(D: TwistedDerivation) -> Optional[Tuple[int, int]]:
     """First pair (g, h) violating the twisted product rule, or None.
 
     The rows of ``pair_block`` at the pairs that ``first_failing_pair`` asks
     for, gathered over D's integer table T (``_inner_gather``), vanish (mod
     p) exactly where the rule holds; the decisive rows, all of G against the
-    generators, are cached.  int64 holds while (M + the actions' weight)
-    max |T| < 2^63 and p < 2^63 (``sum_dtype``).
+    generators, are ``decisive_rows``.  int64 holds while (M + the actions'
+    weight) max |T| < 2^63 and p < 2^63 (``sum_dtype``).
     """
     G, p, n = D.group, D.field.p, D.group.order
     ints, _ = D.integer_table()
-    top = _top(ints)
+    top, gens = _top(ints), decisive_generators(G)
 
     def fails(gs, hs):
-        key = (D.sigma, D.tau, tuple(gs), tuple(hs))
-        cols, vals, weight = _cached(_pairs_block, *key) if len(gs) == n else _pairs_block(*key)
+        cols, vals, weight = (decisive_rows(D.sigma, D.tau) if len(gs) == n and tuple(hs) == gens
+                              else _pairs_block(D.sigma, D.tau, gs, hs))
         diff = _inner_gather(cols, vals, ints, sum_dtype(weight, top, p)).reshape(-1, n)
         return ((diff % p if p else diff) != 0).any(axis=1)
 
@@ -730,31 +744,36 @@ def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
 def derivation_space_full(field: Field, sigma: Endomorphism,
                           tau: Optional[Endomorphism] = None,
                           basis: bool = True) -> Tuple[int, Optional[List[TwistedDerivation]]]:
-    """Oracle solver: all |G| images unknown, all product pairs constrained.
+    """Oracle solver: all |G| images unknown, the product rule constrained on pairs.
 
-    It never reads the relators.  The |G|^3 pair rows, ``pair_block`` at
-    every pair as one block, all stream through the sparse kernel
-    of ``linalg``, seeded by the kernel of the rows along a spanning tree
-    (``_tree_seed``), which meets the seed's precondition: those rows are
-    among the rows, and K0 spans their kernel.  Both modes read that one
-    seeded kernel: the dimension is its number of free columns
-    (``sparse_nullity``), and a basis is put in the canonical form of
-    ``Matrix.kernel_basis`` (``sparse_kernel_basis``).  Each solve writes
-    one DEBUG record on ``derring.derivations``.
+    It never reads the relators or a normal form.  The rule holds on all of
+    G x G once it holds on G x X, X the generators (the induction of
+    ``groups.first_failing_pair``), so those |X| |G|^2 pair rows, not the
+    |G|^3 of every pair, have the same kernel.  They are ``decisive_rows``,
+    the block ``product_rule_violation`` reads, and they stream through the
+    sparse kernel of ``linalg``, seeded by the kernel of the rows along a
+    spanning tree (``_tree_seed``), which meets the seed's precondition:
+    a tree edge y = g x has x in X, so its rows are among the rows, and K0
+    spans their kernel.  Both modes read that one seeded kernel: the
+    dimension is its number of free columns (``sparse_nullity``), and a
+    basis is put in the canonical form of ``Matrix.kernel_basis``
+    (``sparse_kernel_basis``).  Each solve writes one DEBUG record on
+    ``derring.derivations``, with the number of rows streamed.
     """
     tau = sigma if tau is None else tau
     G = common_group(sigma, tau)
     n, (seed, edges) = G.order, _tree_seed(sigma, tau)
-    block = _pairs_block(sigma, tau, range(n), range(n))[:2]
+    block = decisive_rows(sigma, tau)[:2]
     if basis:
         kernel = sparse_kernel_basis(field, block, seed)
         dim = len(kernel)
     else:
         dim = sparse_nullity(field, block, seed)
     debug_record("derring.derivations",
-                 "pair oracle |G| = %d over %s: %d tree edges, seed width %d, rank %d",
-                 n, field, len(edges), seed[0].shape[1], n * n - dim,
-                 order=n, edges=len(edges), width=seed[0].shape[1], rank=n * n - dim)
+                 "pair oracle |G| = %d over %s: %d pair rows, %d tree edges, seed width %d, "
+                 "rank %d", n, field, len(block[0]), len(edges), seed[0].shape[1], n * n - dim,
+                 order=n, rows=len(block[0]), edges=len(edges), width=seed[0].shape[1],
+                 rank=n * n - dim)
     if not basis:
         return dim, None
     return dim, [TwistedDerivation(G, field, sigma, tau, [

@@ -450,6 +450,12 @@ def common_field(field: Field, *items) -> Field:
     return field
 
 
+def decisive_generators(group: FiniteGroup) -> Tuple[int, ...]:
+    """The h of the pairs (g, h), g in G, that decide a product rule
+    (``first_failing_pair``): the generators, as listed, or 1 for a group with none."""
+    return tuple(s for _, s in group.generators) or (group.identity,)
+
+
 def first_failing_pair(group: FiniteGroup,
                        fails: Callable[[Sequence[int], Sequence[int]], Iterable]
                        ) -> Optional[Tuple[int, int]]:
@@ -470,7 +476,7 @@ def first_failing_pair(group: FiniteGroup,
     full scan, one call per g, to name the first failing pair.
     """
     n = group.order
-    if not any(fails(range(n), [s for _, s in group.generators] or [group.identity])):
+    if not any(fails(range(n), decisive_generators(group))):
         return None
     for g in range(n):
         h = next((h for h, bad in enumerate(fails([g], range(n))) if bad), None)

@@ -567,12 +567,14 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
 
 # -- sparse systems ---------------------------------------------------------
 #
-# The derivation oracle's pair-constraint systems have |G|^3 rows of three
-# entries over |G|^2 columns, and reach their rank long before their last
-# row.  Streaming them through the kernel makes a row that depends on the
-# rows before it cost one gather, as wide as that kernel; seeded by the
-# kernel of its spanning-tree rows, that kernel is (|X| + 1)|G| wide from
-# the first row, not |G|^2.
+# The derivation oracle's pair-constraint systems have |X| |G|^2 rows of
+# three entries over |G|^2 columns: the product rule at the pairs G x X,
+# X the generators, which decide it at every pair (the induction of
+# ``groups.first_failing_pair``).  They reach their rank long before
+# their last row.  Streaming them through the kernel makes a row that
+# depends on the rows before it cost one gather, as wide as that kernel;
+# seeded by the kernel of its spanning-tree rows, that kernel is
+# (|X| + 1)|G| wide from the first row, not |G|^2.
 
 # each chunk's gathered rows hold about this many entries
 _SPARSE_CHUNK = 2 ** 12
@@ -590,6 +592,18 @@ def _gather(cols: np.ndarray, vals: np.ndarray, K: np.ndarray, p: int = 0,
             out %= p
         out += vals[:, j:j + 1] * K[cols[:, j]]
     return out % p if p else out
+
+
+def _nonzero_rows(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of a 2-d integer array as (cols, vals) rows, one per row of
+    A, each padded to the widest by zeros at column 0."""
+    rows, cols = np.nonzero(A)
+    counts = np.bincount(rows, minlength=len(A))
+    at = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    shape = (len(A), max(int(counts.max(initial=0)), 1))
+    out_cols, out_vals = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=A.dtype)
+    out_cols[rows, at], out_vals[rows, at] = cols, A[rows, cols]
+    return out_cols, out_vals
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -713,8 +727,9 @@ def sparse_kernel_basis(field: Field, block, seed) -> List[List]:
     gives it for the same rows dense: one vector per free column, in order.
 
     The kernel is K0 times ``sparse_echelon``'s, column k over lcms[k]
-    (``_kernel_columns``), exact, int64 while K0's row weight times the
-    largest |entry|, and p, are below 2^63.  The canonical basis is the kernel's
+    (``_kernel_columns``), one ``_gather`` over K0's nonzeros (a seed is
+    mostly zeros), exact, int64 while K0's row weight times the largest
+    |entry|, and p, are below 2^63.  The canonical basis is the kernel's
     RREF with the columns reversed, then each vector and their order
     reversed: the vector of a free column f is 1 at f and 0 at every other
     free column, and nonzero only left of f.  So it is one
@@ -723,6 +738,7 @@ def sparse_kernel_basis(field: Field, block, seed) -> List[List]:
     K, _ = _kernel_columns(*sparse_echelon(field, block, seed))
     if not K.shape[1]:
         return []
-    dtype = sum_dtype(row_weight(seed[0]), int(abs(K).max(initial=0)), field.p)
-    _, R, den = integer_rref(field, (seed[0].astype(dtype) @ K.astype(dtype)).T[:, ::-1])
+    cols, vals = _nonzero_rows(seed[0])
+    dtype = sum_dtype(row_weight(vals), int(abs(K).max(initial=0)), field.p)
+    _, R, den = integer_rref(field, _gather(cols, vals.astype(dtype), K.astype(dtype)).T[:, ::-1])
     return [vec[::-1] for vec in reversed(_field_rows(field, R, den))]

@@ -213,8 +213,10 @@ def test_pair_oracle_logs_each_solve(caplog, basis):
     with caplog.at_level(logging.DEBUG, logger="derring.derivations"):
         dim, _ = derivation_space_full(QQ, sigma, basis=basis)
     (record,) = [r for r in caplog.records if r.name == "derring.derivations"]
-    # 16 - 3 elements off the roots 1, a and b; a seed column per root and coefficient
-    assert (record.order, record.edges, record.width, record.rank) == (16, 13, 48, 256 - dim)
+    # the rows of G x {a, b}; 16 - 3 elements off the roots 1, a and b; a seed
+    # column per root and coefficient
+    assert (record.order, record.rows, record.edges, record.width, record.rank) == (
+        16, 2 * 256, 13, 48, 256 - dim)
     assert dim == 9
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="derring.derivations"):

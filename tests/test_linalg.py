@@ -290,8 +290,9 @@ def test_sparse_rational_rank_logs_one_record(caplog):
         dim, _ = derivation_space_full(QQ, sigma, basis=False)
     (record,) = [r for r in caplog.records if r.name == "derring.linalg"]
     assert dim == derivation_space(QQ, sigma, basis=False)[0]
-    # |G|^3 pair rows over |G|^2 unknowns; the kernel entries lift at one prime
-    assert record.shape == (512, 64) and record.rank == 64 - dim
+    # |X| |G|^2 decisive pair rows, G x {a, b}, over |G|^2 unknowns; the kernel
+    # entries lift at one prime
+    assert record.shape == (128, 64) and record.rank == 64 - dim
     assert record.primes == 1 and record.lifted
 
 

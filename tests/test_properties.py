@@ -36,6 +36,7 @@ from derring import derivations, linalg
 from derring.linalg import (GF, QQ, Matrix, dense_block, identity_seed, is_prime, rref_mod_p,
                             sparse_kernel_basis, sparse_rank)
 from gauss_jordan import dot, gauss_jordan, rows_rank, solve
+from test_derivations import SEED_GROUPS
 
 PROPERTY = settings(max_examples=12, deadline=None)
 FIELDS = (GF(2), GF(3), QQ)
@@ -608,13 +609,14 @@ def test_inner_gathers_leave_int64_at_their_bound(field, algebra, beta, dtype):
 
 
 def full_pair_block(sigma, tau):
-    """The pair oracle's rows: ``pair_block`` at every pair, g-major, as (cols, vals)."""
+    """``pair_block`` at every pair, g-major, as (cols, vals): the |G|^3 rows whose
+    kernel the pair oracle's |X| |G|^2 decisive rows must reach."""
     n = sigma.group.order
     return _pairs_block(sigma, tau, range(n), range(n))[:2]
 
 
 def dense_pair_kernel(field, sigma, tau):
-    """The pair oracle's kernel basis from its rows built dense."""
+    """The kernel basis of the rule at every pair, its |G|^3 rows built dense."""
     cols, vals = full_pair_block(sigma, tau)
     n = sigma.group.order
     dense = np.zeros((len(cols), n * n), dtype=np.int64)
@@ -664,6 +666,57 @@ def test_seeded_pair_oracle_matches_the_identity_start(group, field, data):
     rank = n * n - derivation_space_full(field, sigma, tau, basis=False)[0]
     assert rank == sparse_rank(field, full_pair_block(sigma, tau))
     assert rank == n * n - derivation_space(field, sigma, tau, basis=False)[0]
+
+
+@pytest.mark.parametrize("group", [g for g in SEEDED_GROUPS.values() if g.order <= 12],
+                         ids=[name for name, g in SEEDED_GROUPS.items() if g.order <= 12])
+@pytest.mark.parametrize("field", (GF(2), GF(3), GF(2 ** 63 + 29), QQ), ids=repr)
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_decisive_pairs_give_the_kernel_of_every_pair(group, field, data):
+    # the oracle streams G x X; its basis is that of all |G|^3 pair rows, vector for vector
+    endos = (enumerate_endomorphisms(group) if group.family == "dihedral"
+             else endomorphisms(group))
+    sigma = data.draw(st.sampled_from(endos))
+    tau = data.draw(st.sampled_from([e for e in endos if e != sigma]))
+    dim, basis = derivation_space_full(field, sigma, tau)
+    assert [D.flat() for D in basis] == dense_pair_kernel(field, sigma, tau)
+    assert dim == len(basis) == derivation_space_full(field, sigma, tau, basis=False)[0]
+
+
+@pytest.mark.parametrize("group", SEED_GROUPS.values(), ids=SEED_GROUPS)
+@pytest.mark.parametrize("field", (GF(2), GF(3), GF(2 ** 63 + 29), QQ), ids=repr)
+def test_decisive_pairs_on_edge_generator_lists(group, field):
+    # no generators but 1, a generator listed twice, 1 named as one: X as listed
+    endos = endomorphisms(group)
+    n, gens = group.order, len(group.generators)
+    for sigma, tau in {(endos[-1], endos[0]), (endos[0], endos[-1]), (endos[-1], endos[-1])}:
+        dim, basis = derivation_space_full(field, sigma, tau)
+        assert [D.flat() for D in basis] == dense_pair_kernel(field, sigma, tau)
+        assert len(derivations.decisive_rows(sigma, tau)[0]) == max(gens, 1) * n * n
+        assert all(verify_derivation(D) is None for D in basis)
+
+
+def test_decisive_rows_are_built_once_per_pair(monkeypatch):
+    # an oracle basis over two fields, each member then verified: one G x X block per pair
+    built = []
+
+    def spy(sigma, tau, gs, hs):
+        if len(gs) == sigma.group.order:
+            built.append((sigma, tau))
+        return _pairs_block(sigma, tau, gs, hs)
+
+    derivations._cached.cache_clear()
+    monkeypatch.setattr(derivations, "_pairs_block", spy)
+    d12 = dihedral_group(6)
+    pairs = [(endo_from_images(d12, {"a": "a^5", "b": "b"}), identity_endomorphism(d12)),
+             (endo_from_images(d12, {"a": "a", "b": "a*b"}),) * 2]
+    for sigma, tau in pairs:
+        for field in (GF(3), QQ):
+            _, basis = derivation_space_full(field, sigma, tau)
+            assert len(basis) > 1 and all(verify_derivation(D) is None for D in basis)
+    assert built == pairs
+    derivations._cached.cache_clear()
 
 
 # -- the spanning-tree walk past int64 ----------------------------------------------
