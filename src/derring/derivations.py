@@ -13,9 +13,9 @@ generators, it decides the rule (the induction of
 ``groups.first_failing_pair``): ``product_rule_violation`` gathers D's
 table through those rows and the pair oracle ``derivation_space_full``
 solves them, one cached block (``decisive_rows``).  Along a spanning
-tree it is the walk (``_tree_plan``, ``_tree_extend``) that extends
-values at 1 and the generators to a derivation's table, in integers,
-and to the oracle's seed.
+tree the rule is a walk (``_tree_plan``'s levels, ``linalg.walk``) that
+extends values at 1 and the generators to a derivation's table, in
+integers, to the commutative basis and to the oracle's seed.
 Every system is one block over maps of one group (``common_group``) and
 one field (``common_field``).  Those fixed by (sigma, tau), the tree and
 the inner system's elimination are built once and kept in one bounded
@@ -53,10 +53,11 @@ import numpy as np
 from .errors import DerivationRejected
 from .groups import (Action, Endomorphism, FiniteGroup, Word, _power, _read_only,
                      action_gathers, class_minima, common_field, common_group,
-                     decisive_generators, first_failing_pair, word_str)
+                     decisive_generators, first_failing_pair, group_maps, word_str)
 from .groupring import GroupRingElement
 from .linalg import (Field, _values, debug_record, dense_block, integer_kernel, integer_rref,
-                     integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype)
+                     integer_scale, row_weight, sparse_kernel_basis, sparse_nullity, sum_dtype,
+                     walk)
 
 
 class AlgebraEndo:
@@ -200,8 +201,8 @@ class TwistedDerivation:
             images = {name: table[s].coeffs for name, s in group.generators}
         elif images is None:
             raise ValueError("a derivation needs its table or its generator images")
-        elif witness is None and not all(isinstance(e, Endomorphism) for e in (sigma, tau)):
-            raise ValueError("generator images alone extend only along group endomorphisms")
+        elif witness is None:
+            group_maps(sigma, tau)
         if isinstance(images, dict):
             _check_images(group, images)
             images = _scaled([field.coerce(c) for n, _ in group.generators for c in images[n]])
@@ -239,7 +240,7 @@ class TwistedDerivation:
 
         A table given is scaled.  Otherwise it is computed in integers, never
         from field elements: the gather of the witness (``_witness_ints``), or
-        the walk (``_tree_extend``) of ``integer_images`` as they are, seeded
+        the walk (``linalg.walk``) of ``integer_images`` as they are, seeded
         with the rows that the cached plan names (a generator named twice by
         its first name), in lowest terms (``_lowest_terms``); a walked entry
         sums at most |G| image entries (``sum_dtype``).
@@ -256,7 +257,7 @@ class TwistedDerivation:
                     self.sigma, self.tau, tuple(s for _, s in G.generators))
                 T = np.zeros((n, n), dtype=sum_dtype(n, _top(ints), F.p))
                 T[plan[3][0]] = ints[plan[3][1]]
-                self._integers = _lowest_terms(F, _tree_extend(plan, T.ravel()), den)
+                self._integers = _lowest_terms(F, walk(plan[2], T.ravel()), den)
         return self._integers
 
     @property
@@ -316,7 +317,7 @@ def free_eval(images: Dict[str, GroupRingElement], sigma: Endomorphism,
     sigma of its prefix and tau of its suffix (see ``_word_letters``).
     The empty word evaluates to 0.  Kept as the object-algebra reference
     for the index arithmetic of ``relator_block`` and of the tables that
-    ``_tree_extend`` walks.
+    ``_tree_plan``'s levels walk.
     """
     G = sigma.group
     out = GroupRingElement.zero(G, next(iter(images.values())).field)
@@ -410,14 +411,6 @@ def _tree_plan(sigma: Endomorphism, tau: Endomorphism, gens: Tuple[int, ...]):
     levels = tuple(tuple(_read_only(np.ascontiguousarray(pair_block(sigma, tau, *lv.T[1:])[0].T)))
                    for lv in np.split(np.array(edges, dtype=np.int64).reshape(-1, 3), cuts))
     return tuple(sorted([G.identity] + gens)), tuple(edges), levels, seeds
-
-
-def _tree_extend(plan, table: np.ndarray) -> np.ndarray:
-    """``table``, |G|^2 rows of any trailing width, extended in place from its
-    root rows along the tree of ``plan`` (``_tree_plan``), level by level."""
-    for dst, a, b in plan[2]:
-        table[dst] = table[a] + table[b]
-    return table
 
 
 def _actions(sigma: EndoLike, tau: EndoLike) -> Tuple[Action, Action, int, int]:
@@ -703,7 +696,7 @@ def derivation_space(field: Field, sigma: Endomorphism,
     ``derring.derivations`` naming the path it took.
     """
     tau = sigma if tau is None else tau
-    G = common_group(sigma, tau)
+    G = group_maps(sigma, tau)
     n = G.order
     if not basis and (not field.p or n % field.p):
         r = int(np.count_nonzero(class_minima(G, sigma, tau) == np.arange(n)))
@@ -723,22 +716,18 @@ def derivation_space(field: Field, sigma: Endomorphism,
 
 def _tree_seed(sigma: Endomorphism, tau: Endomorphism):
     """The pair rows along a spanning tree of G, eliminated in closed form: the
-    seed (K0, roots) of ``linalg._sparse_kernel``, and the tree edges (y, g, x).
+    seed (|G|^2, roots, levels) of ``linalg._sparse_kernel``, and the tree
+    edges (y, g, x).
 
     The |G| rows of ``pair_block`` at an edge y = g x of ``_tree_plan`` over
     ``G.generators`` have coefficient 1 at a column of y, met after g, so
-    these rows are unit-triangular off the root columns.  Their kernel, over every field,
-    is parametrized by the values at the roots: K0, the identity at the
-    (|X'| + 1)|G| root columns extended by ``_tree_extend``, has full
-    column rank and vanishes on them, so it spans it and the seeded rank is
-    exact.  K0's entries are at most the depth of the tree, so int64.
+    these rows are unit-triangular off the root columns.  Over every field
+    their kernel is K0, the identity at the (|X'| + 1)|G| root columns
+    walked along the plan's levels, entries at most the tree's depth.
     """
     G = common_group(sigma, tau)
     n, plan = G.order, _tree_plan(sigma, tau, tuple(s for _, s in G.generators))
-    free = (np.array(plan[0])[:, None] * n + np.arange(n)).ravel()
-    K0 = np.zeros((n * n, len(free)), dtype=np.int64)
-    K0[free, np.arange(len(free))] = 1
-    return (_tree_extend(plan, K0), free), plan[1]
+    return (n * n, (np.array(plan[0])[:, None] * n + np.arange(n)).ravel(), plan[2]), plan[1]
 
 
 def derivation_space_full(field: Field, sigma: Endomorphism,
@@ -752,27 +741,25 @@ def derivation_space_full(field: Field, sigma: Endomorphism,
     |G|^3 of every pair, have the same kernel.  They are ``decisive_rows``,
     the block ``product_rule_violation`` reads, and they stream through the
     sparse kernel of ``linalg``, seeded by the kernel of the rows along a
-    spanning tree (``_tree_seed``), which meets the seed's precondition:
-    a tree edge y = g x has x in X, so its rows are among the rows, and K0
+    spanning tree (``_tree_seed``), which meets the seed's precondition: a
+    tree edge y = g x has x in X, so its rows are among the rows, and K0
     spans their kernel.  Both modes read that one seeded kernel: the
     dimension is its number of free columns (``sparse_nullity``), and a
-    basis is put in the canonical form of ``Matrix.kernel_basis``
-    (``sparse_kernel_basis``).  Each solve writes one DEBUG record on
-    ``derring.derivations``, with the number of rows streamed.
+    basis is walked from the roots into the canonical form of
+    ``Matrix.kernel_basis`` (``sparse_kernel_basis``).  Each solve writes
+    one DEBUG record on ``derring.derivations``, with the number of rows
+    streamed.
     """
     tau = sigma if tau is None else tau
-    G = common_group(sigma, tau)
+    G = group_maps(sigma, tau)
     n, (seed, edges) = G.order, _tree_seed(sigma, tau)
     block = decisive_rows(sigma, tau)[:2]
-    if basis:
-        kernel = sparse_kernel_basis(field, block, seed)
-        dim = len(kernel)
-    else:
-        dim = sparse_nullity(field, block, seed)
+    kernel = sparse_kernel_basis(field, block, seed) if basis else None
+    dim = len(kernel) if basis else sparse_nullity(field, block, seed)
     debug_record("derring.derivations",
                  "pair oracle |G| = %d over %s: %d pair rows, %d tree edges, seed width %d, "
-                 "rank %d", n, field, len(block[0]), len(edges), seed[0].shape[1], n * n - dim,
-                 order=n, rows=len(block[0]), edges=len(edges), width=seed[0].shape[1],
+                 "rank %d", n, field, len(block[0]), len(edges), len(seed[1]), n * n - dim,
+                 order=n, rows=len(block[0]), edges=len(edges), width=len(seed[1]),
                  rank=n * n - dim)
     if not basis:
         return dim, None
@@ -816,6 +803,7 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     """
     if not field.p:
         raise ValueError("the commutative basis construction is stated over GF(p)")
+    group_maps(sigma)
     if not group.is_abelian():
         raise ValueError("group must be abelian")
     p_gens, reg_gens = _abelian_char_parts(group, field.p)
@@ -825,7 +813,7 @@ def abelian_basis(group: FiniteGroup, sigma: Endomorphism, field: Field) -> List
     # column i walks D_i from D_i(k_i) = 1 and 0 at the other roots
     T = np.zeros((n * n, r), dtype=np.int64)
     T[np.array(p_gens) * n + group.identity, np.arange(r)] = 1
-    T = _tree_extend(_tree_plan(sigma, sigma, tuple(p_gens + reg_gens)), T) % field.p
+    T = walk(_tree_plan(sigma, sigma, tuple(p_gens + reg_gens))[2], T) % field.p
     # (g D_i)(s)[t] = D_i(s)[g^-1 t]: every member's generator images in one gather
     gens = [s for _, s in group.generators]
     images = T.reshape(n, n, r)[gens][:, group.mul_array[group.inv_array]]

@@ -629,12 +629,19 @@ def identity_endomorphism(group: FiniteGroup) -> Endomorphism:
     return Endomorphism(group, range(group.order), check=False)
 
 
+def group_maps(*maps) -> FiniteGroup:
+    """``common_group`` of maps that must act on G itself: a ValueError for an algebra map."""
+    if not all(isinstance(m, Endomorphism) for m in maps):
+        raise ValueError("generator images alone extend only along group endomorphisms")
+    return common_group(*maps)
+
+
 def twisted_conjugates(group: FiniteGroup, sigma: Endomorphism, tau: Endomorphism,
                        x: Optional[int] = None) -> np.ndarray:
     """C[g, x] = sigma(g) x tau(g)^-1 for every g, gathered from ``mul_array``:
     the column of one x, or the whole |G| x |G| table when x is None.  Column x
     is the twisted orbit of x, since g -> (x -> C[g, x]) is an action of G."""
-    G = common_group(group, sigma, tau)
+    G = common_group(group, group_maps(sigma, tau))
     mul, images = G.mul_array, np.asarray(sigma.images, dtype=np.int64)
     undo = G.inv_array[np.asarray(tau.images, dtype=np.int64)]
     if x is None:

@@ -38,18 +38,19 @@ Sparse rows, one (cols, vals) block, have one entry point too,
 triple; it runs the same kernel and the same lift (``_lift``), and only
 the mod-p step differs.  The rows stream in chunks through K, the kernel
 mod p of the rows before them: a chunk times K is row-reduced by the
-kernel above and updates K.  K starts from a seed (K0, roots), always
-given: an integer K0 whose columns span the kernel of some of the rows,
-the identity at its root rows, or ``identity_seed(ncols)``, the identity
-on every column, for no rows.  K is then K0 times the kernel of the rows
-times K0; at the roots it is the identity on the free columns and minus
-the RREF at the pivots, so over GF(p) the triple is read off it, and
-over QQ the lift reconstructs it and certifies A K0 K = 0, a row of
-A K0 summing at most the rows' largest sum of |vals| times K0's row
-weight.  ``sparse_rank`` counts the pivots from the identity seed,
-``sparse_nullity`` the free columns, and ``sparse_kernel_basis`` puts K0
-times the kernel in the canonical form of ``Matrix.kernel_basis`` by one
-``integer_rref``.
+kernel above and updates K.  K starts from a seed (ncols, roots,
+levels), always given, which describes K0 and does not hold it: the
+identity at the root rows, walked (``walk``) along levels of row
+additions (dst, a, b), so K0 has no negative entry and its columns span
+the kernel of the rows e_dst - e_a - e_b (``identity_seed(ncols)`` walks
+nothing).  K is then K0 times the kernel of the rows times K0; at the
+roots it is the identity on the free columns and minus the RREF at the
+pivots, so over GF(p) the triple is read off it, and over QQ the lift
+reconstructs it and certifies A K0 K = 0, a row of A K0 summing at most
+the rows' largest sum of |vals| times K0's row weight.  ``sparse_rank``
+counts the pivots from the identity seed, ``sparse_nullity`` the free
+columns, and ``sparse_kernel_basis`` walks the kernel from the roots into
+the canonical form of ``Matrix.kernel_basis`` by one ``integer_rref``.
 """
 
 from __future__ import annotations
@@ -580,30 +581,40 @@ def _log_rational(shape, rank: int, primes: int, lifted: bool) -> None:
 _SPARSE_CHUNK = 2 ** 12
 
 
-def _gather(cols: np.ndarray, vals: np.ndarray, K: np.ndarray, p: int = 0,
-            each: bool = False) -> np.ndarray:
-    """The rows (cols, vals) times K: the sum over j of vals[:, j] K[cols[:, j]].
-
-    Reduced mod p when p is given, after every term when ``each``.
-    """
+def _gather(cols: np.ndarray, vals: np.ndarray, K: np.ndarray, p: int, each: bool) -> np.ndarray:
+    """The rows (cols, vals) times K mod p: the sum over j of vals[:, j] K[cols[:, j]],
+    reduced after every term when ``each``."""
     out = vals[:, :1] * K[cols[:, 0]]
     for j in range(1, cols.shape[1]):
         if each:
             out %= p
         out += vals[:, j:j + 1] * K[cols[:, j]]
-    return out % p if p else out
+    return out % p
 
 
-def _nonzero_rows(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The nonzeros of a 2-d integer array as (cols, vals) rows, one per row of
-    A, each padded to the widest by zeros at column 0."""
-    rows, cols = np.nonzero(A)
-    counts = np.bincount(rows, minlength=len(A))
-    at = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    shape = (len(A), max(int(counts.max(initial=0)), 1))
-    out_cols, out_vals = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=A.dtype)
-    out_cols[rows, at], out_vals[rows, at] = cols, A[rows, cols]
-    return out_cols, out_vals
+def walk(levels, table: np.ndarray) -> np.ndarray:
+    """``table`` walked in place: level by level, its rows dst set to its rows a plus b."""
+    for dst, a, b in levels:
+        table[dst] = table[a] + table[b]
+    return table
+
+
+def identity_seed(ncols: int):
+    """The seed of no rows: every one of the ncols columns a root, nothing walked."""
+    return ncols, np.arange(ncols), ()
+
+
+def _from_roots(seed, rows, dtype) -> np.ndarray:
+    """K0 times ``rows``, in ``dtype``: the rows put at a seed's roots, zero elsewhere, walked."""
+    ncols, roots, levels = seed
+    out = np.zeros((ncols, *np.shape(rows)[1:]), dtype=dtype)
+    out[roots] = rows
+    return walk(levels, out)
+
+
+def _seed_weight(seed) -> int:
+    """K0's row weight: the largest entry of the walk of 1 at every root (K0 is nonnegative)."""
+    return int(_from_roots(seed, 1, np.int64).max(initial=0))
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -620,30 +631,33 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def _sparse_kernel(cols: np.ndarray, vals: np.ndarray, p: int,
                    seed) -> Tuple[np.ndarray, np.ndarray]:
-    """The kernel mod p of the sparse rows (cols, vals): K, ncols x nfree, and the free columns.
+    """The kernel mod p of the sparse rows (cols, vals): K, ncols x nfree, and
+    the free columns, by position among the seed's roots.
 
-    K starts as the seed (K0, roots) reduced mod p: an integer ncols x r
-    matrix K0 that is the identity at the rows ``roots`` (increasing) and
-    whose columns span the kernel, over every field, of some of the rows
-    (``identity_seed``: of none).  That is the seed's precondition: every
-    kernel vector of all the rows is then K0 c for one c, and K0 has full
-    column rank, so the kernel is K0 times the kernel of the rows times
-    K0, and the free columns are among the roots.  Each chunk of rows is
-    multiplied into K, R = rows K, a gather of K's rows by column index,
-    and the nonzero rows of R, as lists, are row-reduced by
-    ``rref_mod_p``; with P the pivots of R and N its RREF, K becomes
-    K - K[:, P] N without the columns P.  N is zero left of each pivot, so
-    each column of K stays supported (at the roots) on its free column and
-    the pivots left of it: at the roots K is the identity on the free
-    columns and minus the RREF, at the pivots, of the rows times K0, with
-    its first-nonzero pivots.  K is int64 while (p - 1)^2 < 2^63
+    The seed (ncols, roots, levels) describes K0: the identity at the rows
+    ``roots`` (increasing) walked along levels of row additions (dst, a, b)
+    that read rows set before their level, of row weight below 2^63.  K0 has
+    full column rank and spans the kernel of the seed's rows
+    e_dst - e_a - e_b over every field, so the kernel of the rows and the
+    seed's rows (the rows' own when the seed's rows are among them) is K0
+    times the kernel of the rows times K0, its free columns among the
+    roots.  K starts as K0, walked in K's dtype and reduced mod p in place.
+    Each chunk of rows is multiplied into K, R = rows K, a gather of K's
+    rows by column index, and the nonzero rows of R, as lists, are
+    row-reduced by ``rref_mod_p``; with P the pivots of R and N its RREF, K
+    becomes K - K[:, P] N without the columns P.  N is zero left of each
+    pivot, so each column of K stays supported (at the roots) on its free
+    column and the pivots left of it: at the roots K is the identity on the
+    free columns and minus the RREF, at the pivots, of the rows times K0,
+    with its first-nonzero pivots.  K is int64 while (p - 1)^2 < 2^63
     (``sum_dtype``), and Python ints past that; a gather is reduced after
     every term when a row's sum of |vals| (symmetric residues) times p - 1
     could reach 2^63.  Rows stop being read once the kernel is 0.
     """
-    dtype = sum_dtype(p - 1, p - 1)
-    # an int64 seed, and int64 values, are reduced in Python ints when p itself is past int64
-    K, free = seed[0].astype(dtype) % p, np.array(seed[1])
+    dtype, free = sum_dtype(p - 1, p - 1), np.arange(len(seed[1]))
+    K = _from_roots(seed, np.eye(len(free), dtype=np.int64), dtype)
+    K %= p
+    # int64 values are reduced in Python ints when p itself is past int64
     vals = (vals if p < 2 ** 63 else vals.astype(object)) % p
     vals[vals > p // 2] -= p
     vals = vals.astype(dtype, copy=False)
@@ -670,41 +684,31 @@ def _sparse_kernel(cols: np.ndarray, vals: np.ndarray, p: int,
     return K, free
 
 
-def identity_seed(ncols: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The seed of no rows: K0 the ncols x ncols identity, every column a root."""
-    return np.eye(ncols, dtype=np.int64), np.arange(ncols)
-
-
 def sparse_echelon(field: Field, block: Tuple[np.ndarray, np.ndarray], seed):
     """``echelon`` of the sparse rows of one (cols, vals) block times a seed's K0.
 
     Row i of the block has the entries vals[i, j] at the columns cols[i, j]
     (two (m, w) arrays, vals int64 or numpy ``object`` Python ints); a
-    column repeated in a row adds.  The seed (K0, roots) meets
-    ``_sparse_kernel``'s precondition (``identity_seed`` always does).  The
-    pivots, the free columns and (rows, lcms) are those of the rows times
-    K0, by position among the roots: over GF(p) residues over 1, read off
-    ``_sparse_kernel``, over QQ its ``_lift``, with one DEBUG record, whose
-    certificate weight is a row's largest sum of |vals| times K0's row
-    weight, a row of the rows times K0 summing at most that.
+    column repeated in a row adds.  The seed meets ``_sparse_kernel``'s
+    precondition.  The pivots, the free columns and (rows, lcms) are those
+    of the rows times K0, by position among the roots: over GF(p) residues
+    over 1, read off ``_sparse_kernel``, over QQ its ``_lift``, with one
+    DEBUG record, whose certificate weight, a row's largest sum of |vals|
+    times K0's (``_seed_weight``), bounds a row of the rows times K0.
     """
     cols, vals = block
-    K0, roots = seed
+    ncols, roots, _ = seed
 
     def modp(p):
         K, free = _sparse_kernel(cols, vals, p, seed)
-        at = np.searchsorted(roots, free)
-        is_pivot = np.ones(len(roots), dtype=bool)
-        is_pivot[at] = False
-        pivots = np.flatnonzero(is_pivot)
-        return pivots.tolist(), at.tolist(), K[roots[pivots]]
+        pivots = np.delete(np.arange(len(roots)), free)
+        return pivots.tolist(), free.tolist(), K[roots[pivots]]
 
     if field.p:
         pivots, free, rows = modp(field.p)
         return pivots, free, (rows, np.ones(len(free), dtype=rows.dtype))
-    pivots, free, kernel, primes = _lift(modp, row_weight(vals) * row_weight(K0))
-    _log_rational((len(cols), len(K0)), len(K0) - len(free), primes,
-                  lifted=bool(free and pivots))
+    pivots, free, kernel, primes = _lift(modp, row_weight(vals) * _seed_weight(seed))
+    _log_rational((len(cols), ncols), ncols - len(free), primes, lifted=bool(free and pivots))
     return pivots, free, kernel
 
 
@@ -727,18 +731,17 @@ def sparse_kernel_basis(field: Field, block, seed) -> List[List]:
     gives it for the same rows dense: one vector per free column, in order.
 
     The kernel is K0 times ``sparse_echelon``'s, column k over lcms[k]
-    (``_kernel_columns``), one ``_gather`` over K0's nonzeros (a seed is
-    mostly zeros), exact, int64 while K0's row weight times the largest
+    (``_kernel_columns``): those columns walked from the roots
+    (``_from_roots``), exact, int64 while K0's row weight times the largest
     |entry|, and p, are below 2^63.  The canonical basis is the kernel's
     RREF with the columns reversed, then each vector and their order
     reversed: the vector of a free column f is 1 at f and 0 at every other
-    free column, and nonzero only left of f.  So it is one
-    ``integer_rref`` of those vectors, whatever basis they are.
+    free column, and nonzero only left of f.  So it is one ``integer_rref``
+    of those vectors, whatever basis they are.
     """
     K, _ = _kernel_columns(*sparse_echelon(field, block, seed))
     if not K.shape[1]:
         return []
-    cols, vals = _nonzero_rows(seed[0])
-    dtype = sum_dtype(row_weight(vals), int(abs(K).max(initial=0)), field.p)
-    _, R, den = integer_rref(field, _gather(cols, vals.astype(dtype), K.astype(dtype)).T[:, ::-1])
+    dtype = sum_dtype(_seed_weight(seed), int(abs(K).max(initial=0)), field.p)
+    _, R, den = integer_rref(field, _from_roots(seed, K, dtype).T[:, ::-1])
     return [vec[::-1] for vec in reversed(_field_rows(field, R, den))]

@@ -20,7 +20,8 @@ from derring.groups import (FiniteGroup, abelian_group, brute_force_endomorphism
                             table_group)
 from derring.codes import code_report, derivation_matrix, subset_sweep
 from derring.conjugacy import (inner_basis, twisted_center_dimension, twisted_center_group,
-                               twisted_centralizer, twisted_classes, twisted_orbit)
+                               twisted_center_space, twisted_centralizer, twisted_classes,
+                               twisted_orbit)
 from derring.dihedral import predict
 from derring.groupring import GroupRingElement, apply_endo, parse_element
 from derring.linalg import GF, QQ, integer_scale
@@ -176,7 +177,11 @@ def test_tree_seed_is_the_kernel_of_the_tree_rows(group):
     n, endos = group.order, brute_force_endomorphisms(group)
     roots = sorted({group.identity} | {s for _, s in group.generators})
     for sigma, tau in ((endos[-1], endos[0]), (endos[0], endos[-1]), (endos[-1], endos[-1])):
-        (K0, free), edges = _tree_seed(sigma, tau)
+        (ncols, free, levels), edges = _tree_seed(sigma, tau)
+        # K0, which the seed describes: the identity at the roots, walked
+        K0 = np.zeros((ncols, len(free)), dtype=np.int64)
+        K0[free, np.arange(len(free))] = 1
+        K0 = linalg.walk(levels, K0)
         assert K0.shape == (n * n, len(roots) * n) and len(edges) == n - len(roots)
         assert sorted(y for y, _, _ in edges) == sorted(set(range(n)) - set(roots))
         assert free.tolist() == [r * n + t for r in roots for t in range(n)]
@@ -714,6 +719,54 @@ MIXED_FIELDS = {
     # once a + 2 b + 2 a*b + 2 a^2*b over QQ
     "apply_endo": lambda sigma: apply_endo(sigma, parse_element(D6, QQ, "a")),
 }
+
+
+# the entry points that read a map's group images: the relator solve, the
+# spanning-tree walk of the pair oracle, and the twisted conjugates behind
+# twisted classes, orbits and centralizers and the inner basis
+GROUP_MAPS_ONLY = {
+    "derivation_space": lambda F, s, t: derivation_space(F, s, t),
+    "derivation_space dimension": lambda F, s, t: derivation_space(F, s, t, basis=False),
+    "derivation_space_full": lambda F, s, t: derivation_space_full(F, s, t),
+    "derivation_space_full dimension": lambda F, s, t: derivation_space_full(F, s, t, basis=False),
+    "twisted_classes": lambda F, s, t: twisted_classes(D6, s, t),
+    "twisted_orbit": lambda F, s, t: twisted_orbit(D6, s, t, 1),
+    "twisted_centralizer": lambda F, s, t: twisted_centralizer(D6, s, t, 1),
+    "inner_basis": lambda F, s, t: inner_basis(D6, s, t, F),
+}
+
+
+def d6_algebra_maps(field):
+    """a -> a^2, b -> b as a monomial ``AlgebraEndo``, and conjugation by the unit 2 + b."""
+    unit = parse_element(D6, field, "2 + b")
+    # (2 + b)(2 - b) = 4 - b^2 = 3
+    inverse = parse_element(D6, field, "2 - b").scale(field.inv(field.coerce(3)))
+    return {"monomial": AlgebraEndo.from_group_endo(endo_from_images(D6, {"a": "a^2", "b": "b"}),
+                                                    field),
+            "conjugation": AlgebraEndo(D6, field, [unit * GroupRingElement.basis(D6, field, g)
+                                                   * inverse for g in range(6)])}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+@pytest.mark.parametrize("kind", ["monomial", "conjugation"])
+@pytest.mark.parametrize("entry", GROUP_MAPS_ONLY)
+def test_group_map_entry_points_refuse_algebra_maps(entry, kind, field):
+    # these once raised AttributeError, or a ValueError from inside the tree plan,
+    # or, on the monomial map, answered the pair oracle by chance
+    algebra = d6_algebra_maps(field)[kind]
+    for sigma, tau in ((algebra, ID_D6), (ID_D6, algebra), (algebra, algebra)):
+        with pytest.raises(ValueError, match="only along group endomorphisms"):
+            GROUP_MAPS_ONLY[entry](field, sigma, tau)
+    # the twisted center is the kernel of the inner map, valid for algebra maps
+    center = twisted_center_space(D6, algebra, algebra, field)
+    assert len(center) == twisted_center_dimension(D6, algebra, algebra, field) > 0
+
+
+def test_abelian_basis_refuses_an_algebra_map():
+    c9 = cyclic_group(9)
+    sigma = AlgebraEndo.from_group_endo(endo_from_images(c9, {"x": "x^2"}), GF(3))
+    with pytest.raises(ValueError, match="only along group endomorphisms"):
+        abelian_basis(c9, sigma, GF(3))
 
 
 @pytest.mark.parametrize("entry", MIXED_FIELDS)

@@ -34,7 +34,7 @@ from derring.groups import (Endomorphism, FiniteGroup, abelian_group,
                             identity_endomorphism, parse_word, table_group)
 from derring import derivations, linalg
 from derring.linalg import (GF, QQ, Matrix, dense_block, identity_seed, is_prime, rref_mod_p,
-                            sparse_kernel_basis, sparse_rank)
+                            sparse_kernel_basis, sparse_nullity, sparse_rank)
 from gauss_jordan import dot, gauss_jordan, rows_rank, solve
 from test_derivations import SEED_GROUPS
 
@@ -974,6 +974,48 @@ def test_sparse_kernel_basis_matches_fraction_elimination(field, data):
     with mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
         assert (sparse_kernel_basis(field, entry_block(rows), identity_seed(ncols))
                 == gauss_jordan_kernel(field, dense))
+
+
+@st.composite
+def walk_seeds(draw, ncols):
+    """A seed (ncols, roots, levels) and its rows as (dst, a, b) steps: sorted
+    roots, every other column defined once, at a level, as the sum of two
+    columns (equal or not) defined before that level."""
+    order = draw(st.permutations(range(ncols)))
+    nroots = draw(st.integers(1, ncols))
+    roots, rest, levels, steps = sorted(order[:nroots]), order[nroots:], [], []
+    defined = list(roots)
+    while rest:
+        size = draw(st.integers(1, len(rest)))
+        level, rest = rest[:size], rest[size:]
+        level = [(dst, draw(st.sampled_from(defined)), draw(st.sampled_from(defined)))
+                 for dst in level]
+        levels.append(tuple(np.array(v, dtype=np.int64) for v in zip(*level)))
+        steps += level
+        defined += [dst for dst, _, _ in level]
+    return (ncols, np.array(roots), tuple(levels)), steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((GF(2), GF(3), GF(2 ** 63 + 29), QQ)), st.data())
+def test_walk_seed_gives_the_kernel_of_its_rows_stacked(field, data):
+    # a seed describes K0, the identity at its roots walked along its levels, whose
+    # columns span the kernel of its rows e_dst - e_a - e_b: the kernel of a block
+    # under it is that of the block stacked with those rows, from the identity seed
+    ncols, rows = data.draw(sparse_systems())
+    seed, steps = data.draw(walk_seeds(ncols))
+    stacked = rows + [[(dst, 1), (a, -1), (b, -1)] for dst, a, b in steps]
+    dense = [[0] * ncols for _ in stacked]
+    for row, entries in zip(dense, stacked):
+        for c, v in entries:
+            row[c] += v
+    chunk = data.draw(st.sampled_from([1, 2 ** 5, linalg._SPARSE_CHUNK]))
+    with mock.patch.object(linalg, "_SPARSE_CHUNK", chunk):
+        expected = sparse_kernel_basis(field, entry_block(stacked), identity_seed(ncols))
+        assert expected == Matrix(field, dense).kernel_basis()
+        assert sparse_kernel_basis(field, entry_block(rows), seed) == expected
+        assert (sparse_nullity(field, entry_block(rows), seed) == len(expected)
+                == sparse_nullity(field, entry_block(stacked), identity_seed(ncols)))
 
 
 def pair_rows_reference(sigma, tau):
